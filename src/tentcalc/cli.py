@@ -33,7 +33,7 @@ from .exponents import (
     surrogate_p_bounds,
 )
 from .mesh import PowerWeight, UNIT_WEIGHT, Grid, WeightModel, lp_norm
-from .operator import CoefficientField, SpectralOperator, assemble
+from .operator import CoefficientField, SpectralOperator, assemble, check_dense_budget
 from .semigroup import TimeLadder
 from .squarefn import SquareFunctionKind, evaluate, result_to_csv
 from .verify import SUITES, SuiteConfig, reports_to_csv, reports_to_json, run_suites
@@ -61,8 +61,11 @@ SUITE_TOKENS = {
 class RunConfig:
     """Grid, weight, coefficient and ladder parameters for one field run.
 
-    Caps keep runs inside the dense-matrix budget: dim in {1, 2}, at most
-    4096 cells, weight power strictly inside (-dim, dim).
+    Caps keep runs inside the budget of the dense eigendecomposition
+    (`eigh` on M x M matrices): dim in {1, 2}, at most 128 cells per side
+    and 4096 cells.  The weight power lies strictly inside (-dim, dim) and
+    the ladder has at most LADDER_CAP nodes.  All of it is checked here,
+    before anything is allocated.
     """
 
     dim: int = 2
@@ -75,10 +78,7 @@ class RunConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not 4 <= self.n <= 128 or self.n**self.dim > 4096:
-            raise ValueError(f"grid size out of range: dim={self.dim}, n={self.n}")
+        check_dense_budget(self.dim, self.n)
         if not -self.dim < self.weight_alpha < self.dim:
             raise ValueError(
                 f"alpha outside (-n, n): weight power {self.weight_alpha} "
@@ -92,6 +92,7 @@ class RunConfig:
             raise ValueError(
                 f"ladder_t_min must be in (0, t_max), got {self.ladder_t_min}"
             )
+        self.build_ladder(Grid(self.dim, self.n))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

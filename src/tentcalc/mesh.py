@@ -9,7 +9,19 @@ the origin.  Distances are periodic:
 Balls are sets of cells selected by center distance only, which keeps the
 membership relation exactly symmetric: x in B(y, r) iff y in B(x, r).  That
 symmetry is what later makes the tent-space Fubini identities exact rather
-than approximate.
+than approximate.  Closed balls use d <= r, strict balls d < r; both get a
+relative tie slack of 1e-9 toward inclusion.
+
+On the torus d(x, y) depends only on the offset y - x, so every ball family
+is one translation-invariant stencil: the M cell offsets sorted by distance
+(`BallStencil`, built lazily per Grid).  A ball of any radius is a prefix of
+that order, and a ball sum at x is the sum of the field shifted by each
+offset in the prefix.  Sums over nested balls run as prefix reductions in
+the one fixed offset order, never as FFT convolutions or differences of
+prefix sums: with non-negative terms, a fixed order makes every sum over a
+larger ball at least the sum over a smaller one in floating point too,
+which the tolerance-0 aperture-monotonicity check relies on.  Geometry
+memory is O(M); no pairwise distance matrix is formed.
 
 Weighted measures and norms use the cell quadrature
 
@@ -30,6 +42,7 @@ from numpy.typing import NDArray
 
 __all__ = [
     "Grid",
+    "BallStencil",
     "WeightModel",
     "PowerWeight",
     "TabulatedWeight",
@@ -55,7 +68,7 @@ class Grid:
             raise ValueError(f"need at least 4 cells per side, got {n_side}")
         self._dim = int(dim)
         self._n = int(n_side)
-        self._distance_matrix: NDArray | None = None
+        self._stencil: BallStencil | None = None
 
     @property
     def dim(self) -> int:
@@ -120,34 +133,26 @@ class Grid:
         delta = np.minimum(delta, 1.0 - delta)
         return float(np.sqrt(np.sum(delta**2)))
 
+    def distance_row(self, center: int) -> NDArray:
+        """Periodic distances from one cell center to every center, (M,)."""
+        c = self.centers
+        d2 = np.zeros(self.n_cells)
+        for d in range(self._dim):
+            delta = np.abs(c[center, d] - c[:, d])
+            delta = np.minimum(delta, 1.0 - delta)
+            d2 += delta**2
+        return np.sqrt(d2)
+
     @property
-    def distance_matrix(self) -> NDArray:
-        """Pairwise periodic distances between cell centers, (M, M)."""
-        if self._distance_matrix is None:
-            c = self.centers
-            d2 = np.zeros((self.n_cells, self.n_cells))
-            for d in range(self._dim):
-                delta = np.abs(c[:, None, d] - c[None, :, d])
-                delta = np.minimum(delta, 1.0 - delta)
-                d2 += delta**2
-            self._distance_matrix = np.sqrt(d2)
-        return self._distance_matrix
-
-    def ball_mask(self, radius: float, strict: bool = False) -> NDArray:
-        """Boolean (M, M) matrix, mask[c, y] = y in B(center c, radius).
-
-        Closed balls (d <= r) by default; strict=True uses d < r.  Both
-        comparisons get the deterministic 1e-9 tie slack toward inclusion.
-        """
-        if radius <= 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
-        bound = radius * (1.0 + TIE_SLACK)
-        if strict:
-            return self.distance_matrix < bound
-        return self.distance_matrix <= bound
+    def stencil(self) -> "BallStencil":
+        """The ball stencil of this grid, built on first use."""
+        if self._stencil is None:
+            self._stencil = BallStencil(self)
+        return self._stencil
 
     def ball(self, center: int, radius: float) -> "CellSet":
-        row = self.distance_matrix[center]
+        """The closed ball of cells whose centers lie within `radius`."""
+        row = self.distance_row(center)
         members = np.nonzero(row <= radius * (1.0 + TIE_SLACK))[0]
         return CellSet(self, tuple(int(i) for i in members))
 
@@ -172,6 +177,112 @@ class Grid:
 
     def __hash__(self):
         return hash((self._dim, self._n))
+
+
+class BallStencil:
+    """The M cell offsets of a Grid sorted by periodic center distance.
+
+    Offset k carries the distance from cell 0 to cell k, computed exactly
+    as the grid's distance rows; the sort is stable, so equal distances
+    keep flat-index order.  The ball B(x, r) is x plus the offsets whose
+    distance is at most r (below r for strict balls), with the 1e-9 tie
+    slack toward inclusion, and is always a prefix of the order.  Every
+    reduction visits offsets in this one order; sums accumulate
+    sequentially.
+
+    Fields are shifted through a periodically doubled copy, so each
+    shifted field is a strided view rather than a gather.
+    """
+
+    def __init__(self, grid: Grid):
+        dist = grid.distance_row(0)
+        order = np.argsort(dist, kind="stable")
+        self.distances: NDArray = dist[order]
+        n = grid.n_side
+        self._shape = (n,) * grid.dim
+        offsets = np.column_stack(np.unravel_index(order, self._shape))
+        self._windows = [
+            tuple(slice(a, a + n) for a in offset) for offset in offsets.tolist()
+        ]
+
+    def _bounds(self, radii) -> NDArray:
+        radii = np.atleast_1d(np.asarray(radii, float))
+        if radii.size == 0 or radii[0] <= 0:
+            raise ValueError(f"ball radii must be positive, got {radii}")
+        if np.any(np.diff(radii) < 0):
+            raise ValueError("ball radii must be non-decreasing")
+        return radii * (1.0 + TIE_SLACK)
+
+    def counts(self, radii, strict: bool = False) -> NDArray:
+        """Number of offsets in the ball of each radius (a prefix length)."""
+        side = "left" if strict else "right"
+        return np.searchsorted(self.distances, self._bounds(radii), side=side)
+
+    def _tile(self, values: NDArray) -> NDArray:
+        """Values reshaped to the grid and doubled along each grid axis."""
+        tiled = values.reshape(values.shape[:-1] + self._shape)
+        for axis in range(-len(self._shape), 0):
+            tiled = np.concatenate([tiled, tiled], axis=axis)
+        return tiled
+
+    def shifts(self, values: NDArray, radius: float, strict: bool = False):
+        """Yield values(x + o), shaped like values, for each offset o in
+        the ball of `radius`, in stencil order."""
+        values = np.asarray(values, float)
+        tiled = self._tile(values)
+        stop = int(self.counts(radius, strict)[0])
+        for window in self._windows[:stop]:
+            yield tiled[(Ellipsis, *window)].reshape(values.shape)
+
+    def ball_reduce(
+        self, values: NDArray, radii, strict: bool = False, ufunc=np.add
+    ) -> NDArray:
+        """out[i](x) = ufunc over y in B(x, radii[i]) of values(y).
+
+        `values` has shape (..., M) and the result (len(radii), ..., M).
+        One pass over the offsets serves every radius: the reduction for
+        a larger ball continues the one for the smaller ball.
+        """
+        values = np.asarray(values, float)
+        stops = self.counts(radii, strict)
+        tiled = self._tile(values)
+        acc = tiled[(Ellipsis, *self._windows[0])].copy()
+        out = np.empty((stops.size, *values.shape))
+        done = 1
+        for i, stop in enumerate(stops.tolist()):
+            for window in self._windows[done:stop]:
+                ufunc(acc, tiled[(Ellipsis, *window)], out=acc)
+            done = stop
+            out[i] = acc.reshape(values.shape)
+        return out
+
+    def nested_reduce(
+        self, values: NDArray, radii, strict: bool = False, ufunc=np.add
+    ) -> NDArray:
+        """out(x) = ufunc over i and y in B(x, radii[i]) of values[i](y).
+
+        `values` has shape (len(radii), M).  Offset o lies in the balls
+        of radii[i] for i >= first(o), so the suffix reductions over i
+        are taken first and the result is one pass over the offsets of
+        the largest ball.  By ball symmetry, ufunc = np.maximum gives at
+        each x the sup of values[i](c) over all balls B(c, radii[i])
+        that contain x.
+        """
+        values = np.asarray(values, float)
+        bounds = self._bounds(radii)
+        if values.shape != (bounds.size, self.distances.size):
+            raise ValueError(f"values shape {values.shape}: need one row per radius")
+        stop = int(self.counts(radii, strict)[-1])
+        # offset k lies in the ball of radii[i] iff i >= first[k]
+        first = np.searchsorted(
+            bounds, self.distances[:stop], side="right" if strict else "left"
+        )
+        suffix = ufunc.accumulate(values[::-1], axis=0)[::-1]
+        tiled = self._tile(suffix)
+        acc = tiled[(int(first[0]), *self._windows[0])].copy()
+        for layer, window in zip(first[1:].tolist(), self._windows[1:stop]):
+            ufunc(acc, tiled[(layer, *window)], out=acc)
+        return acc.reshape(values.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -305,11 +416,7 @@ def maximal(
     if base is not None:
         mu = base.sample(grid) * grid.cell_volume
     g = np.abs(f) ** p0 * mu
-    out = np.zeros(grid.n_cells)
-    for r in grid.dyadic_radii(0.5):
-        mask = grid.ball_mask(r)
-        avg = (mask @ g) / (mask @ mu)
-        # scatter each ball's average to its members; mask is symmetric
-        contrib = np.where(mask, avg[:, None], 0.0).max(axis=0)
-        np.maximum(out, contrib, out=out)
-    return out ** (1.0 / p0)
+    radii = grid.dyadic_radii(0.5)
+    sums = grid.stencil.ball_reduce(np.stack([g, mu]), radii)
+    avg = sums[:, 0] / sums[:, 1]
+    return grid.stencil.nested_reduce(avg, radii, ufunc=np.maximum) ** (1.0 / p0)

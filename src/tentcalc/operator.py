@@ -39,6 +39,7 @@ __all__ = [
     "assemble",
     "assemble_dense",
     "operator_from_config",
+    "check_dense_budget",
 ]
 
 # eigenvalues below this are an assembly bug, between this and zero they
@@ -48,7 +49,20 @@ EIG_ZERO_BAND = 1e-9
 
 ORTHO_TOL = 1e-10
 
+# budget of the dense eigendecomposition: M x M matrices, M <= 4096
+MAX_SIDE = 128
+MAX_CELLS = 4096
+
 _N_DIRECTIONS = 16
+
+
+def check_dense_budget(dim: int, n: int):
+    """Reject grids outside the dense-operator budget before allocating:
+    dim in {1, 2}, 4 <= n <= MAX_SIDE and n^dim <= MAX_CELLS."""
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if not 4 <= n <= MAX_SIDE or n**dim > MAX_CELLS:
+        raise ValueError(f"grid size out of range: dim={dim}, n={n}")
 
 
 def _unit_vectors(dim: int) -> NDArray:

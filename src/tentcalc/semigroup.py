@@ -42,6 +42,7 @@ __all__ = [
     "GradField",
     "QuadratureError",
     "ORDER_CAP",
+    "LADDER_CAP",
     "heat_eval",
     "grad_eval",
     "poisson_eval",
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 ORDER_CAP = 4
+# most time nodes a ladder may have; the longest ladder any suite uses has
+# 209 (the modal ladder at N = 128 in dim 1)
+LADDER_CAP = 4096
 SUBORDINATION_TOL = 1e-10
 
 _FAMILIES = ("heat_power", "heat_grad", "poisson_power", "poisson_grad")
@@ -72,6 +76,11 @@ class TimeLadder:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
         if not self.ratio > 1:
             raise ValueError(f"ratio must exceed 1, got {self.ratio}")
+        if not self._span() < LADDER_CAP:
+            raise ValueError(
+                f"ladder ({self.t_min}, {self.t_max}, ratio {self.ratio}) needs "
+                f"more than {LADDER_CAP} nodes"
+            )
 
     @classmethod
     def geometric(cls, t_min: float, t_max: float, ratio: float) -> "TimeLadder":
@@ -81,10 +90,14 @@ class TimeLadder:
     def default_for(cls, grid: Grid, ratio: float = 2 ** (1 / 16)) -> "TimeLadder":
         return cls(grid.h / 4, 1.0, float(ratio))
 
+    def _span(self) -> float:
+        """log_ratio(t_max / t_min) plus a 1e-12 guard, so that count is
+        floor(span) + 1; inf when the quotient overflows."""
+        return math.log(self.t_max / self.t_min) / math.log(self.ratio) + 1e-12
+
     @property
     def count(self) -> int:
-        span = math.log(self.t_max / self.t_min) / math.log(self.ratio)
-        return int(math.floor(span + 1e-12)) + 1
+        return int(math.floor(self._span())) + 1
 
     @property
     def nodes(self) -> NDArray:

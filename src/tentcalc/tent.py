@@ -8,28 +8,45 @@ ladder).  The aperture-alpha cone functional is
                          w(y) h^dim ln(rho) / w(B(y, t_j)),
 
 with the aperture-independent normalizing measure w(B(y,t_j)).  Cone
-membership and the normalizing ball use the same strict comparison
-d < t (1 + 1e-9), which makes the p = 2 Fubini identity
+membership and the normalizing ball are both strict balls, d < t
+(1 + 1e-9), which makes the p = 2 Fubini identity
 
     ||A_w F||^2_{L^2(w)} = sum_{j,y} |F(y,t_j)|^2 w(y) h^dim ln(rho)
 
 hold termwise: summing w(x) h^dim over the cone slice at (y,t_j)
 reproduces w(B(y,t_j)) exactly, so the normalizers cancel.
 
-The Carleson functionals run over the same ball family as the maximal
-operator (all centers, dyadic radii up to 1/2), with the t-range
+Both are evaluated on the grid's ball stencil (see mesh).  The normalizing
+measures are snapshots of one running ball sum over the distance-sorted
+offsets, cached per (grid, weight, ladder).  The cone sum takes the
+reverse cumulative sums R[j] = sum_{j' >= j} payload[j'] over the ladder
+and adds R[j_alpha(o)] shifted by each offset o, where j_alpha(o) is the
+first node whose strict alpha-cone contains o; this is O(M) work per
+offset instead of one dense M x M product per node.  The offsets run in
+the same order for every aperture and every term is non-negative, so
+A^alpha <= A^beta for alpha <= beta holds exactly in floating point.  For
+that reason no FFT and no difference of prefix sums is used: either would
+let rounding reverse the order.
+
+The Carleson functionals run over the same closed ball family as the
+maximal operator (all centers, dyadic radii up to 1/2), with the t-range
 0 < t < r_B realized as ladder nodes strictly below r_B:
 
     C_{w,p0}F(x) = sup_{B contains x} ( (1/w(B)) sum_{x' in B}
                      (truncated cone at x')^{p0} w(x') h^dim )^{1/p0},
     C_w F(x)     = sup_{B contains x} ( (1/w(B)) sum_{t_j < r_B, y in B}
                      |F(y,t_j)|^2 w(y) h^dim ln(rho) )^{1/2}.
+
+The truncated cone at each cut is its own reverse sum over the nodes below
+the cut, and the sup over balls containing x is an exact max over the
+stencil offsets.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -90,35 +107,35 @@ class HalfSpaceField:
                     writer.writerow([i, j, repr(float(self.values[j, i]))])
 
 
-def _cone_mask(grid: Grid, radius: float) -> NDArray:
-    """Strict-comparison ball mask shared by cone membership and the
-    cone's normalizing measure."""
-    return grid.distance_matrix < radius * (1.0 + CONE_TIE_SLACK)
+@lru_cache(maxsize=16)
+def _ball_measures(grid: Grid, weight: WeightModel, ladder: TimeLadder) -> NDArray:
+    """(J, M) read-only array of w(B(y, t_j)) over strict balls: the
+    cone's normalizing measures, which do not depend on the field."""
+    whn = weight.sample(grid) * grid.cell_volume
+    out = grid.stencil.ball_reduce(whn, ladder.nodes, strict=True)
+    out.flags.writeable = False
+    return out
 
 
-def _cone_layers(fld: HalfSpaceField, alpha: float) -> NDArray:
-    """(J, M) array: layer j at x is the (y-sum of the) cone integrand of
-    node t_j, so the cone functional squared is the j-sum."""
-    grid = fld.grid
-    whn = fld.weight_values * grid.cell_volume
-    lnrho = fld.ladder.node_weight
-    layers = np.empty_like(fld.values)
-    for j, t in enumerate(fld.ladder.nodes):
-        norm_mask = _cone_mask(grid, t)
-        wball = norm_mask @ whn
-        payload = fld.values[j] ** 2 * whn * lnrho / wball
-        if alpha == 1.0:
-            layers[j] = norm_mask @ payload
-        else:
-            layers[j] = _cone_mask(grid, alpha * t) @ payload
-    return layers
+def _cone_payload(fld: HalfSpaceField) -> NDArray:
+    """(J, M) node integrands |F|^2 w h^dim ln(rho) / w(B(y, t_j))."""
+    whn = fld.weight_values * fld.grid.cell_volume
+    wball = _ball_measures(fld.grid, fld.weight, fld.ladder)
+    return fld.values**2 * whn * fld.ladder.node_weight / wball
+
+
+def _cone_sq(fld: HalfSpaceField, payload: NDArray, alpha: float) -> NDArray:
+    """Squared aperture-alpha cone sum over the leading ladder nodes that
+    `payload` holds rows for."""
+    radii = alpha * fld.ladder.nodes[: payload.shape[0]]
+    return fld.grid.stencil.nested_reduce(payload, radii, strict=True)
 
 
 def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
     """A_w^alpha F at every cell."""
     if alpha <= 0:
         raise ValueError(f"aperture must be positive, got {alpha}")
-    return np.sqrt(_cone_layers(fld, alpha).sum(axis=0))
+    return np.sqrt(_cone_sq(fld, _cone_payload(fld), alpha))
 
 
 def cone_functional(fld: HalfSpaceField, alpha: float, x: int) -> float:
@@ -135,25 +152,33 @@ def _truncation_index(ladder: TimeLadder, r: float) -> int:
     return int(np.sum(ladder.nodes < r * (1.0 - CONE_TIE_SLACK)))
 
 
+def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDArray:
+    """At each cell, the max of vals[i](c) over the closed balls
+    B(c, radii[i]) containing it; 0 when no radius contributes."""
+    if not radii:
+        return np.zeros(grid.n_cells)
+    return grid.stencil.nested_reduce(np.array(vals), radii, ufunc=np.maximum)
+
+
 def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
     """C_{w,p0} F at every cell over the mesh ball family."""
     if p0 <= 0:
         raise ValueError(f"carleson_p requires p0 > 0, got {p0}")
     grid = fld.grid
     whn = fld.weight_values * grid.cell_volume
-    cum = np.cumsum(_cone_layers(fld, 1.0), axis=0)
-    out = np.zeros(grid.n_cells)
+    payload = _cone_payload(fld)
+    radii, vals = [], []
     for r in grid.dyadic_radii(0.5):
         j_cut = _truncation_index(fld.ladder, r)
         if j_cut == 0:
             continue
-        trunc_sq = cum[j_cut - 1]
-        maskb = grid.ball_mask(r)
-        wb = maskb @ whn
-        avg = (maskb @ (trunc_sq ** (p0 / 2) * whn)) / wb
-        vals = avg ** (1.0 / p0)
-        np.maximum(out, np.where(maskb, vals[:, None], 0.0).max(axis=0), out=out)
-    return out
+        trunc_sq = _cone_sq(fld, payload[:j_cut], 1.0)
+        wb, mass = grid.stencil.ball_reduce(
+            np.stack([whn, trunc_sq ** (p0 / 2) * whn]), [r]
+        )[0]
+        radii.append(r)
+        vals.append((mass / wb) ** (1.0 / p0))
+    return _sup_over_balls(grid, radii, vals)
 
 
 def carleson_p(fld: HalfSpaceField, p0: float, x: int) -> float:
@@ -166,17 +191,15 @@ def carleson_box_all(fld: HalfSpaceField) -> NDArray:
     node_mass = fld.values**2 * fld.node_measures()[None, :]
     cum = np.cumsum(node_mass, axis=0)
     whn = fld.weight_values * grid.cell_volume
-    out = np.zeros(grid.n_cells)
+    radii, vals = [], []
     for r in grid.dyadic_radii(0.5):
         j_cut = _truncation_index(fld.ladder, r)
         if j_cut == 0:
             continue
-        per_cell = cum[j_cut - 1]
-        maskb = grid.ball_mask(r)
-        wb = maskb @ whn
-        vals = np.sqrt((maskb @ per_cell) / wb)
-        np.maximum(out, np.where(maskb, vals[:, None], 0.0).max(axis=0), out=out)
-    return out
+        box, wb = grid.stencil.ball_reduce(np.stack([cum[j_cut - 1], whn]), [r])[0]
+        radii.append(r)
+        vals.append(np.sqrt(box / wb))
+    return _sup_over_balls(grid, radii, vals)
 
 
 def carleson_box(fld: HalfSpaceField, x: int) -> float:

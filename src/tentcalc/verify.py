@@ -54,7 +54,7 @@ from .mesh import (
     lp_norm,
     maximal,
 )
-from .operator import CoefficientField, SpectralOperator, assemble
+from .operator import CoefficientField, SpectralOperator, assemble, check_dense_budget
 from .semigroup import TimeLadder
 from .squarefn import SquareFunctionKind, build_field, evaluate
 from .tent import (
@@ -168,9 +168,11 @@ def reports_to_csv(reports: list[SuiteReport]) -> str:
 class SuiteConfig:
     """Shared experiment parameters; every suite is pure given one.
 
-    The two sizes are the calibration grid and the revalidation grid.
+    The two sizes are the calibration grid and the revalidation grid,
+    each within the dense-operator budget of `check_dense_budget`.
     appendix_{r,s,q} are the class indices of the averaging inequality;
-    it needs q <= s.
+    it needs q <= s.  Grid sizes and ladder lengths are checked here,
+    before anything is allocated.
     """
 
     seed: int = 7
@@ -190,6 +192,8 @@ class SuiteConfig:
     def __post_init__(self):
         if len(self.sizes) != 2 or self.sizes[0] >= self.sizes[1]:
             raise ValueError(f"sizes must be (coarse, fine), got {self.sizes}")
+        for n in self.sizes:
+            check_dense_budget(self.dim, n)
         if self.bank_size < 1:
             raise ValueError("bank_size must be positive")
         if self.appendix_q > self.appendix_s:
@@ -197,6 +201,10 @@ class SuiteConfig:
                 f"averaging inequality needs q <= s, got "
                 f"q={self.appendix_q}, s={self.appendix_s}"
             )
+        # the finest grid carries the longest ladders
+        fine = Grid(self.dim, self.sizes[1])
+        _suite_ladder(self, fine)
+        _modal_ladder(self, fine)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -702,11 +710,11 @@ def _g_alpha_functional(
 ) -> float:
     """The v dw integral of the q-th root of the alpha-aperture average
     of |h| against the normalized ball measure dw(y)/w(B(y, alpha t))."""
-    mask = grid.distance_matrix < alpha * t * (1.0 + TIE_SLACK)
+    radii = [alpha * t]
     whn = w_values * grid.cell_volume
-    wball = mask @ whn
+    wball = grid.stencil.ball_reduce(whn, radii, strict=True)[0]
     payload = np.abs(h_values) * whn / wball
-    g = mask @ payload
+    g = grid.stencil.ball_reduce(payload, radii, strict=True)[0]
     return float(np.sum(g ** (1.0 / q) * v_values * whn))
 
 

@@ -84,67 +84,78 @@ class ClassEstimate:
             )
 
 
-def _family_masks(grid: Grid) -> list[NDArray]:
-    return [grid.ball_mask(r) for r in grid.dyadic_radii(0.25)]
+def _family_radii(grid: Grid) -> list[float]:
+    return grid.dyadic_radii(0.25)
 
 
 def _family_size(grid: Grid) -> int:
-    return len(grid.dyadic_radii(0.25)) * grid.n_cells
+    return len(_family_radii(grid)) * grid.n_cells
 
 
 # exp overflows past ~709.8; the margin leaves room for the ball sums
 _LOG_SAFE = 700.0
 
 
-def _log_masked_avg(log_terms: NDArray, mask: NDArray, mass: NDArray) -> NDArray:
-    """Log of the per-ball average of exp(log_terms), shifted so no
-    intermediate overflows even when log_terms spans hundreds."""
-    row = np.where(mask, log_terms[None, :], -np.inf)
-    shift = row.max(axis=1)
-    total = np.exp(row - shift[:, None]).sum(axis=1)
-    return shift + np.log(total) - np.log(mass)
+def _log_ball_avg(
+    grid: Grid, log_terms: NDArray, radii: list[float], mass: NDArray
+) -> NDArray:
+    """Log of the per-ball average of exp(log_terms), (len(radii), M),
+    shifted by the ball max so no intermediate overflows even when
+    log_terms spans hundreds."""
+    stencil = grid.stencil
+    shift = stencil.ball_reduce(log_terms, radii, ufunc=np.maximum)
+    out = np.empty_like(shift)
+    for i, r in enumerate(radii):
+        total = np.zeros(grid.n_cells)
+        for shifted in stencil.shifts(log_terms, r):
+            total += np.exp(shifted - shift[i])
+        out[i] = shift[i] + np.log(total) - np.log(mass[i])
+    return out
 
 
 def _max_product(
     values: NDArray,
     base: NDArray,
-    masks: list[NDArray],
+    grid: Grid,
     kind: ClassKind,
 ) -> float:
     """Max over the ball family of the defining product for `kind`,
     with averages in the measure `base` (cell volumes cancel)."""
     p_or_s = kind.index
-    best = 0.0
-    for mask in masks:
-        mass = mask @ base
-        avg_v = (mask @ (values * base)) / mass
-        if kind.family in ("Ap", "Ap_of_w"):
-            if p_or_s == 1:
-                ball_min = np.where(mask, values[None, :], np.inf).min(axis=1)
-                per_ball = avg_v / ball_min
-            else:
-                dual = -1.0 / (p_or_s - 1.0)
-                log_sigma = dual * np.log(values)
-                if float(np.abs(log_sigma).max()) <= _LOG_SAFE:
-                    avg_s = (mask @ (values**dual * base)) / mass
-                    per_ball = avg_v * avg_s ** (p_or_s - 1.0)
-                else:
-                    # p near 1 sends the dual power out of float range
-                    log_avg = _log_masked_avg(log_sigma + np.log(base), mask, mass)
-                    per_ball = avg_v * np.exp((p_or_s - 1.0) * log_avg)
+    stencil = grid.stencil
+    radii = _family_radii(grid)
+    sums = stencil.ball_reduce(np.stack([base, values * base]), radii)
+    mass = sums[:, 0]
+    avg_v = sums[:, 1] / mass
+    if kind.family in ("Ap", "Ap_of_w"):
+        if p_or_s == 1:
+            ball_min = stencil.ball_reduce(values, radii, ufunc=np.minimum)
+            per_ball = avg_v / ball_min
         else:
-            if math.isinf(p_or_s):
-                ball_max = np.where(mask, values[None, :], -np.inf).max(axis=1)
-                per_ball = ball_max / avg_v
+            dual = -1.0 / (p_or_s - 1.0)
+            log_sigma = dual * np.log(values)
+            if float(np.abs(log_sigma).max()) <= _LOG_SAFE:
+                avg_s = stencil.ball_reduce(values**dual * base, radii) / mass
+                per_ball = avg_v * avg_s ** (p_or_s - 1.0)
             else:
-                log_pow = p_or_s * np.log(values)
-                if float(np.abs(log_pow).max()) <= _LOG_SAFE:
-                    avg_pow = (mask @ (values**p_or_s * base)) / mass
-                    per_ball = avg_pow ** (1.0 / p_or_s) / avg_v
-                else:
-                    log_avg = _log_masked_avg(log_pow + np.log(base), mask, mass)
-                    per_ball = np.exp(log_avg / p_or_s) / avg_v
-        best = max(best, float(per_ball.max()))
+                # p near 1 sends the dual power out of float range
+                log_avg = _log_ball_avg(grid, log_sigma + np.log(base), radii, mass)
+                per_ball = avg_v * np.exp((p_or_s - 1.0) * log_avg)
+    else:
+        if math.isinf(p_or_s):
+            ball_max = stencil.ball_reduce(values, radii, ufunc=np.maximum)
+            per_ball = ball_max / avg_v
+        else:
+            log_pow = p_or_s * np.log(values)
+            if float(np.abs(log_pow).max()) <= _LOG_SAFE:
+                avg_pow = stencil.ball_reduce(values**p_or_s * base, radii) / mass
+                per_ball = avg_pow ** (1.0 / p_or_s) / avg_v
+            else:
+                log_avg = _log_ball_avg(grid, log_pow + np.log(base), radii, mass)
+                per_ball = np.exp(log_avg / p_or_s) / avg_v
+    best = 0.0
+    for row in per_ball:  # one radius at a time: a NaN row is skipped
+        best = max(best, float(row.max()))
     return best
 
 
@@ -152,7 +163,7 @@ def ap_constant(w: WeightModel, p: float, grid: Grid) -> ClassEstimate:
     """[w]_{A_p} over the ball family; p = 1 uses the min form."""
     kind = ClassKind("Ap", float(p))
     wv = w.sample(grid)
-    c = _max_product(wv, np.ones(grid.n_cells), _family_masks(grid), kind)
+    c = _max_product(wv, np.ones(grid.n_cells), grid, kind)
     return ClassEstimate(kind, c, _family_size(grid), grid.n_side)
 
 
@@ -160,7 +171,7 @@ def rh_constant(w: WeightModel, s: float, grid: Grid) -> ClassEstimate:
     """[w]_{RH_s} over the ball family; s = inf uses the max form."""
     kind = ClassKind("RHs", float(s))
     wv = w.sample(grid)
-    c = _max_product(wv, np.ones(grid.n_cells), _family_masks(grid), kind)
+    c = _max_product(wv, np.ones(grid.n_cells), grid, kind)
     return ClassEstimate(kind, c, _family_size(grid), grid.n_side)
 
 
@@ -180,7 +191,7 @@ def weighted_class_constant(
         base = w.sample(grid)
     else:
         base = np.ones(grid.n_cells)
-    c = _max_product(vv, base, _family_masks(grid), class_kind)
+    c = _max_product(vv, base, grid, class_kind)
     return ClassEstimate(class_kind, c, _family_size(grid), grid.n_side)
 
 

@@ -1,0 +1,156 @@
+"""Dense O(M^2) reference implementations of the ball-family sums.
+
+Independent of the ball stencil: every ball is a boolean row of the full
+pairwise periodic distance matrix, and every ball sum is a matrix-vector
+product.  Tests compare the stencil-based library functions against these.
+Only for small grids: the matrix has M^2 entries.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+SLACK = 1e-9
+LOG_SAFE = 700.0
+
+
+def distance_matrix(grid) -> np.ndarray:
+    """Pairwise periodic distances between cell centers, (M, M)."""
+    c = grid.centers
+    d2 = np.zeros((grid.n_cells, grid.n_cells))
+    for d in range(grid.dim):
+        delta = np.abs(c[:, None, d] - c[None, :, d])
+        delta = np.minimum(delta, 1.0 - delta)
+        d2 += delta**2
+    return np.sqrt(d2)
+
+
+def ball_mask(grid, radius: float, strict: bool = False) -> np.ndarray:
+    """mask[c, y] = y in B(center c, radius), closed unless strict."""
+    bound = radius * (1.0 + SLACK)
+    dist = distance_matrix(grid)
+    return dist < bound if strict else dist <= bound
+
+
+def ball(grid, center: int, radius: float) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.nonzero(ball_mask(grid, radius)[center])[0])
+
+
+def scatter_max(masks, vals, n_cells: int) -> np.ndarray:
+    """max of vals[i][c] over the (mask i, center c) balls containing x."""
+    out = np.zeros(n_cells)
+    for mask, v in zip(masks, vals):
+        np.maximum(out, np.where(mask, v[:, None], 0.0).max(axis=0), out=out)
+    return out
+
+
+def ball_min(values, mask) -> np.ndarray:
+    return np.where(mask, values[None, :], np.inf).min(axis=1)
+
+
+def ball_max(values, mask) -> np.ndarray:
+    return np.where(mask, values[None, :], -np.inf).max(axis=1)
+
+
+def _cone_layers(fld, alpha: float) -> np.ndarray:
+    grid = fld.grid
+    whn = fld.weight_values * grid.cell_volume
+    layers = np.empty_like(fld.values)
+    for j, t in enumerate(fld.ladder.nodes):
+        norm_mask = ball_mask(grid, t, strict=True)
+        payload = fld.values[j] ** 2 * whn * fld.ladder.node_weight / (norm_mask @ whn)
+        layers[j] = ball_mask(grid, alpha * t, strict=True) @ payload
+    return layers
+
+
+def cone_all(fld, alpha: float = 1.0) -> np.ndarray:
+    return np.sqrt(_cone_layers(fld, alpha).sum(axis=0))
+
+
+def _cuts(fld):
+    """(radius, number of nodes strictly below it) over the dyadic family."""
+    for r in fld.grid.dyadic_radii(0.5):
+        j_cut = int(np.sum(fld.ladder.nodes < r * (1.0 - SLACK)))
+        if j_cut:
+            yield r, j_cut
+
+
+def carleson_p_all(fld, p0: float) -> np.ndarray:
+    grid = fld.grid
+    whn = fld.weight_values * grid.cell_volume
+    cum = np.cumsum(_cone_layers(fld, 1.0), axis=0)
+    masks, vals = [], []
+    for r, j_cut in _cuts(fld):
+        mask = ball_mask(grid, r)
+        avg = (mask @ (cum[j_cut - 1] ** (p0 / 2) * whn)) / (mask @ whn)
+        masks.append(mask)
+        vals.append(avg ** (1.0 / p0))
+    return scatter_max(masks, vals, grid.n_cells)
+
+
+def carleson_box_all(fld) -> np.ndarray:
+    grid = fld.grid
+    cum = np.cumsum(fld.values**2 * fld.node_measures()[None, :], axis=0)
+    whn = fld.weight_values * grid.cell_volume
+    masks, vals = [], []
+    for r, j_cut in _cuts(fld):
+        mask = ball_mask(grid, r)
+        masks.append(mask)
+        vals.append(np.sqrt((mask @ cum[j_cut - 1]) / (mask @ whn)))
+    return scatter_max(masks, vals, grid.n_cells)
+
+
+def maximal(f, grid, p0: float = 1.0, base=None) -> np.ndarray:
+    mu = np.full(grid.n_cells, grid.cell_volume)
+    if base is not None:
+        mu = base.sample(grid) * grid.cell_volume
+    g = np.abs(np.asarray(f, float)) ** p0 * mu
+    masks = [ball_mask(grid, r) for r in grid.dyadic_radii(0.5)]
+    vals = [(m @ g) / (m @ mu) for m in masks]
+    return scatter_max(masks, vals, grid.n_cells) ** (1.0 / p0)
+
+
+def _log_masked_avg(log_terms, mask, mass):
+    row = np.where(mask, log_terms[None, :], -np.inf)
+    shift = row.max(axis=1)
+    return shift + np.log(np.exp(row - shift[:, None]).sum(axis=1)) - np.log(mass)
+
+
+def class_constant(values, base, grid, family: str, index: float) -> float:
+    """Max over centers x dyadic radii <= 1/4 of the defining product."""
+    best = 0.0
+    for r in grid.dyadic_radii(0.25):
+        mask = ball_mask(grid, r)
+        mass = mask @ base
+        avg_v = (mask @ (values * base)) / mass
+        if family in ("Ap", "Ap_of_w"):
+            if index == 1:
+                per_ball = avg_v / ball_min(values, mask)
+            else:
+                dual = -1.0 / (index - 1.0)
+                log_sigma = dual * np.log(values)
+                if float(np.abs(log_sigma).max()) <= LOG_SAFE:
+                    per_ball = avg_v * ((mask @ (values**dual * base)) / mass) ** (index - 1.0)
+                else:
+                    log_avg = _log_masked_avg(log_sigma + np.log(base), mask, mass)
+                    per_ball = avg_v * np.exp((index - 1.0) * log_avg)
+        elif math.isinf(index):
+            per_ball = ball_max(values, mask) / avg_v
+        else:
+            log_pow = index * np.log(values)
+            if float(np.abs(log_pow).max()) <= LOG_SAFE:
+                per_ball = ((mask @ (values**index * base)) / mass) ** (1.0 / index) / avg_v
+            else:
+                log_avg = _log_masked_avg(log_pow + np.log(base), mask, mass)
+                per_ball = np.exp(log_avg / index) / avg_v
+        best = max(best, float(per_ball.max()))
+    return best
+
+
+def g_alpha_functional(grid, w_values, h_values, v_values, alpha, t, q) -> float:
+    mask = ball_mask(grid, alpha * t, strict=True)
+    whn = w_values * grid.cell_volume
+    payload = np.abs(h_values) * whn / (mask @ whn)
+    return float(np.sum((mask @ payload) ** (1.0 / q) * v_values * whn))

@@ -1,6 +1,7 @@
 """CLI tests: flag parsing, exit codes, output files, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ class TestRunConfig:
             RunConfig(ladder_ratio=1.0)
         with pytest.raises(ValueError, match="ladder_t_min"):
             RunConfig(ladder_t_min=2.0, ladder_t_max=1.0)
+        with pytest.raises(ValueError, match="nodes"):
+            RunConfig(ladder_t_min=1e-9, ladder_ratio=1.001)
 
 
 class TestExponents:
@@ -218,6 +221,21 @@ class TestVerifyCommand:
                                           "--config", "cfg.json"])
             assert result.exit_code == 1
             assert "unknown config keys" in result.output
+
+    @pytest.mark.parametrize("config", [
+        {"sizes": [16, 256], "dim": 1},
+        {"sizes": [32, 128]},
+        {"sizes": [2, 16]},
+        {"ladder_ratio": 1 + 1e-12},
+    ], ids=["side", "cells", "small", "ladder"])
+    def test_oversized_config_is_domain_error(self, runner, config):
+        # rejected while the config is read, before any operator or ladder
+        with runner.isolated_filesystem():
+            _write_json("cfg.json", config)
+            result = runner.invoke(main, ["verify", "--config", "cfg.json"])
+            assert result.exit_code == 1
+            assert "grid size" in result.output or "nodes" in result.output
+            assert not os.path.exists("verify_report.json")
 
     def test_threads_env_fallback(self, runner, monkeypatch):
         monkeypatch.setenv("TENTCALC_THREADS", "2")

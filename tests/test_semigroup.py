@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
 from tentcalc.operator import CoefficientField, assemble
 from tentcalc.semigroup import (
+    LADDER_CAP,
     GradField,
     SemigroupRequest,
     TimeLadder,
@@ -70,6 +72,23 @@ class TestTimeLadder:
             TimeLadder.geometric(0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             TimeLadder.geometric(1.0, 0.5, 2.0)
+
+    def test_node_cap(self):
+        # exactly LADDER_CAP nodes pass; one more node, a ratio near 1 or a
+        # t_max / t_min overflowing to inf is rejected from the count
+        # formula alone, before any node is built
+        at_cap = TimeLadder.geometric(1.0, 1.1 ** (LADDER_CAP - 0.5), 1.1)
+        assert at_cap.count == LADDER_CAP
+        tracemalloc.start()
+        try:
+            for args in ((1.0, 1.1 ** (LADDER_CAP + 0.5), 1.1),
+                         (1e-3, 1.0, 1 + 1e-12), (5e-324, 8.0, 2.0)):
+                with pytest.raises(ValueError, match="nodes"):
+                    TimeLadder.geometric(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSemigroupRequest:

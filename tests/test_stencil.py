@@ -1,0 +1,184 @@
+"""The ball stencil against the dense pairwise-distance reference.
+
+Sums must agree to isclose(rel_tol=1e-12, abs_tol=1e-14); sup and inf
+over balls select one of the same floats, so they must agree exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_reference as dense
+from tentcalc.mesh import Grid, PowerWeight, maximal
+from tentcalc.semigroup import TimeLadder
+from tentcalc.tent import (
+    HalfSpaceField,
+    carleson_box_all,
+    carleson_p_all,
+    cone_all,
+    fubini_norm_sq,
+)
+from tentcalc.verify import _g_alpha_functional
+from tentcalc.weights import (
+    _LOG_SAFE,
+    ClassKind,
+    ap_constant,
+    rh_constant,
+    weighted_class_constant,
+)
+
+CASES = [(1, 8), (1, 16), (2, 8), (2, 16)]
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    scale = np.maximum(np.abs(got), np.abs(want))
+    bad = np.abs(got - want) > np.maximum(1e-12 * scale, 1e-14)
+    assert not bad.any(), (got[bad], want[bad])
+
+
+def make_field(dim, n, alpha_w=0.7, seed=0):
+    grid = Grid(dim, n)
+    ladder = TimeLadder(grid.h / 4, 1.0, 2 ** (1 / 8))
+    rng = np.random.default_rng(seed)
+    vals = np.abs(rng.standard_normal((ladder.count, grid.n_cells)))
+    return HalfSpaceField(grid, ladder, PowerWeight(alpha_w), vals)
+
+
+@pytest.fixture(params=CASES, ids=[f"dim{d}-n{n}" for d, n in CASES])
+def fld(request):
+    dim, n = request.param
+    return make_field(dim, n, seed=dim * 100 + n)
+
+
+class TestGeometry:
+    def test_distance_row_matches_dense_rows(self, fld):
+        grid = fld.grid
+        dist = dense.distance_matrix(grid)
+        for c in (0, 1, grid.n_cells - 1):
+            npt.assert_array_equal(grid.distance_row(c), dist[c])
+        npt.assert_array_equal(grid.stencil.distances, np.sort(dist[0]))
+
+    def test_ball_matches_dense(self, fld):
+        grid = fld.grid
+        for r in (grid.h, 0.3, 0.5):
+            for c in range(0, grid.n_cells, 3):
+                assert grid.ball(c, r).indices == dense.ball(grid, c, r)
+
+    def test_ball_reduce_matches_dense(self, fld):
+        grid = fld.grid
+        radii = grid.dyadic_radii(0.5)
+        v = fld.values[2]
+        sums = grid.stencil.ball_reduce(v, radii)
+        mins = grid.stencil.ball_reduce(v, radii, ufunc=np.minimum)
+        maxs = grid.stencil.ball_reduce(v, radii, ufunc=np.maximum)
+        for i, r in enumerate(radii):
+            mask = dense.ball_mask(grid, r)
+            assert_close(sums[i], mask @ v)
+            npt.assert_array_equal(mins[i], dense.ball_min(v, mask))
+            npt.assert_array_equal(maxs[i], dense.ball_max(v, mask))
+
+    def test_sup_over_balls_matches_dense_scatter(self, fld):
+        grid = fld.grid
+        radii = grid.dyadic_radii(0.5)
+        vals = fld.values[: len(radii)]
+        masks = [dense.ball_mask(grid, r) for r in radii]
+        npt.assert_array_equal(
+            grid.stencil.nested_reduce(vals, radii, ufunc=np.maximum),
+            dense.scatter_max(masks, vals, grid.n_cells),
+        )
+
+
+class TestTent:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_cone(self, fld, alpha):
+        assert_close(cone_all(fld, alpha), dense.cone_all(fld, alpha))
+
+    @pytest.mark.parametrize("p0", [1.0, 2.0])
+    def test_carleson_p(self, fld, p0):
+        assert_close(carleson_p_all(fld, p0), dense.carleson_p_all(fld, p0))
+
+    def test_carleson_box(self, fld):
+        assert_close(carleson_box_all(fld), dense.carleson_box_all(fld))
+
+
+class TestMaximal:
+    @pytest.mark.parametrize("base", [None, PowerWeight(-0.5)], ids=["lebesgue", "weighted"])
+    def test_maximal(self, fld, base):
+        f = fld.values[5] - 0.5
+        assert_close(
+            maximal(f, fld.grid, 1.5, base=base), dense.maximal(f, fld.grid, 1.5, base)
+        )
+
+
+class TestClassConstants:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.001])
+    def test_ap(self, fld, p):
+        grid = fld.grid
+        w = PowerWeight(1.3)
+        wv = w.sample(grid)
+        if p == 1.001:  # the dual power leaves float range: log-sum path
+            assert np.abs(np.log(wv) / (p - 1.0)).max() > _LOG_SAFE
+        want = dense.class_constant(wv, np.ones(grid.n_cells), grid, "Ap", p)
+        assert_close(ap_constant(w, p, grid).constant_estimate, want)
+
+    @pytest.mark.parametrize("s", [2.0, math.inf])
+    def test_rh(self, fld, s):
+        grid = fld.grid
+        w = PowerWeight(-0.7)
+        want = dense.class_constant(w.sample(grid), np.ones(grid.n_cells), grid, "RHs", s)
+        assert_close(rh_constant(w, s, grid).constant_estimate, want)
+
+    @pytest.mark.parametrize("family,index", [("Ap_of_w", 2.0), ("RHs_of_w", 2.0)])
+    def test_weighted_families(self, fld, family, index):
+        grid = fld.grid
+        v = PowerWeight(-0.5)
+        got = weighted_class_constant(v, fld.weight, ClassKind(family, index), grid)
+        want = dense.class_constant(
+            v.sample(grid), fld.weight.sample(grid), grid, family, index
+        )
+        assert_close(got.constant_estimate, want)
+
+
+def test_g_alpha_functional(fld):
+    grid = fld.grid
+    args = (grid, fld.weight_values, fld.values[0] - 0.5, PowerWeight(0.5).sample(grid))
+    for alpha in (1.0, 0.5, 0.25):
+        assert_close(
+            _g_alpha_functional(*args, alpha, 0.25, 1.5),
+            dense.g_alpha_functional(*args, alpha, 0.25, 1.5),
+        )
+
+
+@given(
+    dim=st.sampled_from([1, 2]),
+    n=st.sampled_from([8, 16]),
+    frac=st.floats(-0.99, 0.99),
+    density=st.sampled_from([0.02, 0.2, 1.0]),
+    apertures=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_aperture_monotone_and_fubini(dim, n, frac, density, apertures, seed):
+    # random non-negative field and power weight alpha in (-dim, dim)
+    grid = Grid(dim, n)
+    ladder = TimeLadder(grid.h / 4, 1.0, 2 ** (1 / 4))
+    rng = np.random.default_rng(seed)
+    vals = np.abs(rng.standard_normal((ladder.count, grid.n_cells)))
+    # sparse support: larger cones often add only zeros, so the two sums
+    # are equal in exact arithmetic and only a fixed order keeps them equal
+    vals *= rng.random(vals.shape) < density
+    fld = HalfSpaceField(grid, ladder, PowerWeight(frac * dim), vals)
+    cones = {a: cone_all(fld, a) for a in sorted({0.5, 1.0, 2.0, *apertures})}
+    ordered = list(cones.values())
+    for lo, hi in zip(ordered, ordered[1:]):
+        assert np.all(lo <= hi)  # tolerance 0
+    cone_sq = float(np.sum(cones[1.0] ** 2 * fld.weight_values * grid.cell_volume))
+    direct = fubini_norm_sq(fld)
+    assert abs(cone_sq - direct) <= 1e-12 * direct

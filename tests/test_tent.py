@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import ball_mask
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT, lp_norm, maximal, measure
 from tentcalc.semigroup import TimeLadder
 from tentcalc.tent import (
@@ -225,9 +226,9 @@ class TestChangeOfAngle:
         vwhn = vv * whn
         rhs = 0.0
         for j, t in enumerate(ladder.nodes):
-            strict = grid.distance_matrix < t * (1 + 1e-9)
+            strict = ball_mask(grid, t, strict=True)
             wball = strict @ whn
-            strict_beta = grid.distance_matrix < beta * t * (1 + 1e-9)
+            strict_beta = ball_mask(grid, beta * t, strict=True)
             vwball_beta = strict_beta @ vwhn
             rhs += float(
                 np.sum(
