@@ -128,6 +128,10 @@ def _header(payload: dict, seed: int | None) -> dict:
             "seed": seed}
 
 
+def _comment_lines(header: dict) -> str:
+    return "".join(f"# {key} {value}\n" for key, value in header.items())
+
+
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
@@ -298,12 +302,7 @@ def cmd_sf(kind, order, f_spec, config_path, p_values, v_specs, out_field,
     payload = {**asdict(config), "kind": kind, "order": sf_kind.order,
                "f": f_spec}
     header = _header(payload, config.seed)
-    result_to_csv(op.grid, values, out_field)
-    with open(out_field) as fh:
-        body = fh.read()
-    _write_text(out_field, "".join(
-        f"# {key} {value}\n" for key, value in header.items()
-    ) + body)
+    result_to_csv(op.grid, values, out_field, _comment_lines(header))
     _write_text(out_summary, json.dumps({
         "header": header,
         "kind": kind,
@@ -347,9 +346,7 @@ def cmd_verify(suite, seed, config_path, threads, out_json, out_csv):
     }, indent=2) + "\n"
     _write_text(out_json, json_text)
     csv_body = reports_to_csv(reports)
-    _write_text(out_csv, "".join(
-        f"# {key} {value}\n" for key, value in header.items()
-    ) + csv_body)
+    _write_text(out_csv, _comment_lines(header) + csv_body)
 
     failed = [
         f"{r.suite}/{c.id}" for r in reports for c in r.checks

@@ -16,10 +16,9 @@ K phi = lambda W phi into a standard symmetric one,
 
 and phi_k = psi_k / (sqrt(w) h^{dim/2}) is then exactly w-orthonormal.
 
-Two-point fluxes only see the diagonal of A, so the spectral path rejects
-coefficient fields with off-diagonal entries; those (and complex A) go
-through the dense non-spectral path in `assemble_dense`, which has no
-eigenvalue calculus and is excluded from the verification suites.
+Two-point fluxes only see the diagonal of A, so `assemble` rejects
+coefficient fields with off-diagonal entries rather than silently dropping
+them.
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .mesh import Grid, PowerWeight, TabulatedWeight, WeightModel
+from .mesh import Grid, WeightModel
 
 __all__ = [
     "CoefficientField",
     "SpectralOperator",
-    "DenseOperator",
     "assemble",
-    "assemble_dense",
-    "operator_from_config",
     "check_dense_budget",
 ]
 
@@ -199,7 +195,7 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
     if not coeff.is_diagonal:
         raise ValueError(
             "two-point flux assembly needs diagonal coefficients; "
-            "use assemble_dense for full matrices"
+            "off-diagonal entries of A are not supported"
         )
     wv = w.sample(grid)
     k = _stiffness(grid, coeff, wv)
@@ -239,103 +235,3 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
         eigenvectors=phi,
         weight_values=wv,
     )
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Non-spectral dense form of L_w; experimental path for full or
-    complex coefficient matrices.  No eigenvalue calculus is offered."""
-
-    grid: Grid
-    weight: WeightModel
-    matrix: NDArray = field(repr=False)
-    weight_values: NDArray = field(repr=False)
-
-    def apply(self, f: NDArray) -> NDArray:
-        return self.matrix @ np.asarray(f)
-
-    def heat(self, t: float, f: NDArray) -> NDArray:
-        """e^{-t^2 L} f via a dense matrix exponential."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        return scipy.linalg.expm(-(t * t) * self.matrix) @ np.asarray(f)
-
-
-def assemble_dense(grid: Grid, matrices: NDArray, w: WeightModel) -> DenseOperator:
-    """Assemble L_w from per-cell matrices that may be full or complex.
-
-    Only the face-normal row of A enters each two-point flux, so
-    off-diagonal couplings are ignored by this discretization; the path
-    exists to exercise complex-coefficient plumbing, not to discretize
-    cross terms faithfully.
-    """
-    a = np.asarray(matrices)
-    if a.shape != (grid.n_cells, grid.dim, grid.dim):
-        raise ValueError(
-            f"expected shape {(grid.n_cells, grid.dim, grid.dim)}, got {a.shape}"
-        )
-    wv = w.sample(grid)
-    m = grid.n_cells
-    k = np.zeros((m, m), dtype=a.dtype)
-    idx = np.arange(m)
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    for axis in range(grid.dim):
-        nb = grid.shift_perm(axis, 1)
-        c_face = 0.5 * (wv * diag[:, axis] + wv[nb] * diag[nb, axis])
-        k[idx, idx] += c_face
-        k[nb, nb] += c_face
-        k[idx, nb] -= c_face
-        k[nb, idx] -= c_face
-    k /= grid.h**2
-    return DenseOperator(grid=grid, weight=w, matrix=k / wv[:, None], weight_values=wv)
-
-
-def _weight_from_config(cfg: dict, dim: int) -> WeightModel:
-    kind = cfg.get("kind")
-    if kind == "power":
-        extra = set(cfg) - {"kind", "alpha"}
-        if extra:
-            raise ValueError(f"unknown weight config keys: {sorted(extra)}")
-        alpha = float(cfg["alpha"])
-        if not (-dim < alpha < dim):
-            raise ValueError(f"alpha outside (-{dim}, {dim}): {alpha}")
-        return PowerWeight(alpha)
-    if kind == "tabulated":
-        extra = set(cfg) - {"kind", "values"}
-        if extra:
-            raise ValueError(f"unknown weight config keys: {sorted(extra)}")
-        return TabulatedWeight(tuple(float(v) for v in cfg["values"]))
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def _coeff_from_config(cfg: dict, grid: Grid) -> CoefficientField:
-    kind = cfg.get("kind")
-    if kind == "identity":
-        if set(cfg) - {"kind"}:
-            raise ValueError(f"unknown A config keys: {sorted(set(cfg) - {'kind'})}")
-        return CoefficientField.identity(grid)
-    if kind == "diag":
-        extra = set(cfg) - {"kind", "entries"}
-        if extra:
-            raise ValueError(f"unknown A config keys: {sorted(extra)}")
-        return CoefficientField.diagonal(grid, cfg["entries"])
-    if kind == "file":
-        extra = set(cfg) - {"kind", "path", "lam", "big_lam"}
-        if extra:
-            raise ValueError(f"unknown A config keys: {sorted(extra)}")
-        mats = np.load(cfg["path"])
-        return CoefficientField.from_values(
-            mats, float(cfg.get("lam", 1.0)), float(cfg.get("big_lam", 1.0))
-        )
-    raise ValueError(f"unknown A kind {kind!r}")
-
-
-def operator_from_config(cfg: dict) -> SpectralOperator:
-    """Build a SpectralOperator from {dim, N, weight:{...}, A:{...}}."""
-    extra = set(cfg) - {"dim", "N", "weight", "A"}
-    if extra:
-        raise ValueError(f"unknown operator config keys: {sorted(extra)}")
-    grid = Grid(int(cfg["dim"]), int(cfg["N"]))
-    w = _weight_from_config(dict(cfg.get("weight", {"kind": "power", "alpha": 0.0})), grid.dim)
-    coeff = _coeff_from_config(dict(cfg.get("A", {"kind": "identity"})), grid)
-    return assemble(grid, coeff, w)

@@ -15,6 +15,11 @@ so the m = 0 heat identity t d_t e^{-t^2 L_w} f = -2 (t^2 L_w) e^{-t^2 L_w} f
 holds exactly at the coefficient level; spatial gradients use centered
 periodic differences on the evaluated field.
 
+The four factors above are the multiplier table.  Every evaluator projects
+f once and applies each factor it needs in one product, at a single time
+(a field of M cells) or at a 1-D array of J times, such as all ladder
+nodes (a (J, M) block).
+
 The Poisson semigroup also has a quadrature path through the subordination
 formula
 
@@ -38,7 +43,6 @@ from .operator import SpectralOperator
 
 __all__ = [
     "TimeLadder",
-    "SemigroupRequest",
     "GradField",
     "QuadratureError",
     "ORDER_CAP",
@@ -59,8 +63,6 @@ ORDER_CAP = 4
 # 209 (the modal ladder at N = 128 in dim 1)
 LADDER_CAP = 4096
 SUBORDINATION_TOL = 1e-10
-
-_FAMILIES = ("heat_power", "heat_grad", "poisson_power", "poisson_grad")
 
 
 @dataclass(frozen=True)
@@ -109,65 +111,61 @@ class TimeLadder:
         return math.log(self.ratio)
 
 
-@dataclass(frozen=True)
-class SemigroupRequest:
-    """One semigroup evaluation: which family, which power, which time."""
-
-    family: str
-    order: int
-    t: float
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown semigroup family {self.family!r}")
-        if not (0 <= self.order <= ORDER_CAP):
-            raise ValueError(f"order must lie in [0, {ORDER_CAP}], got {self.order}")
-        if self.t < 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
-
-
-def _check_order(order: int):
-    if not (0 <= int(order) == order and order <= ORDER_CAP):
-        raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
-
-
-def heat_factor(lam: NDArray, m: int, t: float) -> NDArray:
+def heat_factor(lam: NDArray, m: int, t: float | NDArray) -> NDArray:
     """(t^2 lam)^m e^{-t^2 lam} (0^0 = 1, so m = 0 fixes the kernel mode)."""
     x = (t * t) * np.asarray(lam, float)
     return x**m * np.exp(-x)
 
 
-def heat_time_factor(lam: NDArray, m: int, t: float) -> NDArray:
+def heat_time_factor(lam: NDArray, m: int, t: float | NDArray) -> NDArray:
     x = (t * t) * np.asarray(lam, float)
     return (2 * m * x**m - 2 * x ** (m + 1)) * np.exp(-x)
 
 
-def poisson_factor(lam: NDArray, big_k: int, t: float) -> NDArray:
+def poisson_factor(lam: NDArray, big_k: int, t: float | NDArray) -> NDArray:
     """(t sqrt(lam))^{2K} e^{-t sqrt(lam)} via (t^2 lam)^K."""
     lam = np.asarray(lam, float)
     y = t * np.sqrt(lam)
     return ((t * t) * lam) ** big_k * np.exp(-y)
 
 
-def poisson_time_factor(lam: NDArray, big_k: int, t: float) -> NDArray:
+def poisson_time_factor(lam: NDArray, big_k: int, t: float | NDArray) -> NDArray:
     lam = np.asarray(lam, float)
     y = t * np.sqrt(lam)
     y2k = ((t * t) * lam) ** big_k
     return (2 * big_k * y2k - y2k * y) * np.exp(-y)
 
 
-def heat_eval(op: SpectralOperator, m: int, t: float, f: NDArray) -> NDArray:
-    _check_order(m)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+def _multiplier_images(
+    op: SpectralOperator, order: int, t: float | NDArray, f: NDArray, factors
+) -> list[NDArray]:
+    """sum_k factor(lam_k, order, t) c_k phi_k for each factor, c = project(f).
+
+    f is projected once.  t is one time or a 1-D array of J times; each
+    image is then one product (factor * c) @ Phi^T of shape (M,) or (J, M)."""
+    if not (0 <= int(order) == order and order <= ORDER_CAP):
+        raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
+    t = np.asarray(t, float)
+    if t.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
+    if np.any(t < 0):
+        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
     coeffs = op.project(np.asarray(f, float))
-    return op.reconstruct(heat_factor(op.eigenvalues, m, t) * coeffs)
+    phi_t = op.eigenvectors.T
+    return [(factor(op.eigenvalues, order, t[..., None]) * coeffs) @ phi_t
+            for factor in factors]
+
+
+def heat_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> NDArray:
+    """(t^2 L_w)^m e^{-t^2 L_w} f at one time (M,) or at each of J times (J, M)."""
+    return _multiplier_images(op, m, t, f, (heat_factor,))[0]
 
 
 @dataclass(frozen=True)
 class GradField:
     """t grad_{y,t} of a semigroup power: spatial part (dim, cells) already
-    scaled by t, time part t d_t as a scalar field."""
+    scaled by t, time part t d_t as a scalar field (cells).  Evaluated at J
+    times the shapes are (dim, J, cells) and (J, cells)."""
 
     spatial: NDArray = field(repr=False)
     time: NDArray = field(repr=False)
@@ -180,24 +178,26 @@ class GradField:
 
 
 def centered_gradient(grid: Grid, u: NDArray) -> NDArray:
-    """Centered periodic differences, one row per axis."""
+    """Centered periodic differences along the last (cell) axis, one
+    leading row per grid axis: (cells,) -> (dim, cells), (J, cells) ->
+    (dim, J, cells)."""
     u = np.asarray(u, float)
-    out = np.empty((grid.dim, grid.n_cells))
-    for axis in range(grid.dim):
-        fwd = grid.shift_perm(axis, 1)
-        bwd = grid.shift_perm(axis, -1)
-        out[axis] = (u[fwd] - u[bwd]) / (2 * grid.h)
-    return out
+    return np.stack([
+        (u[..., grid.shift_perm(axis, 1)] - u[..., grid.shift_perm(axis, -1)])
+        / (2 * grid.h)
+        for axis in range(grid.dim)
+    ])
 
 
-def grad_eval(op: SpectralOperator, m: int, t: float, f: NDArray) -> GradField:
-    _check_order(m)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    coeffs = op.project(np.asarray(f, float))
-    u = op.reconstruct(heat_factor(op.eigenvalues, m, t) * coeffs)
-    du_t = op.reconstruct(heat_time_factor(op.eigenvalues, m, t) * coeffs)
-    return GradField(spatial=t * centered_gradient(op.grid, u), time=du_t)
+def _grad_field(op: SpectralOperator, t: float | NDArray, u: NDArray, du_t: NDArray
+                ) -> GradField:
+    t_col = np.asarray(t, float)[..., None]
+    return GradField(spatial=t_col * centered_gradient(op.grid, u), time=du_t)
+
+
+def grad_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> GradField:
+    u, du_t = _multiplier_images(op, m, t, f, (heat_factor, heat_time_factor))
+    return _grad_field(op, t, u, du_t)
 
 
 class QuadratureError(RuntimeError):
@@ -240,35 +240,35 @@ def subordination_factors(
     raise QuadratureError(residual, "subordination interval growth did not converge")
 
 
+def _subordinated_factor(lam: NDArray, big_k: int, t: NDArray) -> NDArray:
+    """poisson_factor with e^{-t sqrt(lam)} from one quadrature per time;
+    t is (1,) or (J, 1) as the multiplier core passes it."""
+    semigroup = np.stack([subordination_factors(lam, s) for s in t.ravel()])
+    return ((t * t) * lam) ** big_k * semigroup.reshape(t.shape[:-1] + lam.shape)
+
+
+_POISSON_METHODS = {"spectral": poisson_factor, "subordination": _subordinated_factor}
+
+
 def poisson_eval(
     op: SpectralOperator,
     big_k: int,
-    t: float,
+    t: float | NDArray,
     f: NDArray,
     method: str = "spectral",
 ) -> NDArray:
-    _check_order(big_k)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    coeffs = op.project(np.asarray(f, float))
-    lam = op.eigenvalues
-    if method == "spectral":
-        factors = poisson_factor(lam, big_k, t)
-    elif method == "subordination":
-        factors = ((t * t) * lam) ** big_k * subordination_factors(lam, t)
-    else:
+    """(t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f at one time (M,) or at each of
+    J times (J, M), by the closed-form spectrum or by subordination."""
+    if method not in _POISSON_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return op.reconstruct(factors * coeffs)
+    return _multiplier_images(op, big_k, t, f, (_POISSON_METHODS[method],))[0]
 
 
-def poisson_grad_eval(op: SpectralOperator, big_k: int, t: float, f: NDArray) -> GradField:
-    _check_order(big_k)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    coeffs = op.project(np.asarray(f, float))
-    u = op.reconstruct(poisson_factor(op.eigenvalues, big_k, t) * coeffs)
-    du_t = op.reconstruct(poisson_time_factor(op.eigenvalues, big_k, t) * coeffs)
-    return GradField(spatial=t * centered_gradient(op.grid, u), time=du_t)
+def poisson_grad_eval(
+    op: SpectralOperator, big_k: int, t: float | NDArray, f: NDArray
+) -> GradField:
+    u, du_t = _multiplier_images(op, big_k, t, f, (poisson_factor, poisson_time_factor))
+    return _grad_field(op, t, u, du_t)
 
 
 def poisson_scalar(lam: float, t: float, tol: float = SUBORDINATION_TOL) -> float:

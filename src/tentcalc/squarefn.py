@@ -31,6 +31,7 @@ from .mesh import Grid
 from .operator import SpectralOperator
 from .semigroup import (
     ORDER_CAP,
+    GradField,
     TimeLadder,
     grad_eval,
     heat_eval,
@@ -89,8 +90,8 @@ class SquareFunctionKind:
         return self.family.endswith("_P")
 
 
-def _spatial_norm(spatial: NDArray) -> NDArray:
-    return np.sqrt(np.sum(spatial**2, axis=0))
+def _spatial_norm(g: GradField) -> NDArray:
+    return np.sqrt(np.sum(g.spatial**2, axis=0))
 
 
 def build_field(
@@ -106,19 +107,17 @@ def build_field(
     part for G kinds, the full space-time length for Gcal kinds and the
     vertical kind.
     """
-    f = np.asarray(f, float)
-    rows = np.empty((ladder.count, op.grid.n_cells))
-    for j, t in enumerate(ladder.nodes):
-        if kind.family == "S_H":
-            rows[j] = np.abs(heat_eval(op, kind.order, t, f))
-        elif kind.family == "S_P":
-            rows[j] = np.abs(poisson_eval(op, kind.order, t, f))
-        elif kind.is_poisson:
-            g = poisson_grad_eval(op, kind.order, t, f)
-            rows[j] = _spatial_norm(g.spatial) if kind.family == "G_P" else g.norm()
-        else:
-            g = grad_eval(op, kind.order, t, f)
-            rows[j] = _spatial_norm(g.spatial) if kind.family == "G_H" else g.norm()
+    # looked up per call, so a rebinding of the module's evaluator names
+    # is honoured
+    evaluator, magnitude = {
+        "S_H": (heat_eval, np.abs),
+        "G_H": (grad_eval, _spatial_norm),
+        "Gcal_H": (grad_eval, GradField.norm),
+        "S_P": (poisson_eval, np.abs),
+        "G_P": (poisson_grad_eval, _spatial_norm),
+        "Gcal_P": (poisson_grad_eval, GradField.norm),
+    }[kind.family]
+    rows = magnitude(evaluator(op, kind.order, ladder.nodes, f))
     return HalfSpaceField(op.grid, ladder, op.weight, rows)
 
 
@@ -137,10 +136,7 @@ def evaluate(
 def vertical_g(op: SpectralOperator, f: NDArray, ladder: TimeLadder) -> NDArray:
     """Vertical square function: the dt/t sum of |t grad_{y,t} e^{-t^2
     L_w} f|^2 at the point itself."""
-    f = np.asarray(f, float)
-    total = np.zeros(op.grid.n_cells)
-    for t in ladder.nodes:
-        total += grad_eval(op, 0, t, f).norm_sq()
+    total = np.sum(grad_eval(op, 0, ladder.nodes, f).norm_sq(), axis=0)
     return np.sqrt(total * ladder.node_weight)
 
 
@@ -162,13 +158,15 @@ def spectral_heat_norm_sq(
     return float(np.sum(coeffs**2 * q))
 
 
-def result_to_csv(grid: Grid, values: NDArray, path: str):
-    """Write a grid function as cell coordinates plus value."""
+def result_to_csv(grid: Grid, values: NDArray, path: str, preamble: str = ""):
+    """Write a grid function as cell coordinates plus value, with LF line
+    ends, after the verbatim `preamble` text."""
     values = np.asarray(values, float)
     if values.shape != (grid.n_cells,):
         raise ValueError(f"expected {grid.n_cells} values, got shape {values.shape}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        fh.write(preamble)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*("xy"[: grid.dim]), "value"])
         for i in range(grid.n_cells):
             row = [repr(float(c)) for c in grid.centers[i]]

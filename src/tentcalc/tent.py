@@ -57,11 +57,8 @@ from .semigroup import TimeLadder
 __all__ = [
     "HalfSpaceField",
     "cone_all",
-    "cone_functional",
     "carleson_p_all",
-    "carleson_p",
     "carleson_box_all",
-    "carleson_box",
     "fubini_norm_sq",
     "AngleReport",
     "change_of_angle_report",
@@ -138,10 +135,6 @@ def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
     return np.sqrt(_cone_sq(fld, _cone_payload(fld), alpha))
 
 
-def cone_functional(fld: HalfSpaceField, alpha: float, x: int) -> float:
-    return float(cone_all(fld, alpha)[x])
-
-
 def fubini_norm_sq(fld: HalfSpaceField) -> float:
     """sum |F|^2 w h^dim ln(rho); equals ||A_w F||^2_{L^2(w)} exactly."""
     return float(np.sum(fld.values**2 * fld.node_measures()[None, :]))
@@ -181,10 +174,6 @@ def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
     return _sup_over_balls(grid, radii, vals)
 
 
-def carleson_p(fld: HalfSpaceField, p0: float, x: int) -> float:
-    return float(carleson_p_all(fld, p0)[x])
-
-
 def carleson_box_all(fld: HalfSpaceField) -> NDArray:
     """C_w F at every cell: box averages without the cone."""
     grid = fld.grid
@@ -200,10 +189,6 @@ def carleson_box_all(fld: HalfSpaceField) -> NDArray:
         radii.append(r)
         vals.append(np.sqrt(box / wb))
     return _sup_over_balls(grid, radii, vals)
-
-
-def carleson_box(fld: HalfSpaceField, x: int) -> float:
-    return float(carleson_box_all(fld)[x])
 
 
 @dataclass(frozen=True)

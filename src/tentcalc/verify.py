@@ -218,14 +218,6 @@ class SuiteConfig:
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
 
-    def weight(self) -> PowerWeight:
-        return PowerWeight(self.weight_alpha)
-
-    def coefficients(self, grid: Grid) -> CoefficientField:
-        if self.coeff_entries is None:
-            return CoefficientField.identity(grid)
-        return CoefficientField.diagonal(grid, self.coeff_entries)
-
 
 @lru_cache(maxsize=8)
 def _assemble_cached(

@@ -292,11 +292,14 @@ def test_carleson_angle_suite(timed_suites):
 
 def test_cli_byte_determinism(tmp_path):
     # An absolute PYTHONPATH entry for the package imported here, so each
-    # child runs this very code although its cwd differs.
+    # child runs this very code although its cwd differs.  One OpenBLAS
+    # thread each: the two children run at once, and more BLAS threads than
+    # cores multiply their wall time several times over.
     env = dict(os.environ)
     root = str(Path(tentcalc.__file__).resolve().parents[1])
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+    env["OPENBLAS_NUM_THREADS"] = "1"
     procs = []
     try:
         for name in ("one", "two"):

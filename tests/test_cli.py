@@ -133,6 +133,23 @@ class TestSf:
             norm = json.load(open("sf_summary.json"))["norms"][0]["norm"]
             assert norm**2 == pytest.approx(0.125, rel=1e-4)
 
+    def test_field_csv_bytes(self, runner):
+        with runner.isolated_filesystem():
+            _write_json("cfg.json", {"dim": 2, "n": 8})
+            result = runner.invoke(main, ["sf", "--kind", "SH", "--config", "cfg.json"])
+            assert result.exit_code == 0
+            with open("sf_field.csv", "rb") as fh:
+                data = fh.read()
+            assert b"\r" not in data and data.endswith(b"\n")
+            lines = data[:-1].split(b"\n")
+            assert lines[0] == b"# version 0.1.0"
+            assert lines[1].startswith(b"# config_hash ")
+            assert len(lines[1].split(b" ")[2]) == 12
+            assert lines[2] == b"# seed 7"
+            assert lines[3] == b"x,y,value"
+            assert len(lines) == 4 + 64
+            assert not any(line.startswith(b"#") for line in lines[3:])
+
     def test_poisson_order_zero_rejected(self, runner):
         result = runner.invoke(main, ["sf", "--kind", "SP", "--K", "0"])
         assert result.exit_code == 1

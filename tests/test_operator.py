@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
-from tentcalc.operator import (
-    CoefficientField,
-    assemble,
-    assemble_dense,
-    operator_from_config,
-)
+from tentcalc.operator import CoefficientField, assemble
 
 # generalized-eigenproblem oracle, dim 1, N=8, w = |x|, A = I
 # (explicit-loop stiffness, scipy.linalg.eigh(K, W))
@@ -201,71 +196,3 @@ class TestBilinearProperties:
         energy = op.inner_w(op.apply(f), f)
         grad = grad_norm_sq_w(f, g, op.weight_values)
         assert energy >= coeff.lam_ell * grad * (1 - 1e-10)
-
-
-class TestDensePath:
-    def test_matches_spectral_for_diagonal(self):
-        g = Grid(1, 8)
-        w = PowerWeight(1.0)
-        op = assemble(g, CoefficientField.identity(g), w)
-        mats = np.tile(np.eye(1), (8, 1, 1))
-        dense = assemble_dense(g, mats, w)
-        npt.assert_allclose(dense.matrix, op.matrix, rtol=1e-12)
-
-    def test_complex_coefficients_accepted(self):
-        g = Grid(1, 8)
-        mats = np.tile(np.array([[1.0 + 0.3j]]), (8, 1, 1))
-        dense = assemble_dense(g, mats, UNIT_WEIGHT)
-        npt.assert_allclose(dense.apply(np.ones(8)), 0.0, atol=1e-12)
-        # heat evolution preserves constants and decays a mode
-        f = np.cos(2 * np.pi * g.centers[:, 0])
-        out = dense.heat(0.1, f)
-        assert np.abs(out).max() < np.abs(f).max()
-
-    def test_heat_rejects_negative_time(self):
-        g = Grid(1, 8)
-        dense = assemble_dense(g, np.tile(np.eye(1), (8, 1, 1)), UNIT_WEIGHT)
-        with pytest.raises(ValueError):
-            dense.heat(-1.0, np.ones(8))
-
-
-class TestConfig:
-    def test_roundtrip(self):
-        cfg = {
-            "dim": 1,
-            "N": 8,
-            "weight": {"kind": "power", "alpha": 0.5},
-            "A": {"kind": "identity"},
-        }
-        op = operator_from_config(cfg)
-        direct = assemble(Grid(1, 8), CoefficientField.identity(Grid(1, 8)), PowerWeight(0.5))
-        npt.assert_allclose(op.eigenvalues, direct.eigenvalues, rtol=1e-12)
-
-    def test_alpha_boundary_rejected_dim1(self):
-        cfg = {"dim": 1, "N": 8, "weight": {"kind": "power", "alpha": 1.0}}
-        with pytest.raises(ValueError, match="alpha outside"):
-            operator_from_config(cfg)
-
-    def test_alpha_domain_enforced(self):
-        cfg = {"dim": 2, "N": 8, "weight": {"kind": "power", "alpha": 2.5}}
-        with pytest.raises(ValueError, match="alpha outside"):
-            operator_from_config(cfg)
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            operator_from_config({"dim": 1, "N": 8, "extra": 1})
-        with pytest.raises(ValueError, match="unknown"):
-            operator_from_config(
-                {"dim": 1, "N": 8, "weight": {"kind": "power", "alpha": 0, "x": 1}}
-            )
-
-    def test_diag_entries(self):
-        cfg = {
-            "dim": 2,
-            "N": 6,
-            "weight": {"kind": "power", "alpha": 0.5},
-            "A": {"kind": "diag", "entries": [1.0, 2.0]},
-        }
-        op = operator_from_config(cfg)
-        assert op.coeff.lam_ell == 1.0
-        assert op.eigenvalues[0] == 0.0

@@ -14,8 +14,8 @@ from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
 from tentcalc.operator import CoefficientField, assemble
 from tentcalc.semigroup import (
     LADDER_CAP,
+    ORDER_CAP,
     GradField,
-    SemigroupRequest,
     TimeLadder,
     centered_gradient,
     grad_eval,
@@ -40,8 +40,29 @@ def op_weighted16():
     return assemble(g, CoefficientField.identity(g), PowerWeight(0.5))
 
 
+@pytest.fixture(scope="module")
+def op_weighted8x8():
+    g = Grid(2, 8)
+    return assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]), PowerWeight(0.5))
+
+
 def l2w(op, f):
     return math.sqrt(op.inner_w(f, f))
+
+
+def subordinated_eval(op, big_k, t, f):
+    return poisson_eval(op, big_k, t, f, method="subordination")
+
+
+# each evaluator with the plain image whose centered differences its
+# spatial gradient takes (None for the plain evaluators)
+EVALUATORS = {
+    "heat": (heat_eval, None),
+    "grad": (grad_eval, heat_eval),
+    "poisson": (poisson_eval, None),
+    "poisson_subordination": (subordinated_eval, None),
+    "poisson_grad": (poisson_grad_eval, poisson_eval),
+}
 
 
 class TestTimeLadder:
@@ -89,20 +110,6 @@ class TestTimeLadder:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
-
-
-class TestSemigroupRequest:
-    def test_valid(self):
-        r = SemigroupRequest("heat_power", 2, 0.5)
-        assert r.order == 2
-
-    def test_rejects_bad_family_order_time(self):
-        with pytest.raises(ValueError):
-            SemigroupRequest("wave", 0, 1.0)
-        with pytest.raises(ValueError):
-            SemigroupRequest("heat_power", 5, 1.0)
-        with pytest.raises(ValueError):
-            SemigroupRequest("heat_power", 0, -1.0)
 
 
 class TestHeatEval:
@@ -262,6 +269,63 @@ class TestPoissonGrad:
         f = rng.normal(size=16)
         out = poisson_grad_eval(op_weighted16, 1, 0.25, f)
         assert np.all(np.abs(out.time) <= out.norm() + 1e-15)
+
+
+class TestArrayTimes:
+    """An array of J times gives the J scalar-time results stacked."""
+
+    @staticmethod
+    def assert_close(got, want, scale):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("op_name", ["op_weighted16", "op_weighted8x8"])
+    def test_rows_match_scalar_calls(self, name, order, op_name, request):
+        op = request.getfixturevalue(op_name)
+        evaluator, image = EVALUATORS[name]
+        f = np.random.default_rng(11).normal(size=op.grid.n_cells)
+        times = TimeLadder.geometric(op.grid.h / 4, 1.0, 2 ** 0.5).nodes
+        block = evaluator(op, order, times, f)
+        for j, t in enumerate(times):
+            one = evaluator(op, order, float(t), f)
+            if image is None:
+                self.assert_close(block[j], one, np.max(np.abs(one)))
+                continue
+            self.assert_close(block.time[j], one.time, np.max(np.abs(one.time)))
+            # once the image has decayed, its centered differences are
+            # rounding noise of size t |u| / h, so that is the scale here
+            u = image(op, order, float(t), f)
+            self.assert_close(
+                block.spatial[:, j], one.spatial, t * np.max(np.abs(u)) / op.grid.h
+            )
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_block_shapes(self, name, op_weighted8x8):
+        evaluator, image = EVALUATORS[name]
+        op = op_weighted8x8
+        times = np.array([0.1, 0.2, 0.4])
+        out = evaluator(op, 1, times, np.ones(op.grid.n_cells))
+        if image is None:
+            assert out.shape == (3, op.grid.n_cells)
+        else:
+            assert out.spatial.shape == (2, 3, op.grid.n_cells)
+            assert out.time.shape == (3, op.grid.n_cells)
+            assert out.norm().shape == (3, op.grid.n_cells)
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_rejects_bad_times_and_orders(self, name, op_flat16):
+        evaluator, _ = EVALUATORS[name]
+        f = np.ones(16)
+        for t in (-0.1, np.array([0.1, -1e-9, 0.3])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evaluator(op_flat16, 0, t, f)
+        with pytest.raises(ValueError, match="1-D"):
+            evaluator(op_flat16, 0, np.full((2, 2), 0.1), f)
+        for order in (-1, ORDER_CAP + 1, 0.5):
+            with pytest.raises(ValueError, match="power"):
+                evaluator(op_flat16, order, 0.1, f)
 
 
 class TestOffdiagProbe:

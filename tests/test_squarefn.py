@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from tentcalc.mesh import Grid, PowerWeight
 from tentcalc.operator import CoefficientField, assemble
-from tentcalc.semigroup import TimeLadder
+from tentcalc.semigroup import (
+    TimeLadder,
+    grad_eval,
+    heat_eval,
+    poisson_eval,
+    poisson_grad_eval,
+)
 from tentcalc.squarefn import (
     SquareFunctionKind,
     build_field,
@@ -236,6 +242,50 @@ class TestAlgebraicProperties:
             evaluate(kind, op_small, c * f, small_ladder),
             abs(c) * evaluate(kind, op_small, f, small_ladder),
         )
+
+
+def per_node_field(kind, op, f, ladder):
+    """The kind's field built one scalar-time evaluation per ladder node."""
+    rows = []
+    for t in ladder.nodes:
+        t = float(t)
+        if kind.family == "S_H":
+            rows.append(np.abs(heat_eval(op, kind.order, t, f)))
+        elif kind.family == "S_P":
+            rows.append(np.abs(poisson_eval(op, kind.order, t, f)))
+        else:
+            evaluator = poisson_grad_eval if kind.is_poisson else grad_eval
+            g = evaluator(op, kind.order, t, f)
+            if kind.family.startswith("G_"):
+                rows.append(np.sqrt(np.sum(g.spatial**2, axis=0)))
+            else:
+                rows.append(g.norm())
+    return np.array(rows)
+
+
+class TestAgainstPerNodeReference:
+    @pytest.mark.parametrize("order", [None, 2])
+    @pytest.mark.parametrize("family", ALL_CONE_KINDS)
+    @pytest.mark.parametrize("op_name", ["op_small", "op_modal"])
+    def test_build_field(self, family, order, op_name, request):
+        op = request.getfixturevalue(op_name)
+        ladder = TimeLadder.default_for(op.grid, 2 ** 0.25)
+        kind = SquareFunctionKind(family, order)
+        f = np.random.default_rng(417).standard_normal(op.grid.n_cells)
+        want = per_node_field(kind, op, f, ladder)
+        got = build_field(kind, op, f, ladder).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.max(want))
+
+    @pytest.mark.parametrize("op_name", ["op_small", "op_modal"])
+    def test_vertical_g(self, op_name, request):
+        op = request.getfixturevalue(op_name)
+        ladder = TimeLadder.default_for(op.grid)
+        f = np.random.default_rng(418).standard_normal(op.grid.n_cells)
+        total = np.zeros(op.grid.n_cells)
+        for t in ladder.nodes:
+            total += grad_eval(op, 0, float(t), f).norm_sq()
+        want = np.sqrt(total * ladder.node_weight)
+        np.testing.assert_allclose(vertical_g(op, f, ladder), want, rtol=1e-12)
 
 
 class TestFieldAndCsv:

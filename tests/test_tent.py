@@ -16,11 +16,9 @@ from tentcalc.semigroup import TimeLadder
 from tentcalc.tent import (
     HalfSpaceField,
     carleson_box_all,
-    carleson_p,
     carleson_p_all,
     change_of_angle_report,
     cone_all,
-    cone_functional,
     fubini_norm_sq,
 )
 
@@ -72,7 +70,7 @@ class TestCone:
         with pytest.raises(ValueError):
             cone_all(fld, 0.0)
         with pytest.raises(ValueError):
-            cone_functional(fld, -1.0, 0)
+            cone_all(fld, -1.0)
 
     def test_single_node_hand_value(self):
         grid = Grid(1, 16)
@@ -137,10 +135,6 @@ class TestCarlesonP:
             c = carleson_p_all(fld, p0)
             m = maximal(cone_all(fld), fld.grid, p0=p0, base=fld.weight)
             assert np.all(c <= m * (1 + 1e-10) + 1e-14)
-
-    def test_single_point_accessor(self):
-        fld = make_field(seed=5)
-        assert carleson_p(fld, 2.0, 3) == pytest.approx(carleson_p_all(fld, 2.0)[3])
 
 
 class TestCarlesonBox:
