@@ -38,7 +38,7 @@ def main():
     print(f"||f||_w = {base:.6f}")
     print("t        heat     poisson   (weighted norms, both decreasing)")
     for t in (0.01, 0.05, 0.2, 1.0):
-        h = norm_w(heat_eval(op, 0, t * t, f))
+        h = norm_w(heat_eval(op, 0, t, f))
         p = norm_w(poisson_eval(op, 0, t, f))
         print(f"{t:<8} {h:<8.5f} {p:<8.5f}")
 

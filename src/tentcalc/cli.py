@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -33,10 +32,17 @@ from .exponents import (
     surrogate_p_bounds,
 )
 from .mesh import PowerWeight, UNIT_WEIGHT, Grid, WeightModel, lp_norm
-from .operator import CoefficientField, SpectralOperator, assemble, check_dense_budget
+from .operator import SpectralOperator, check_dense_budget
 from .semigroup import TimeLadder
 from .squarefn import SquareFunctionKind, evaluate, result_to_csv
-from .verify import SUITES, SuiteConfig, reports_to_csv, reports_to_json, run_suites
+from .verify import (
+    BankFunction,
+    ProblemConfig,
+    SuiteConfig,
+    materialize,
+    reports_to_csv,
+    run_suites,
+)
 
 KIND_TOKENS = {
     "SH": "S_H",
@@ -58,64 +64,32 @@ SUITE_TOKENS = {
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Grid, weight, coefficient and ladder parameters for one field run.
+class RunConfig(ProblemConfig):
+    """The problem on one grid of n cells per side, for one field run.
 
     Caps keep runs inside the budget of the dense eigendecomposition
     (`eigh` on M x M matrices): dim in {1, 2}, at most 128 cells per side
-    and 4096 cells.  The weight power lies strictly inside (-dim, dim) and
-    the ladder has at most LADDER_CAP nodes.  All of it is checked here,
-    before anything is allocated.
+    and 4096 cells.  The ladder starts at ladder_t_min when given, else
+    at the default start, and has at most LADDER_CAP nodes.  All of it is
+    checked here, before anything is allocated.
     """
 
-    dim: int = 2
     n: int = 16
-    weight_alpha: float = 1.0
-    coeff_entries: tuple[float, ...] | None = None
-    ladder_ratio: float = 2 ** (1 / 16)
-    ladder_t_max: float = 1.0
     ladder_t_min: float | None = None
-    seed: int = 7
 
     def __post_init__(self):
         check_dense_budget(self.dim, self.n)
-        if not -self.dim < self.weight_alpha < self.dim:
-            raise ValueError(
-                f"alpha outside (-n, n): weight power {self.weight_alpha} "
-                f"not inside (-{self.dim}, {self.dim})"
-            )
-        if not 1.0 < self.ladder_ratio <= 2.0:
-            raise ValueError(f"ladder_ratio must be in (1, 2], got {self.ladder_ratio}")
-        if not 0.0 < self.ladder_t_max <= 8.0:
-            raise ValueError(f"ladder_t_max must be in (0, 8], got {self.ladder_t_max}")
+        super().__post_init__()
         if self.ladder_t_min is not None and not 0.0 < self.ladder_t_min < self.ladder_t_max:
             raise ValueError(
                 f"ladder_t_min must be in (0, t_max), got {self.ladder_t_min}"
             )
         self.build_ladder(Grid(self.dim, self.n))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        if coerced.get("coeff_entries") is not None:
-            coerced["coeff_entries"] = tuple(coerced["coeff_entries"])
-        return cls(**coerced)
-
-    def build_operator(self) -> SpectralOperator:
-        grid = Grid(self.dim, self.n)
-        if self.coeff_entries is None:
-            coeff = CoefficientField.identity(grid)
-        else:
-            coeff = CoefficientField.diagonal(grid, self.coeff_entries)
-        return assemble(grid, coeff, PowerWeight(self.weight_alpha))
-
     def build_ladder(self, grid: Grid) -> TimeLadder:
-        t_min = grid.h / 4 if self.ladder_t_min is None else self.ladder_t_min
-        return TimeLadder(t_min, self.ladder_t_max, self.ladder_ratio)
+        if self.ladder_t_min is None:
+            return super().build_ladder(grid)
+        return TimeLadder(self.ladder_t_min, self.ladder_t_max, self.ladder_ratio)
 
 
 def _config_hash(payload: dict) -> str:
@@ -150,18 +124,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return data
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return threads
-    env = os.environ.get("TENTCALC_THREADS")
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise click.UsageError(f"TENTCALC_THREADS must be an integer, got {env!r}")
 
 
 def _write_text(path: str, text: str):
@@ -202,10 +164,7 @@ def cmd_exponents(alpha, n, k, p0, q0, corollary, out):
         else:
             if alpha is None:
                 raise click.UsageError("--alpha is required without --corollary")
-            a = _parse_rational(alpha, "--alpha")
-            if not -n < a < n:
-                raise ValueError(f"alpha outside (-n, n): {a} for n = {n}")
-            pair = power_weight_criticals(a, n)
+            pair = power_weight_criticals(_parse_rational(alpha, "--alpha"), n)
             result = {"r_w": str(pair.r_w), "s_w": str(pair.s_w)}
             p_minus, p_plus = surrogate_p_bounds(pair, n)
             result["surrogate_p"] = [str(p_minus), str(p_plus)]
@@ -243,11 +202,8 @@ def _materialize_f(spec: str, op: SpectralOperator) -> NDArray:
         sigma = float(spec.split(":", 1)[1])
         if sigma <= 0:
             raise ValueError(f"bump width must be positive, got {sigma}")
-        center = np.full(grid.dim, 0.5)
-        delta = np.abs(grid.centers - center[None, :])
-        delta = np.minimum(delta, 1.0 - delta)
-        d = np.sqrt(np.sum(delta**2, axis=1))
-        return np.exp(-(d**2) / (2 * sigma**2))
+        # the bank's Gaussian bump, centered on the torus
+        return materialize(BankFunction("bump", (0.5,) * grid.dim + (sigma,)), op)
     raise ValueError(
         f"unknown function spec {spec!r}; use constant, eig:K, random:SEED or bump:SIGMA"
     )
@@ -286,7 +242,7 @@ def cmd_sf(kind, order, f_spec, config_path, p_values, v_specs, out_field,
         config = RunConfig.from_dict(_load_json(config_path)) if config_path \
             else RunConfig()
         sf_kind = SquareFunctionKind(KIND_TOKENS[kind], order)
-        op = config.build_operator()
+        op = config.build_operator(config.n)
         ladder = config.build_ladder(op.grid)
         f = _materialize_f(f_spec, op)
         values = evaluate(sf_kind, op, f, ladder)
@@ -321,13 +277,11 @@ def cmd_sf(kind, order, f_spec, config_path, p_values, v_specs, out_field,
 @click.option("--seed", type=int, default=None, help="overrides the config seed")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON SuiteConfig file")
-@click.option("--threads", type=int, default=None,
-              help="suite workers (default TENTCALC_THREADS or 1)")
 @click.option("--out-json", type=click.Path(dir_okay=False),
               default="verify_report.json", show_default=True)
 @click.option("--out-csv", type=click.Path(dir_okay=False),
               default="verify_report.csv", show_default=True)
-def cmd_verify(suite, seed, config_path, threads, out_json, out_csv):
+def cmd_verify(suite, seed, config_path, out_json, out_csv):
     """Run the check suites and write the reports."""
     try:
         data = _load_json(config_path) if config_path else {}
@@ -335,7 +289,7 @@ def cmd_verify(suite, seed, config_path, threads, out_json, out_csv):
             data["seed"] = seed
         config = SuiteConfig.from_dict(data)
         names = None if suite == "all" else [SUITE_TOKENS[suite]]
-        reports = run_suites(config, names, threads=_resolve_threads(threads))
+        reports = run_suites(config, names)
     except (TypeError, ValueError) as exc:
         _fail(str(exc))
 

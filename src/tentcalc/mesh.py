@@ -128,20 +128,11 @@ class Grid:
             raise ValueError(f"axis out of range: {axis}")
         return i0 * self._n + i1
 
-    def periodic_distance(self, x: NDArray, y: NDArray) -> float:
-        delta = np.abs(np.asarray(x, float) - np.asarray(y, float))
+    def distances_to(self, point) -> NDArray:
+        """Periodic distances from every cell center to `point`, (M,)."""
+        delta = np.abs(self.centers - np.asarray(point, float))
         delta = np.minimum(delta, 1.0 - delta)
-        return float(np.sqrt(np.sum(delta**2)))
-
-    def distance_row(self, center: int) -> NDArray:
-        """Periodic distances from one cell center to every center, (M,)."""
-        c = self.centers
-        d2 = np.zeros(self.n_cells)
-        for d in range(self._dim):
-            delta = np.abs(c[center, d] - c[:, d])
-            delta = np.minimum(delta, 1.0 - delta)
-            d2 += delta**2
-        return np.sqrt(d2)
+        return np.sqrt(np.sum(delta**2, axis=1))
 
     @property
     def stencil(self) -> "BallStencil":
@@ -152,7 +143,7 @@ class Grid:
 
     def ball(self, center: int, radius: float) -> "CellSet":
         """The closed ball of cells whose centers lie within `radius`."""
-        row = self.distance_row(center)
+        row = self.distances_to(self.centers[center])
         members = np.nonzero(row <= radius * (1.0 + TIE_SLACK))[0]
         return CellSet(self, tuple(int(i) for i in members))
 
@@ -183,7 +174,7 @@ class BallStencil:
     """The M cell offsets of a Grid sorted by periodic center distance.
 
     Offset k carries the distance from cell 0 to cell k, computed exactly
-    as the grid's distance rows; the sort is stable, so equal distances
+    as `Grid.distances_to`; the sort is stable, so equal distances
     keep flat-index order.  The ball B(x, r) is x plus the offsets whose
     distance is at most r (below r for strict balls), with the 1e-9 tie
     slack toward inclusion, and is always a prefix of the order.  Every
@@ -195,7 +186,7 @@ class BallStencil:
     """
 
     def __init__(self, grid: Grid):
-        dist = grid.distance_row(0)
+        dist = grid.distances_to(grid.centers[0])
         order = np.argsort(dist, kind="stable")
         self.distances: NDArray = dist[order]
         n = grid.n_side
@@ -339,10 +330,7 @@ class PowerWeight(WeightModel):
     alpha: float
 
     def sample(self, grid: Grid) -> NDArray:
-        c = grid.centers
-        delta = np.minimum(c, 1.0 - c)
-        d = np.sqrt(np.sum(delta**2, axis=1))
-        return d ** float(self.alpha)
+        return grid.distances_to(np.zeros(grid.dim)) ** float(self.alpha)
 
     def power(self, exponent: float) -> "PowerWeight":
         """w^delta is again a power weight."""

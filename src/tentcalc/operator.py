@@ -15,6 +15,7 @@ K phi = lambda W phi into a standard symmetric one,
     diag(w^{-1/2}) (K / h^2) diag(w^{-1/2}) psi = lambda psi,
 
 and phi_k = psi_k / (sqrt(w) h^{dim/2}) is then exactly w-orthonormal.
+Only the eigendecomposition is kept; the dense L itself is never stored.
 
 Two-point fluxes only see the diagonal of A, so `assemble` rejects
 coefficient fields with off-diagonal entries rather than silently dropping
@@ -158,7 +159,6 @@ class SpectralOperator:
     grid: Grid
     weight: WeightModel
     coeff: CoefficientField
-    matrix: NDArray = field(repr=False)       # dense L (not symmetric)
     eigenvalues: NDArray = field(repr=False)  # ascending, >= 0
     eigenvectors: NDArray = field(repr=False) # columns phi_k, w-orthonormal
     weight_values: NDArray = field(repr=False)
@@ -179,14 +179,6 @@ class SpectralOperator:
     def reconstruct(self, coeffs: NDArray) -> NDArray:
         return self.eigenvectors @ coeffs
 
-    def apply(self, f: NDArray) -> NDArray:
-        f = np.asarray(f, float)
-        if f.shape != (self.grid.n_cells,):
-            raise ValueError(
-                f"expected {self.grid.n_cells} cell values, got shape {f.shape}"
-            )
-        return self.matrix @ f
-
 
 def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOperator:
     """Assemble L_w and its dense w-orthonormal eigendecomposition."""
@@ -199,7 +191,6 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
         )
     wv = w.sample(grid)
     k = _stiffness(grid, coeff, wv)
-    l_mat = k / wv[:, None]
 
     inv_sqrt_w = 1.0 / np.sqrt(wv)
     m_std = inv_sqrt_w[:, None] * k * inv_sqrt_w[None, :]
@@ -230,7 +221,6 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
         grid=grid,
         weight=w,
         coeff=coeff,
-        matrix=l_mat,
         eigenvalues=eigvals,
         eigenvectors=phi,
         weight_values=wv,

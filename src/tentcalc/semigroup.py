@@ -89,8 +89,11 @@ class TimeLadder:
         return cls(float(t_min), float(t_max), float(ratio))
 
     @classmethod
-    def default_for(cls, grid: Grid, ratio: float = 2 ** (1 / 16)) -> "TimeLadder":
-        return cls(grid.h / 4, 1.0, float(ratio))
+    def default_for(
+        cls, grid: Grid, ratio: float = 2 ** (1 / 16), t_max: float = 1.0
+    ) -> "TimeLadder":
+        """The ladder from a quarter cell, h/4, up to t_max."""
+        return cls(grid.h / 4, float(t_max), float(ratio))
 
     def _span(self) -> float:
         """log_ratio(t_max / t_min) plus a 1e-12 guard, so that count is

@@ -97,7 +97,7 @@ class HalfSpaceField:
     def to_csv(self, path: str):
         """Columns cell_index, t_index, value, row-major over nodes."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["cell_index", "t_index", "value"])
             for j in range(self.ladder.count):
                 for i in range(self.grid.n_cells):

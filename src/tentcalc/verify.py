@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +68,7 @@ from .weights import ClassKind, weighted_class_constant
 __all__ = [
     "Check",
     "SuiteReport",
+    "ProblemConfig",
     "SuiteConfig",
     "BankFunction",
     "draw_bank",
@@ -152,7 +152,7 @@ def reports_to_json(reports: list[SuiteReport]) -> str:
 def reports_to_csv(reports: list[SuiteReport]) -> str:
     """Flat (suite, check, value, verdict) rows, one row per value."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["suite", "check", "value", "verdict"])
     for report in reports:
         for c in report.checks:
@@ -165,58 +165,62 @@ def reports_to_csv(reports: list[SuiteReport]) -> str:
 
 
 @dataclass(frozen=True)
-class SuiteConfig:
-    """Shared experiment parameters; every suite is pure given one.
+class ProblemConfig:
+    """The problem that both `sf` and `verify` run on: grid dimension,
+    power weight |x|^weight_alpha, constant diagonal of A (identity when
+    None), geometric time ladder and seed.
 
-    The two sizes are the calibration grid and the revalidation grid,
-    each within the dense-operator budget of `check_dense_budget`.
-    appendix_{r,s,q} are the class indices of the averaging inequality;
-    it needs q <= s.  Grid sizes and ladder lengths are checked here,
-    before anything is allocated.
+    The weight is in A_2 exactly when -dim < weight_alpha < dim.  These
+    fields are checked here.  Each extension checks its grid sizes (which
+    also fixes dim in {1, 2}) before calling `__post_init__` here and its
+    own fields after, so a bad config is rejected before anything is
+    allocated.
     """
 
-    seed: int = 7
     dim: int = 2
-    sizes: tuple[int, int] = (16, 32)
     weight_alpha: float = 1.0
     coeff_entries: tuple[float, ...] | None = None
-    bank_size: int = 20
-    drift_limit: float = 0.15
     ladder_ratio: float = 2 ** (1 / 16)
     ladder_t_max: float = 1.0
-    appendix_r: float = 2.0
-    appendix_s: float = 2.0
-    appendix_q: float = 1.0
-    appendix_alphas: tuple[float, ...] = (1.0, 0.5, 0.25)
+    seed: int = 7
 
     def __post_init__(self):
-        if len(self.sizes) != 2 or self.sizes[0] >= self.sizes[1]:
-            raise ValueError(f"sizes must be (coarse, fine), got {self.sizes}")
-        for n in self.sizes:
-            check_dense_budget(self.dim, n)
-        if self.bank_size < 1:
-            raise ValueError("bank_size must be positive")
-        if self.appendix_q > self.appendix_s:
+        if not -self.dim < self.weight_alpha < self.dim:
             raise ValueError(
-                f"averaging inequality needs q <= s, got "
-                f"q={self.appendix_q}, s={self.appendix_s}"
+                f"alpha outside (-n, n): weight power {self.weight_alpha} "
+                f"not inside (-{self.dim}, {self.dim})"
             )
-        # the finest grid carries the longest ladders
-        fine = Grid(self.dim, self.sizes[1])
-        _suite_ladder(self, fine)
-        _modal_ladder(self, fine)
+        if not 1.0 < self.ladder_ratio <= 2.0:
+            raise ValueError(f"ladder_ratio must be in (1, 2], got {self.ladder_ratio}")
+        if not 0.0 < self.ladder_t_max <= 8.0:
+            raise ValueError(f"ladder_t_max must be in (0, 8], got {self.ladder_t_max}")
+        entries = self.coeff_entries
+        if entries is not None and (
+            len(entries) != self.dim or not all(e > 0 for e in entries)
+        ):
+            raise ValueError(
+                f"coeff_entries must be {self.dim} positive values, got {entries}"
+            )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SuiteConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+    def from_dict(cls, data: dict) -> "ProblemConfig":
+        """The config from JSON data: unknown keys are rejected and
+        lists become tuples."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in ("sizes", "coeff_entries", "appendix_alphas"):
-            if coerced.get(key) is not None:
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
+        return cls(**{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in data.items()
+        })
+
+    def build_operator(self, n: int) -> SpectralOperator:
+        """L_w on the grid with n cells per side, assembled once per
+        process for each (dim, n, weight, coefficients)."""
+        return _assemble_cached(self.dim, n, self.weight_alpha, self.coeff_entries)
+
+    def build_ladder(self, grid: Grid) -> TimeLadder:
+        return TimeLadder.default_for(grid, self.ladder_ratio, self.ladder_t_max)
 
 
 @lru_cache(maxsize=8)
@@ -231,12 +235,49 @@ def _assemble_cached(
     return assemble(grid, coeff, PowerWeight(alpha))
 
 
-def _operator(config: SuiteConfig, n: int) -> SpectralOperator:
-    return _assemble_cached(config.dim, n, config.weight_alpha, config.coeff_entries)
+@dataclass(frozen=True)
+class SuiteConfig(ProblemConfig):
+    """The problem plus the suite parameters; every suite is pure given one.
 
+    The two sizes are the calibration grid and the revalidation grid,
+    each within the dense-operator budget of `check_dense_budget`.
+    appendix_{r,s,q} are the class indices of the averaging inequality;
+    it needs q <= s, and its alpha-power is fitted over at least two
+    distinct positive apertures.  Grid sizes and ladder lengths are
+    checked here, before anything is allocated.
+    """
 
-def _suite_ladder(config: SuiteConfig, grid: Grid) -> TimeLadder:
-    return TimeLadder(grid.h / 4, config.ladder_t_max, config.ladder_ratio)
+    sizes: tuple[int, int] = (16, 32)
+    bank_size: int = 20
+    drift_limit: float = 0.15
+    appendix_r: float = 2.0
+    appendix_s: float = 2.0
+    appendix_q: float = 1.0
+    appendix_alphas: tuple[float, ...] = (1.0, 0.5, 0.25)
+
+    def __post_init__(self):
+        if len(self.sizes) != 2 or self.sizes[0] >= self.sizes[1]:
+            raise ValueError(f"sizes must be (coarse, fine), got {self.sizes}")
+        for n in self.sizes:
+            check_dense_budget(self.dim, n)
+        super().__post_init__()
+        if self.bank_size < 1:
+            raise ValueError("bank_size must be positive")
+        if self.appendix_q > self.appendix_s:
+            raise ValueError(
+                f"averaging inequality needs q <= s, got "
+                f"q={self.appendix_q}, s={self.appendix_s}"
+            )
+        alphas = self.appendix_alphas
+        if len(set(alphas)) < 2 or not all(a > 0 for a in alphas):
+            raise ValueError(
+                f"appendix_alphas needs at least two distinct positive values, "
+                f"got {alphas}"
+            )
+        # the finest grid carries the longest ladders
+        fine = Grid(self.dim, self.sizes[1])
+        self.build_ladder(fine)
+        _modal_ladder(self, fine)
 
 
 def _modal_ladder(config: SuiteConfig, grid: Grid) -> TimeLadder:
@@ -273,24 +314,18 @@ def draw_bank(config: SuiteConfig) -> tuple[BankFunction, ...]:
     return tuple(bank)
 
 
-def _distances_to(grid: Grid, point: NDArray) -> NDArray:
-    delta = np.abs(grid.centers - np.asarray(point, float)[None, :])
-    delta = np.minimum(delta, 1.0 - delta)
-    return np.sqrt(np.sum(delta**2, axis=1))
-
-
 def materialize(bf: BankFunction, op: SpectralOperator) -> NDArray:
     grid = op.grid
     if bf.kind == "bump":
         *center, sigma = bf.params
-        d = _distances_to(grid, np.array(center))
+        d = grid.distances_to(center)
         return np.exp(-(d**2) / (2 * sigma**2))
     if bf.kind == "modes":
         coeffs = np.asarray(bf.params)
         return op.eigenvectors[:, 1 : 1 + coeffs.size] @ coeffs
     if bf.kind == "indicator":
         *center, radius = bf.params
-        d = _distances_to(grid, np.array(center))
+        d = grid.distances_to(center)
         return (d <= radius * (1.0 + TIE_SLACK)).astype(float)
     raise ValueError(f"unknown bank function kind {bf.kind!r}")
 
@@ -377,8 +412,8 @@ def suite_heat_control(config: SuiteConfig) -> SuiteReport:
     bank = draw_bank(config)
     checks = []
 
-    op16 = _operator(config, config.sizes[0])
-    ladder16 = _suite_ladder(config, op16.grid)
+    op16 = config.build_operator(config.sizes[0])
+    ladder16 = config.build_ladder(op16.grid)
     funcs16 = [materialize(bf, op16) for bf in bank]
 
     s1 = [evaluate(SquareFunctionKind("S_H", 1), op16, f, ladder16) for f in funcs16]
@@ -397,8 +432,8 @@ def suite_heat_control(config: SuiteConfig) -> SuiteReport:
     ratio_rows = {"ratio-gcal1-over-s1": [], "ratio-s2-over-s1": [],
                   "eigenmode-s2-over-s1": []}
     for n in config.sizes:
-        op = _operator(config, n)
-        ladder = _suite_ladder(config, op.grid)
+        op = config.build_operator(n)
+        ladder = config.build_ladder(op.grid)
         funcs = [materialize(bf, op) for bf in bank]
         ns1 = [_norm_p(op, evaluate(SquareFunctionKind("S_H", 1), op, f, ladder),
                        2.0, UNIT_WEIGHT) for f in funcs]
@@ -446,8 +481,8 @@ def suite_poisson_control(config: SuiteConfig) -> SuiteReport:
     if not (admissible.lower < ext(2) < admissible.upper):
         raise ValueError(f"p=2 outside admissible range {admissible}")
 
-    op16 = _operator(config, config.sizes[0])
-    ladder16 = _suite_ladder(config, op16.grid)
+    op16 = config.build_operator(config.sizes[0])
+    ladder16 = config.build_ladder(op16.grid)
     funcs16 = [materialize(bf, op16) for bf in bank]
 
     worst = -math.inf
@@ -460,8 +495,8 @@ def suite_poisson_control(config: SuiteConfig) -> SuiteReport:
     rows = {"ratio-sp-over-sh": [], "ratio-gcalp-over-gcalh": [],
             "ratio-gcalp-over-sh": []}
     for n in config.sizes:
-        op = _operator(config, n)
-        ladder = _suite_ladder(config, op.grid)
+        op = config.build_operator(n)
+        ladder = config.build_ladder(op.grid)
         funcs = [materialize(bf, op) for bf in bank]
         nsh = [_norm_p(op, evaluate(SquareFunctionKind("S_H", 1), op, f, ladder),
                        p, UNIT_WEIGHT) for f in funcs]
@@ -482,7 +517,7 @@ def suite_poisson_control(config: SuiteConfig) -> SuiteReport:
 
     worst = -math.inf
     for n in config.sizes:
-        op = _operator(config, n)
+        op = config.build_operator(n)
         wide = _modal_ladder(config, op.grid)
         phi = op.eigenvectors[:, 1]
         num = _norm_p(op, evaluate(SquareFunctionKind("S_P", 1), op, phi, wide),
@@ -530,7 +565,7 @@ def suite_boundedness(config: SuiteConfig) -> SuiteReport:
     p = 2.0
     env_ranges = {}
     env_classes = {}
-    op16 = _operator(config, config.sizes[0])
+    op16 = config.build_operator(config.sizes[0])
     for label, v_model, gamma in v_cases:
         crit_v = _weighted_power_criticals(gamma, alpha, n_dim)
         heat_range = range_W(p_minus, heat_upper, crit_v)
@@ -550,8 +585,8 @@ def suite_boundedness(config: SuiteConfig) -> SuiteReport:
 
     norms = {}
     for n in config.sizes:
-        op = _operator(config, n)
-        ladder = _suite_ladder(config, op.grid)
+        op = config.build_operator(n)
+        ladder = config.build_ladder(op.grid)
         funcs = [materialize(bf, op) for bf in bank]
         sh = [evaluate(SquareFunctionKind("S_H", 1), op, f, ladder) for f in funcs]
         sp = [evaluate(SquareFunctionKind("S_P", 1), op, f, ladder) for f in funcs]
@@ -603,8 +638,8 @@ def suite_angles_carleson(config: SuiteConfig) -> SuiteReport:
     """Cone aperture and Carleson functional checks."""
     rng = np.random.default_rng(config.seed + 1)
     checks = []
-    op16 = _operator(config, config.sizes[0])
-    ladder16 = _suite_ladder(config, op16.grid)
+    op16 = config.build_operator(config.sizes[0])
+    ladder16 = config.build_ladder(op16.grid)
 
     fields = [
         HalfSpaceField(
@@ -648,8 +683,8 @@ def suite_angles_carleson(config: SuiteConfig) -> SuiteReport:
     equiv = {}
     angle = {}
     for n in config.sizes:
-        op = _operator(config, n)
-        ladder = _suite_ladder(config, op.grid)
+        op = config.build_operator(n)
+        ladder = config.build_ladder(op.grid)
         ratios = []
         angle_ratios = []
         for bf in bank:
@@ -715,7 +750,7 @@ def suite_appendix_q(config: SuiteConfig) -> SuiteReport:
     the predicted exponent n r (1/s - 1/q)."""
     rng = np.random.default_rng(config.seed + 2)
     checks = []
-    op16 = _operator(config, config.sizes[0])
+    op16 = config.build_operator(config.sizes[0])
     grid = op16.grid
     w_values = op16.weight_values
     v_values = np.ones(grid.n_cells)
@@ -779,18 +814,13 @@ SUITES = {
 
 
 def run_suites(
-    config: SuiteConfig,
-    names: list[str] | None = None,
-    threads: int = 1,
+    config: SuiteConfig, names: list[str] | None = None
 ) -> list[SuiteReport]:
-    """Run the named suites (all by default) in registry order."""
+    """Run the named suites in the order named (all of them, in registry
+    order, by default)."""
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(SUITES[n], config) for n in names]
-            return [f.result() for f in futures]
     return [SUITES[n](config) for n in names]

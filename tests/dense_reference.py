@@ -1,4 +1,5 @@
-"""Dense O(M^2) reference implementations of the ball-family sums.
+"""Dense O(M^2) reference implementations of the ball-family sums and
+of the operator L_w.
 
 Independent of the ball stencil: every ball is a boolean row of the full
 pairwise periodic distance matrix, and every ball sum is a matrix-vector
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from tentcalc.operator import _stiffness
 
 SLACK = 1e-9
 LOG_SAFE = 700.0
@@ -25,6 +28,12 @@ def distance_matrix(grid) -> np.ndarray:
         delta = np.minimum(delta, 1.0 - delta)
         d2 += delta**2
     return np.sqrt(d2)
+
+
+def operator_matrix(op) -> np.ndarray:
+    """The dense L_w = diag(1/w) K of an assembled operator, (M, M)."""
+    wv = op.weight_values
+    return _stiffness(op.grid, op.coeff, wv) / wv[:, None]
 
 
 def ball_mask(grid, radius: float, strict: bool = False) -> np.ndarray:

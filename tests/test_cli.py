@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from tentcalc import verify
 from tentcalc.cli import RunConfig, main
 
 SMALL_SUITE = {"sizes": [8, 16], "bank_size": 6}
@@ -48,6 +49,26 @@ class TestRunConfig:
             RunConfig(ladder_t_min=2.0, ladder_t_max=1.0)
         with pytest.raises(ValueError, match="nodes"):
             RunConfig(ladder_t_min=1e-9, ladder_ratio=1.001)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"dim": 3}, "dim must be 1 or 2"),
+    ({"weight_alpha": 2.0}, "alpha outside"),
+    ({"weight_alpha": -2.0}, "alpha outside"),
+    ({"dim": 1, "weight_alpha": 1.0}, "alpha outside"),
+    ({"weight_alpha": float("nan")}, "alpha outside"),
+    ({"ladder_ratio": 1.0}, "ladder_ratio"),
+    ({"ladder_ratio": 2.5}, "ladder_ratio"),
+    ({"ladder_t_max": 0.0}, "ladder_t_max"),
+    ({"ladder_t_max": 9.0}, "ladder_t_max"),
+    ({"coeff_entries": (1.0,)}, "coeff_entries"),
+    ({"coeff_entries": (1.0, 2.0, 3.0)}, "coeff_entries"),
+    ({"coeff_entries": (1.0, 0.0)}, "coeff_entries"),
+])
+@pytest.mark.parametrize("config_cls", [RunConfig, verify.SuiteConfig])
+def test_shared_fields_rejected_alike(config_cls, bad, match):
+    with pytest.raises(ValueError, match=match):
+        config_cls(**bad)
 
 
 class TestExponents:
@@ -254,18 +275,43 @@ class TestVerifyCommand:
             assert "grid size" in result.output or "nodes" in result.output
             assert not os.path.exists("verify_report.json")
 
-    def test_threads_env_fallback(self, runner, monkeypatch):
-        monkeypatch.setenv("TENTCALC_THREADS", "2")
+    @pytest.mark.parametrize("config", [
+        {"weight_alpha": 3.0},
+        {"weight_alpha": -2.5},
+        {"ladder_ratio": 4.0},
+        {"coeff_entries": [1.0]},
+        {"appendix_alphas": []},
+        {"appendix_alphas": [1.0]},
+        {"appendix_alphas": [1.0, -0.5]},
+    ], ids=["alpha-high", "alpha-low", "ratio", "coeff", "alphas-empty",
+            "alphas-one", "alphas-negative"])
+    def test_bad_config_rejected_before_assembly(self, runner, monkeypatch, config):
+        def no_assembly(*args, **kwargs):
+            pytest.fail("operator assembled for a config that must be rejected")
+
+        verify._assemble_cached.cache_clear()
+        monkeypatch.setattr(verify, "assemble", no_assembly)
+        with runner.isolated_filesystem():
+            _write_json("cfg.json", config)
+            result = runner.invoke(main, ["verify", "--config", "cfg.json"])
+            assert result.exit_code == 1, result.output
+            assert result.output.startswith("error: ")
+            assert not os.path.exists("verify_report.json")
+
+    def test_report_csv_bytes(self, runner):
         with runner.isolated_filesystem():
             _write_json("cfg.json", SMALL_SUITE)
             result = runner.invoke(main, ["verify", "--suite", "appendix",
                                           "--config", "cfg.json"])
             assert result.exit_code == 0
-
-    def test_bad_threads_env_is_usage_error(self, runner, monkeypatch):
-        monkeypatch.setenv("TENTCALC_THREADS", "many")
-        with runner.isolated_filesystem():
-            _write_json("cfg.json", SMALL_SUITE)
-            result = runner.invoke(main, ["verify", "--suite", "appendix",
-                                          "--config", "cfg.json"])
-            assert result.exit_code == 2
+            with open("verify_report.csv", "rb") as fh:
+                data = fh.read()
+            assert b"\r" not in data and data.endswith(b"\n")
+            lines = data[:-1].split(b"\n")
+            assert lines[0] == b"# version 0.1.0"
+            assert lines[1].startswith(b"# config_hash ")
+            assert len(lines[1].split(b" ")[2]) == 12
+            assert lines[2] == b"# seed 7"
+            assert lines[3] == b"suite,check,value,verdict"
+            assert len(lines) > 4
+            assert all(line.startswith(b"appendix_q,") for line in lines[4:])

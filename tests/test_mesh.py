@@ -43,7 +43,8 @@ class TestGrid:
 
     def test_periodic_distance_wraps(self):
         g = Grid(1, 8)
-        assert g.periodic_distance([0.0625], [0.9375]) == pytest.approx(0.125)
+        # centers 0.0625 and 0.9375 are 0.125 apart across the seam
+        assert g.distances_to([0.9375])[0] == pytest.approx(0.125)
         # max possible distance is sqrt(dim)/2
         g2 = Grid(2, 4)
         assert distance_matrix(g2).max() <= np.sqrt(2) / 2 + 1e-12
@@ -64,7 +65,7 @@ class TestGrid:
         # centers 0.0625 and 0.3125 are exactly 0.25 apart
         b = g.ball(0, 0.25)
         assert 2 in b.indices
-        assert g.periodic_distance(g.centers[0], g.centers[2]) == pytest.approx(0.25)
+        assert g.distances_to(g.centers[0])[2] == pytest.approx(0.25)
 
     def test_shift_perm_roundtrip(self):
         g = Grid(2, 4)
@@ -171,12 +172,8 @@ def brute_force_maximal(f, grid, p0, base):
     out = np.zeros(grid.n_cells)
     for r in [grid.h * 2**k for k in range(int(np.log2(grid.n_side)))]:
         for c in range(grid.n_cells):
-            members = [
-                y
-                for y in range(grid.n_cells)
-                if grid.periodic_distance(grid.centers[c], grid.centers[y])
-                <= r * (1 + 1e-9)
-            ]
+            dist = grid.distances_to(grid.centers[c])
+            members = [y for y in range(grid.n_cells) if dist[y] <= r * (1 + 1e-9)]
             avg = sum(abs(f[y]) ** p0 * mu[y] for y in members) / sum(
                 mu[y] for y in members
             )

@@ -62,7 +62,7 @@ class TestGeometry:
         grid = fld.grid
         dist = dense.distance_matrix(grid)
         for c in (0, 1, grid.n_cells - 1):
-            npt.assert_array_equal(grid.distance_row(c), dist[c])
+            npt.assert_array_equal(grid.distances_to(grid.centers[c]), dist[c])
         npt.assert_array_equal(grid.stencil.distances, np.sort(dist[0]))
 
     def test_ball_matches_dense(self, fld):

@@ -87,9 +87,9 @@ class TestCone:
             / measure(w, grid.ball(y0, t0))
         )
         got = cone_all(fld)
+        dist = grid.distances_to(grid.centers[y0])
         for x in range(16):
-            d = grid.periodic_distance(grid.centers[x], grid.centers[y0])
-            if d < t0 * (1 + 1e-9):
+            if dist[x] < t0 * (1 + 1e-9):
                 assert got[x] == pytest.approx(expected_on, rel=1e-12), f"x={x}"
             else:
                 assert got[x] == 0.0, f"x={x}"

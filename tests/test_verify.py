@@ -207,13 +207,6 @@ class TestSuiteRuns:
         with pytest.raises(ValueError, match="unknown suites"):
             run_suites(SMALL, names=["heat_control", "entropy"])
 
-    def test_threads_give_same_verdicts(self, small_reports):
-        threaded = run_suites(SMALL, threads=2)
-        for r1, r2 in zip(small_reports, threaded):
-            assert [c.verdict for c in r1.checks] == [c.verdict for c in r2.checks]
-            for c1, c2 in zip(r1.checks, r2.checks):
-                assert c1.values == pytest.approx(c2.values, rel=1e-9)
-
 
 class TestSerialization:
     def test_json_shape(self, small_reports):
