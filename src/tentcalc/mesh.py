@@ -35,7 +35,6 @@ dyadic ball family {all centers} x {h, 2h, 4h, ..., 1/2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
@@ -83,10 +82,6 @@ class Grid:
         return 1.0 / self._n
 
     @property
-    def spacing(self) -> Fraction:
-        return Fraction(1, self._n)
-
-    @property
     def n_cells(self) -> int:
         return self._n ** self._dim
 
@@ -102,16 +97,6 @@ class Grid:
             return axis[:, None]
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        if self._dim == 1:
-            return (flat,)
-        return divmod(flat, self._n)
-
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        if self._dim == 1:
-            return multi[0] % self._n
-        return (multi[0] % self._n) * self._n + (multi[1] % self._n)
 
     def shift_perm(self, axis: int, step: int) -> NDArray:
         """Permutation p with p[i] = flat index of the cell shifted by

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .mesh import Grid, WeightModel
@@ -163,10 +162,6 @@ class SpectralOperator:
     eigenvectors: NDArray = field(repr=False) # columns phi_k, w-orthonormal
     weight_values: NDArray = field(repr=False)
 
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.size
-
     def inner_w(self, f: NDArray, g: NDArray) -> float:
         dens = self.weight_values * self.grid.cell_volume
         return float(np.sum(f * g * dens))
@@ -195,6 +190,9 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
     inv_sqrt_w = 1.0 / np.sqrt(wv)
     m_std = inv_sqrt_w[:, None] * k * inv_sqrt_w[None, :]
     m_std = 0.5 * (m_std + m_std.T)
+    # imported on first use, so commands that assemble nothing load no scipy
+    import scipy.linalg
+
     eigvals, psi = scipy.linalg.eigh(m_std)
 
     if eigvals.min() < EIG_ERROR_FLOOR:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 from numpy.typing import NDArray
 
 from .mesh import Grid
@@ -47,6 +46,7 @@ __all__ = [
     "QuadratureError",
     "ORDER_CAP",
     "LADDER_CAP",
+    "LADDER_START_DIVISOR",
     "heat_eval",
     "grad_eval",
     "poisson_eval",
@@ -62,6 +62,9 @@ ORDER_CAP = 4
 # most time nodes a ladder may have; the longest ladder any suite uses has
 # 209 (the modal ladder at N = 128 in dim 1)
 LADDER_CAP = 4096
+# the default ladder starts a quarter cell up, at h / LADDER_START_DIVISOR;
+# suite reports name the rule as "h/<divisor>"
+LADDER_START_DIVISOR = 4
 SUBORDINATION_TOL = 1e-10
 
 
@@ -92,8 +95,8 @@ class TimeLadder:
     def default_for(
         cls, grid: Grid, ratio: float = 2 ** (1 / 16), t_max: float = 1.0
     ) -> "TimeLadder":
-        """The ladder from a quarter cell, h/4, up to t_max."""
-        return cls(grid.h / 4, float(t_max), float(ratio))
+        """The ladder from h / LADDER_START_DIVISOR up to t_max."""
+        return cls(grid.h / LADDER_START_DIVISOR, float(t_max), float(ratio))
 
     def _span(self) -> float:
         """log_ratio(t_max / t_min) plus a 1e-12 guard, so that count is
@@ -219,6 +222,9 @@ def subordination_factors(
     Integrates (1/sqrt(pi)) e^{-u} u^{1/2} e^{-(t^2/4u) lam} du/u in
     v = log u over [-V, V], doubling V until two consecutive answers
     agree within tol."""
+    # imported on first use, so commands without subordination load no scipy
+    import scipy.integrate
+
     lam = np.atleast_1d(np.asarray(lam, float))
     if t == 0:
         return np.ones_like(lam)

@@ -44,7 +44,6 @@ stencil offsets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -93,15 +92,6 @@ class HalfSpaceField:
     def node_measures(self) -> NDArray:
         """w(y) h^dim ln(rho) per cell, shared by every ladder node."""
         return self.weight_values * self.grid.cell_volume * self.ladder.node_weight
-
-    def to_csv(self, path: str):
-        """Columns cell_index, t_index, value, row-major over nodes."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["cell_index", "t_index", "value"])
-            for j in range(self.ladder.count):
-                for i in range(self.grid.n_cells):
-                    writer.writerow([i, j, repr(float(self.values[j, i]))])
 
 
 @lru_cache(maxsize=16)

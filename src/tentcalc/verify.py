@@ -1,7 +1,10 @@
 """Numerical check suites for the square-function machinery.
 
 Five suites, each a pure function of a SuiteConfig, returning a
-SuiteReport of pass/fail and report-only checks:
+SuiteReport of pass/fail and report-only checks.  `run_suites` hands
+every suite the same two SuiteContexts, one per grid size, which build
+the operator, ladders and bank once and evaluate each square function
+once per run; a report does not depend on which suites ran with it.
 
     heat_control     pointwise dominations between the heat kinds and
                      refinement-stable norm ratios
@@ -26,9 +29,10 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -54,7 +58,7 @@ from .mesh import (
     maximal,
 )
 from .operator import CoefficientField, SpectralOperator, assemble, check_dense_budget
-from .semigroup import TimeLadder
+from .semigroup import LADDER_START_DIVISOR, TimeLadder
 from .squarefn import SquareFunctionKind, build_field, evaluate
 from .tent import (
     HalfSpaceField,
@@ -73,6 +77,7 @@ __all__ = [
     "BankFunction",
     "draw_bank",
     "materialize",
+    "SuiteContext",
     "suite_heat_control",
     "suite_poisson_control",
     "suite_boundedness",
@@ -330,8 +335,80 @@ def materialize(bf: BankFunction, op: SpectralOperator) -> NDArray:
     raise ValueError(f"unknown bank function kind {bf.kind!r}")
 
 
-def _norm_p(op: SpectralOperator, values: NDArray, p: float, v: WeightModel) -> float:
-    return lp_norm(values, p, v, op.weight, op.grid)
+class SuiteContext:
+    """One grid size of one suite run: the operator, its two ladders, the
+    materialized bank and a memo of square-function values.
+
+    Every member is built on first use, so a run that reads only the
+    coarse grid never assembles the fine one.  A source is a bank index,
+    "phi" (the first non-constant eigenmode) or "constant"; a kind is a
+    family with its order, as "S_H1" for S_{1,H}.  Memoized values are
+    read-only, since all suites of the run share them.
+    """
+
+    def __init__(self, config: SuiteConfig, n: int):
+        self.config = config
+        self.n = n
+        self._memo: dict[tuple[str, int | str, bool], NDArray] = {}
+
+    @cached_property
+    def op(self) -> SpectralOperator:
+        return self.config.build_operator(self.n)
+
+    @cached_property
+    def ladder(self) -> TimeLadder:
+        return self.config.build_ladder(self.op.grid)
+
+    @cached_property
+    def wide_ladder(self) -> TimeLadder:
+        return _modal_ladder(self.config, self.op.grid)
+
+    @cached_property
+    def bank(self) -> tuple[NDArray, ...]:
+        return tuple(materialize(bf, self.op) for bf in draw_bank(self.config))
+
+    @cached_property
+    def phi(self) -> NDArray:
+        return self.op.eigenvectors[:, 1]
+
+    @cached_property
+    def constant(self) -> NDArray:
+        return np.ones(self.op.grid.n_cells)
+
+    def source(self, source: int | str) -> NDArray:
+        if source == "phi":
+            return self.phi
+        if source == "constant":
+            return self.constant
+        return self.bank[source]
+
+    def values(self, kind: str, source: int | str, wide: bool = False) -> NDArray:
+        """The square function `kind` of the source at every cell, on the
+        default ladder or the wide modal one; evaluated once per run."""
+        key = (kind, source, wide)
+        if key not in self._memo:
+            sqf = SquareFunctionKind(kind[:-1], int(kind[-1]))
+            ladder = self.wide_ladder if wide else self.ladder
+            values = evaluate(sqf, self.op, self.source(source), ladder)
+            values.flags.writeable = False
+            self._memo[key] = values
+        return self._memo[key]
+
+    def norm(self, kind: str | None, source: int | str, p: float = 2.0,
+             v: WeightModel = UNIT_WEIGHT, wide: bool = False) -> float:
+        """||values(kind, source, wide)||_{L^p(v dw)}, or the norm of the
+        source itself when kind is None."""
+        f = self.source(source) if kind is None else self.values(kind, source, wide)
+        return lp_norm(f, p, v, self.op.weight, self.op.grid)
+
+    def norms(self, kind: str | None, p: float = 2.0,
+              v: WeightModel = UNIT_WEIGHT) -> list[float]:
+        """norm(kind, i, p, v) for every bank index i."""
+        return [self.norm(kind, i, p, v) for i in range(self.config.bank_size)]
+
+
+# the run's contexts, coarse grid first
+Contexts = tuple[SuiteContext, SuiteContext]
 
 
 def _sup_ratio(numers: list[float], denoms: list[float]) -> float:
@@ -339,23 +416,16 @@ def _sup_ratio(numers: list[float], denoms: list[float]) -> float:
     return max(ratios) if ratios else math.nan
 
 
-def _drift(coarse: float, fine: float) -> float:
-    if not (math.isfinite(coarse) and math.isfinite(fine)) or coarse <= 0:
-        return math.inf
-    return abs(fine / coarse - 1.0)
-
-
 def _drift_check(cid: str, coarse: float, fine: float, config: SuiteConfig,
-                 form: str) -> Check:
-    d = _drift(coarse, fine)
-    ok = d < config.drift_limit and math.isfinite(coarse) and math.isfinite(fine)
+                 form: str = "bounded, refinement-stable") -> Check:
+    """Passes when |fine / coarse - 1| is below the drift limit; the drift
+    is infinite unless both values are finite and coarse is positive."""
+    finite = math.isfinite(coarse) and math.isfinite(fine) and coarse > 0
+    d = abs(fine / coarse - 1.0) if finite else math.inf
     return Check(
-        id=cid,
-        kind="report_only",
-        values=(coarse, fine, d),
-        verdict="pass" if ok else "fail",
-        tolerance=config.drift_limit,
-        predicted_form=form,
+        id=cid, kind="report_only", values=(coarse, fine, d),
+        verdict="pass" if d < config.drift_limit else "fail",
+        tolerance=config.drift_limit, predicted_form=form,
     )
 
 
@@ -381,7 +451,7 @@ def _environment(config: SuiteConfig, extra: dict | None = None) -> dict:
         "ladder": {
             "ratio": config.ladder_ratio,
             "t_max": config.ladder_t_max,
-            "t_min": "h/4",
+            "t_min": f"h/{LADDER_START_DIVISOR}",
         },
         "seed": config.seed,
         "bank_size": config.bank_size,
@@ -407,70 +477,58 @@ def _exact_alpha(config: SuiteConfig) -> Fraction:
     return Fraction(config.weight_alpha).limit_denominator(64)
 
 
-def suite_heat_control(config: SuiteConfig) -> SuiteReport:
+def _refinement_checks(
+    config: SuiteConfig, contexts: Contexts, measure: Callable[[SuiteContext], dict]
+) -> list[Check]:
+    """One drift check per entry of measure(context), coarse against fine."""
+    coarse, fine = (measure(ctx) for ctx in contexts)
+    return [_drift_check(cid, coarse[cid], fine[cid], config) for cid in coarse]
+
+
+def _worst_excess(
+    ctx: SuiteContext, pairs: list[tuple[str, str]], scale: float = 1.0
+) -> float:
+    """Largest value of lo - scale * hi over the bank, for each (lo, hi)
+    kind pair."""
+    return max(
+        float(np.max(ctx.values(lo, i) - scale * ctx.values(hi, i)))
+        for lo, hi in pairs for i in range(ctx.config.bank_size)
+    )
+
+
+def _constant_checks(ctx: SuiteContext, kinds: tuple[str, str]) -> list[Check]:
+    """The kinds vanish on the constant function; their ratio is 0/0."""
+    worst = max(float(np.max(ctx.values(k, "constant"))) for k in kinds)
+    return [
+        _pass_fail("constant-annihilated", worst, POINTWISE_TOL),
+        Check(id="constant-ratio-undefined", kind="report_only", values=(),
+              verdict="pass", predicted_form="0/0, reported undefined"),
+    ]
+
+
+def suite_heat_control(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     """Pointwise dominations between heat kinds plus ratio stability."""
-    bank = draw_bank(config)
-    checks = []
-
-    op16 = config.build_operator(config.sizes[0])
-    ladder16 = config.build_ladder(op16.grid)
-    funcs16 = [materialize(bf, op16) for bf in bank]
-
-    s1 = [evaluate(SquareFunctionKind("S_H", 1), op16, f, ladder16) for f in funcs16]
-    gc0 = [evaluate(SquareFunctionKind("Gcal_H", 0), op16, f, ladder16) for f in funcs16]
-    worst = max(float(np.max(s - 0.5 * g)) for s, g in zip(s1, gc0))
-    checks.append(_pass_fail("pointwise-half-factor", worst, POINTWISE_TOL))
-
-    worst = -math.inf
-    for m in (0, 1):
-        for f in funcs16:
-            lo = evaluate(SquareFunctionKind("G_H", m), op16, f, ladder16)
-            hi = evaluate(SquareFunctionKind("Gcal_H", m), op16, f, ladder16)
-            worst = max(worst, float(np.max(lo - hi)))
+    coarse = contexts[0]
+    worst = _worst_excess(coarse, [("S_H1", "Gcal_H0")], scale=0.5)
+    checks = [_pass_fail("pointwise-half-factor", worst, POINTWISE_TOL)]
+    worst = _worst_excess(coarse, [("G_H0", "Gcal_H0"), ("G_H1", "Gcal_H1")])
     checks.append(_pass_fail("pointwise-grad-domination", worst, POINTWISE_TOL))
 
-    ratio_rows = {"ratio-gcal1-over-s1": [], "ratio-s2-over-s1": [],
-                  "eigenmode-s2-over-s1": []}
-    for n in config.sizes:
-        op = config.build_operator(n)
-        ladder = config.build_ladder(op.grid)
-        funcs = [materialize(bf, op) for bf in bank]
-        ns1 = [_norm_p(op, evaluate(SquareFunctionKind("S_H", 1), op, f, ladder),
-                       2.0, UNIT_WEIGHT) for f in funcs]
-        ns2 = [_norm_p(op, evaluate(SquareFunctionKind("S_H", 2), op, f, ladder),
-                       2.0, UNIT_WEIGHT) for f in funcs]
-        ng1 = [_norm_p(op, evaluate(SquareFunctionKind("Gcal_H", 1), op, f, ladder),
-                       2.0, UNIT_WEIGHT) for f in funcs]
-        ratio_rows["ratio-gcal1-over-s1"].append(_sup_ratio(ng1, ns1))
-        ratio_rows["ratio-s2-over-s1"].append(_sup_ratio(ns2, ns1))
-        phi = op.eigenvectors[:, 1]
-        num = _norm_p(op, evaluate(SquareFunctionKind("S_H", 2), op, phi, ladder),
-                      2.0, UNIT_WEIGHT)
-        den = _norm_p(op, evaluate(SquareFunctionKind("S_H", 1), op, phi, ladder),
-                      2.0, UNIT_WEIGHT)
-        ratio_rows["eigenmode-s2-over-s1"].append(num / den)
-    for cid, (coarse, fine) in ratio_rows.items():
-        checks.append(_drift_check(cid, coarse, fine, config,
-                                   "bounded, refinement-stable"))
+    def ratios(ctx: SuiteContext) -> dict[str, float]:
+        ns1 = ctx.norms("S_H1")
+        return {
+            "ratio-gcal1-over-s1": _sup_ratio(ctx.norms("Gcal_H1"), ns1),
+            "ratio-s2-over-s1": _sup_ratio(ctx.norms("S_H2"), ns1),
+            "eigenmode-s2-over-s1": ctx.norm("S_H2", "phi") / ctx.norm("S_H1", "phi"),
+        }
 
-    const = np.ones(op16.grid.n_cells)
-    worst = max(
-        float(np.max(evaluate(SquareFunctionKind(k), op16, const, ladder16)))
-        for k in ("S_H", "Gcal_H")
-    )
-    checks.append(_pass_fail("constant-annihilated", worst, POINTWISE_TOL))
-    checks.append(Check(
-        id="constant-ratio-undefined", kind="report_only", values=(),
-        verdict="pass", predicted_form="0/0, reported undefined",
-    ))
-
+    checks += _refinement_checks(config, contexts, ratios)
+    checks += _constant_checks(coarse, ("S_H1", "Gcal_H0"))
     return SuiteReport("heat_control", tuple(checks), _environment(config))
 
 
-def suite_poisson_control(config: SuiteConfig) -> SuiteReport:
+def suite_poisson_control(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     """Poisson-vs-heat dominations, ratio stability, the modal oracle."""
-    bank = draw_bank(config)
-    checks = []
     n_dim = config.dim
     alpha = _exact_alpha(config)
     crit_w = power_weight_criticals(alpha, n_dim)
@@ -481,62 +539,29 @@ def suite_poisson_control(config: SuiteConfig) -> SuiteReport:
     if not (admissible.lower < ext(2) < admissible.upper):
         raise ValueError(f"p=2 outside admissible range {admissible}")
 
-    op16 = config.build_operator(config.sizes[0])
-    ladder16 = config.build_ladder(op16.grid)
-    funcs16 = [materialize(bf, op16) for bf in bank]
+    coarse = contexts[0]
+    worst = _worst_excess(coarse, [("G_P1", "Gcal_P1")])
+    checks = [_pass_fail("pointwise-grad-domination-poisson", worst, POINTWISE_TOL)]
 
-    worst = -math.inf
-    for f in funcs16:
-        lo = evaluate(SquareFunctionKind("G_P", 1), op16, f, ladder16)
-        hi = evaluate(SquareFunctionKind("Gcal_P", 1), op16, f, ladder16)
-        worst = max(worst, float(np.max(lo - hi)))
-    checks.append(_pass_fail("pointwise-grad-domination-poisson", worst, POINTWISE_TOL))
+    def ratios(ctx: SuiteContext) -> dict[str, float]:
+        nsh = ctx.norms("S_H1", p)
+        return {
+            "ratio-sp-over-sh": _sup_ratio(ctx.norms("S_P1", p), nsh),
+            "ratio-gcalp-over-gcalh": _sup_ratio(
+                ctx.norms("Gcal_P0", p), ctx.norms("Gcal_H0", p)
+            ),
+            "ratio-gcalp-over-sh": _sup_ratio(ctx.norms("Gcal_P1", p), nsh),
+        }
 
-    rows = {"ratio-sp-over-sh": [], "ratio-gcalp-over-gcalh": [],
-            "ratio-gcalp-over-sh": []}
-    for n in config.sizes:
-        op = config.build_operator(n)
-        ladder = config.build_ladder(op.grid)
-        funcs = [materialize(bf, op) for bf in bank]
-        nsh = [_norm_p(op, evaluate(SquareFunctionKind("S_H", 1), op, f, ladder),
-                       p, UNIT_WEIGHT) for f in funcs]
-        nsp = [_norm_p(op, evaluate(SquareFunctionKind("S_P", 1), op, f, ladder),
-                       p, UNIT_WEIGHT) for f in funcs]
-        ngh = [_norm_p(op, evaluate(SquareFunctionKind("Gcal_H", 0), op, f, ladder),
-                       p, UNIT_WEIGHT) for f in funcs]
-        ngp = [_norm_p(op, evaluate(SquareFunctionKind("Gcal_P", 0), op, f, ladder),
-                       p, UNIT_WEIGHT) for f in funcs]
-        ngp1 = [_norm_p(op, evaluate(SquareFunctionKind("Gcal_P", 1), op, f, ladder),
-                        p, UNIT_WEIGHT) for f in funcs]
-        rows["ratio-sp-over-sh"].append(_sup_ratio(nsp, nsh))
-        rows["ratio-gcalp-over-gcalh"].append(_sup_ratio(ngp, ngh))
-        rows["ratio-gcalp-over-sh"].append(_sup_ratio(ngp1, nsh))
-    for cid, (coarse, fine) in rows.items():
-        checks.append(_drift_check(cid, coarse, fine, config,
-                                   "bounded, refinement-stable"))
+    checks += _refinement_checks(config, contexts, ratios)
 
-    worst = -math.inf
-    for n in config.sizes:
-        op = config.build_operator(n)
-        wide = _modal_ladder(config, op.grid)
-        phi = op.eigenvectors[:, 1]
-        num = _norm_p(op, evaluate(SquareFunctionKind("S_P", 1), op, phi, wide),
-                      2.0, UNIT_WEIGHT)
-        den = _norm_p(op, evaluate(SquareFunctionKind("S_H", 1), op, phi, wide),
-                      2.0, UNIT_WEIGHT)
-        worst = max(worst, abs((num / den) ** 2 - 3.0) / 3.0)
-    checks.append(_pass_fail("eigenmode-ratio-three", worst, MODAL_RATIO_TOL))
-
-    const = np.ones(op16.grid.n_cells)
     worst = max(
-        float(np.max(evaluate(SquareFunctionKind(k), op16, const, ladder16)))
-        for k in ("S_P", "Gcal_P")
+        abs((ctx.norm("S_P1", "phi", wide=True) / ctx.norm("S_H1", "phi", wide=True))
+            ** 2 - 3.0) / 3.0
+        for ctx in contexts
     )
-    checks.append(_pass_fail("constant-annihilated", worst, POINTWISE_TOL))
-    checks.append(Check(
-        id="constant-ratio-undefined", kind="report_only", values=(),
-        verdict="pass", predicted_form="0/0, reported undefined",
-    ))
+    checks.append(_pass_fail("eigenmode-ratio-three", worst, MODAL_RATIO_TOL))
+    checks += _constant_checks(coarse, ("S_P1", "Gcal_P0"))
 
     env = _environment(config, {
         "p": p,
@@ -546,10 +571,8 @@ def suite_poisson_control(config: SuiteConfig) -> SuiteReport:
     return SuiteReport("poisson_control", tuple(checks), env)
 
 
-def suite_boundedness(config: SuiteConfig) -> SuiteReport:
+def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     """Operator-norm ratios in L^p(v dw) inside the admissible ranges."""
-    bank = draw_bank(config)
-    checks = []
     n_dim = config.dim
     alpha = _exact_alpha(config)
     crit_w = power_weight_criticals(alpha, n_dim)
@@ -565,7 +588,7 @@ def suite_boundedness(config: SuiteConfig) -> SuiteReport:
     p = 2.0
     env_ranges = {}
     env_classes = {}
-    op16 = config.build_operator(config.sizes[0])
+    coarse = contexts[0]
     for label, v_model, gamma in v_cases:
         crit_v = _weighted_power_criticals(gamma, alpha, n_dim)
         heat_range = range_W(p_minus, heat_upper, crit_v)
@@ -579,48 +602,28 @@ def suite_boundedness(config: SuiteConfig) -> SuiteReport:
                 "lo": ext_to_json(rng_.lower), "hi": ext_to_json(rng_.upper),
             }
         est = weighted_class_constant(
-            v_model, op16.weight, ClassKind("Ap_of_w", 2.0), op16.grid
+            v_model, coarse.op.weight, ClassKind("Ap_of_w", 2.0), coarse.op.grid
         )
         env_classes[label] = est.constant_estimate
 
-    norms = {}
-    for n in config.sizes:
-        op = config.build_operator(n)
-        ladder = config.build_ladder(op.grid)
-        funcs = [materialize(bf, op) for bf in bank]
-        sh = [evaluate(SquareFunctionKind("S_H", 1), op, f, ladder) for f in funcs]
-        sp = [evaluate(SquareFunctionKind("S_P", 1), op, f, ladder) for f in funcs]
+    def ratios(ctx: SuiteContext) -> dict[str, float]:
+        out = {}
         for label, v_model, _ in v_cases:
-            nf = [_norm_p(op, f, p, v_model) for f in funcs]
-            norms[(n, label, "heat")] = _sup_ratio(
-                [_norm_p(op, s, p, v_model) for s in sh], nf
-            )
-            norms[(n, label, "poisson")] = _sup_ratio(
-                [_norm_p(op, s, p, v_model) for s in sp], nf
-            )
-    for label, _, _ in v_cases:
-        for family in ("heat", "poisson"):
-            coarse = norms[(config.sizes[0], label, family)]
-            fine = norms[(config.sizes[1], label, family)]
-            checks.append(_drift_check(
-                f"operator-ratio-{family}-v-{label}", coarse, fine, config,
-                "bounded, refinement-stable",
-            ))
+            nf = ctx.norms(None, p, v_model)
+            for family, kind in (("heat", "S_H1"), ("poisson", "S_P1")):
+                out[f"operator-ratio-{family}-v-{label}"] = _sup_ratio(
+                    ctx.norms(kind, p, v_model), nf
+                )
+        return out
 
-    wide = _modal_ladder(config, op16.grid)
-    phi = op16.eigenvectors[:, 1]
-    ratio = (
-        _norm_p(op16, evaluate(SquareFunctionKind("S_H", 1), op16, phi, wide),
-                2.0, UNIT_WEIGHT)
-        / _norm_p(op16, phi, 2.0, UNIT_WEIGHT)
-    )
+    checks = _refinement_checks(config, contexts, ratios)
+
+    ratio = coarse.norm("S_H1", "phi", wide=True) / coarse.norm(None, "phi")
     checks.append(_pass_fail(
         "modal-l2-one-eighth", abs(ratio**2 - 0.125) / 0.125, MODAL_L2_TOL
     ))
 
-    min_norm = min(
-        _norm_p(op16, materialize(bf, op16), 2.0, UNIT_WEIGHT) for bf in bank
-    )
+    min_norm = min(coarse.norms(None))
     checks.append(Check(
         id="bank-nonzero", kind="pass_fail", values=(min_norm,),
         verdict="pass" if min_norm > 0 else "fail", tolerance=0.0,
@@ -634,82 +637,73 @@ def suite_boundedness(config: SuiteConfig) -> SuiteReport:
     return SuiteReport("boundedness", tuple(checks), env)
 
 
-def suite_angles_carleson(config: SuiteConfig) -> SuiteReport:
+def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     """Cone aperture and Carleson functional checks."""
     rng = np.random.default_rng(config.seed + 1)
-    checks = []
-    op16 = config.build_operator(config.sizes[0])
-    ladder16 = config.build_ladder(op16.grid)
+    coarse = contexts[0]
+    grid, ladder, weight = coarse.op.grid, coarse.ladder, coarse.op.weight
 
-    fields = [
-        HalfSpaceField(
-            op16.grid, ladder16, op16.weight,
-            np.abs(rng.standard_normal((ladder16.count, op16.grid.n_cells))),
-        )
-        for _ in range(3)
+    # S_{1,H} fields of the first four bank functions, on each grid
+    sample = range(min(4, config.bank_size))
+    bank_fields = [
+        [build_field(SquareFunctionKind("S_H", 1), ctx.op, ctx.bank[i], ctx.ladder)
+         for i in sample]
+        for ctx in contexts
     ]
-    bank = draw_bank(config)[:4]
-    fields += [
-        build_field(SquareFunctionKind("S_H", 1), op16, materialize(bf, op16), ladder16)
-        for bf in bank
-    ]
+    shape = (ladder.count, grid.n_cells)
+    fields = [HalfSpaceField(grid, ladder, weight, np.abs(rng.standard_normal(shape)))
+              for _ in range(3)]
+    areas = [cone_all(fld, 1.0) for fld in fields]
+    fields += bank_fields[0]
+    areas += [coarse.values("S_H1", i) for i in sample]
+
+    worst = max(
+        max(float(np.max(cone_all(fld, 0.5) - area)),
+            float(np.max(area - cone_all(fld, 2.0))))
+        for fld, area in zip(fields, areas)
+    )
+    checks = [_pass_fail("aperture-monotonicity", worst, 0.0)]
 
     worst = -math.inf
-    for fld in fields:
-        lo = cone_all(fld, 0.5)
-        mid = cone_all(fld, 1.0)
-        hi = cone_all(fld, 2.0)
-        worst = max(worst, float(np.max(lo - mid)), float(np.max(mid - hi)))
-    checks.append(_pass_fail("aperture-monotonicity", worst, 0.0))
-
-    worst = -math.inf
-    for fld in fields:
-        cone_sq = float(np.sum(
-            cone_all(fld, 1.0) ** 2 * fld.weight_values * fld.grid.cell_volume
-        ))
+    for fld, area in zip(fields, areas):
+        cone_sq = float(np.sum(area**2 * fld.weight_values * fld.grid.cell_volume))
         direct = fubini_norm_sq(fld)
         worst = max(worst, abs(cone_sq - direct) / direct)
     checks.append(_pass_fail("fubini-p2-identity", worst, FUBINI_TOL))
 
-    worst = -math.inf
-    for fld in fields:
-        area = cone_all(fld, 1.0)
-        for p0 in (1.0, 2.0):
-            carleson = carleson_p_all(fld, p0)
-            dominator = maximal(area, fld.grid, p0, base=fld.weight)
-            worst = max(worst, float(np.max(carleson - dominator)))
+    worst = max(
+        float(np.max(carleson_p_all(fld, p0)
+                     - maximal(area, fld.grid, p0, base=fld.weight)))
+        for fld, area in zip(fields, areas) for p0 in (1.0, 2.0)
+    )
     checks.append(_pass_fail("carleson-below-maximal", worst, POINTWISE_TOL))
 
-    equiv = {}
-    angle = {}
-    for n in config.sizes:
-        op = config.build_operator(n)
-        ladder = config.build_ladder(op.grid)
-        ratios = []
-        angle_ratios = []
-        for bf in bank:
-            fld = build_field(
-                SquareFunctionKind("S_H", 1), op, materialize(bf, op), ladder
-            )
-            area = cone_all(fld, 1.0)
-            carleson = carleson_p_all(fld, 1.0)
-            na = lp_norm(area, 2.0, UNIT_WEIGHT, op.weight, op.grid)
-            nc = lp_norm(carleson, 2.0, UNIT_WEIGHT, op.weight, op.grid)
+    def norm_ratios(
+        ctx: SuiteContext, ctx_fields: list[HalfSpaceField]
+    ) -> tuple[float, float]:
+        """Largest Carleson-over-cone norm ratio and largest measured over
+        predicted change-of-angle ratio over the sampled bank fields."""
+        equiv, angle = [], []
+        for i, fld in zip(sample, ctx_fields):
+            na = ctx.norm("S_H1", i)
+            nc = lp_norm(carleson_p_all(fld, 1.0), 2.0, UNIT_WEIGHT, ctx.op.weight,
+                         ctx.op.grid)
             if na > 0:
-                ratios.append(nc / na)
+                equiv.append(nc / na)
             rep = change_of_angle_report(
-                fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, op.weight, r=2.0, r_tilde=2.0
+                fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, ctx.op.weight, r=2.0, r_tilde=2.0
             )
             if rep.ratio is not None:
-                angle_ratios.append((rep.ratio, rep.predicted_increase))
-        equiv[n] = max(ratios)
-        angle[n] = max(r / pred for r, pred in angle_ratios)
+                angle.append(rep.ratio / rep.predicted_increase)
+        return max(equiv), max(angle)
+
+    (equiv_c, calibrated), (equiv_f, revalidated) = (
+        norm_ratios(ctx, ctx_fields) for ctx, ctx_fields in zip(contexts, bank_fields)
+    )
     checks.append(_drift_check(
-        "carleson-vs-cone-norms", equiv[config.sizes[0]], equiv[config.sizes[1]],
+        "carleson-vs-cone-norms", equiv_c, equiv_f,
         config, "norm equivalence, doubling-calibrated band",
     ))
-    calibrated = angle[config.sizes[0]]
-    revalidated = angle[config.sizes[1]]
     ok = revalidated <= calibrated * (1.0 + config.drift_limit)
     checks.append(Check(
         id="angle-ratio-vs-predicted", kind="report_only",
@@ -718,10 +712,7 @@ def suite_angles_carleson(config: SuiteConfig) -> SuiteReport:
         predicted_form="calibrated constant * (beta/alpha)^{n r rtilde / p}",
     ))
 
-    zero = HalfSpaceField(
-        op16.grid, ladder16, op16.weight,
-        np.zeros((ladder16.count, op16.grid.n_cells)),
-    )
+    zero = HalfSpaceField(grid, ladder, weight, np.zeros(shape))
     worst = max(
         float(np.max(cone_all(zero, 1.0))),
         float(np.max(carleson_p_all(zero, 1.0))),
@@ -745,14 +736,14 @@ def _g_alpha_functional(
     return float(np.sum(g ** (1.0 / q) * v_values * whn))
 
 
-def suite_appendix_q(config: SuiteConfig) -> SuiteReport:
+def suite_appendix_q(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     """Small-aperture averaging inequality: measured alpha-power versus
     the predicted exponent n r (1/s - 1/q)."""
     rng = np.random.default_rng(config.seed + 2)
     checks = []
-    op16 = config.build_operator(config.sizes[0])
-    grid = op16.grid
-    w_values = op16.weight_values
+    op = contexts[0].op
+    grid = op.grid
+    w_values = op.weight_values
     v_values = np.ones(grid.n_cells)
     h_values = np.abs(rng.standard_normal(grid.n_cells))
     t = 0.25
@@ -823,4 +814,5 @@ def run_suites(
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    return [SUITES[n](config) for n in names]
+    contexts = tuple(SuiteContext(config, n) for n in config.sizes)
+    return [SUITES[n](config, contexts) for n in names]

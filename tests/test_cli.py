@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tentcalc
 from tentcalc import verify
 from tentcalc.cli import RunConfig, main
 
@@ -114,6 +118,31 @@ class TestExponents:
         result = runner.invoke(main, ["exponents", "--alpha", "1", "--n", "2",
                                       "--p0", "3/2", "--q0", "4"])
         assert json.loads(result.output)["range_W"] == ["9/4", "4"]
+
+    def test_loads_no_scipy(self):
+        # scipy is imported on first assembly or subordination, so neither
+        # importing the CLI nor an exponent query loads it
+        code = (
+            "import sys\n"
+            "import tentcalc.cli\n"
+            "def loaded():\n"
+            "    return [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded(), loaded()\n"
+            "try:\n"
+            "    tentcalc.cli.main.main(args=['exponents', '--alpha', '1', '--n', '2'],\n"
+            "                           prog_name='tentcalc')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert not loaded(), loaded()\n"
+        )
+        env = dict(os.environ)
+        root = str(Path(tentcalc.__file__).resolve().parents[1])
+        rest = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["r_w"] == "3/2"
 
     def test_out_file_carries_header(self, runner):
         with runner.isolated_filesystem():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -46,17 +45,6 @@ class TestHalfSpaceField:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             HalfSpaceField(grid, ladder, UNIT_WEIGHT, bad)
-
-    def test_csv(self, tmp_path):
-        fld = make_field(n=8)
-        path = tmp_path / "field.csv"
-        fld.to_csv(str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["cell_index", "t_index", "value"]
-        assert len(rows) == 1 + fld.ladder.count * 8
-        i, j, val = rows[1]
-        assert float(val) == fld.values[int(j), int(i)]
 
 
 class TestCone:

@@ -9,13 +9,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tentcalc import squarefn, verify
 from tentcalc.exponents import ext
 from tentcalc.mesh import Grid, PowerWeight
 from tentcalc.operator import CoefficientField, assemble
+from tentcalc.semigroup import TimeLadder
+from tentcalc.squarefn import SquareFunctionKind, evaluate
 from tentcalc.verify import (
+    SUITES,
     BankFunction,
     Check,
     SuiteConfig,
+    SuiteContext,
     SuiteReport,
     _g_alpha_functional,
     _weighted_power_criticals,
@@ -27,6 +32,7 @@ from tentcalc.verify import (
 )
 
 SMALL = SuiteConfig(sizes=(8, 16), bank_size=6)
+DIM1 = SuiteConfig(dim=1, weight_alpha=0.5, sizes=(16, 32), bank_size=3)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +214,63 @@ class TestSuiteRuns:
             run_suites(SMALL, names=["heat_control", "entropy"])
 
 
+class TestRunMemo:
+    """One SuiteContext per grid size is shared by every suite of a run."""
+
+    @pytest.mark.parametrize("config", [SMALL, DIM1], ids=["small", "dim1"])
+    def test_suite_alone_equals_suite_in_any_run(self, config, monkeypatch):
+        names = list(SUITES)
+        full = run_suites(config)
+        backwards = run_suites(config, names[::-1])[::-1]
+        alone = [run_suites(config, [name])[0] for name in names]
+
+        # the reference evaluates every request afresh, with no memo
+        def unmemoized(ctx, kind, source, wide=False):
+            sqf = SquareFunctionKind(kind[:-1], int(kind[-1]))
+            ladder = ctx.wide_ladder if wide else ctx.ladder
+            return evaluate(sqf, ctx.op, ctx.source(source), ladder)
+
+        monkeypatch.setattr(SuiteContext, "values", unmemoized)
+        reference = run_suites(config)
+        for name, *reports in zip(names, alone, full, backwards, reference):
+            assert all(r == reports[0] for r in reports), name
+
+    def test_build_field_calls_reused(self, monkeypatch):
+        calls = []
+        original = squarefn.build_field
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        # every binding the suites reach build_field through
+        monkeypatch.setattr(squarefn, "build_field", counted)
+        monkeypatch.setattr(verify, "build_field", counted)
+        run_suites(SMALL)
+        assert 0 < len(calls) <= 126
+
+    def test_coarse_only_suite_assembles_coarse_grid_only(self, monkeypatch):
+        sides = []
+        original = verify.assemble
+
+        def recorded(grid, coeff, w):
+            sides.append(grid.n_side)
+            return original(grid, coeff, w)
+
+        verify._assemble_cached.cache_clear()
+        monkeypatch.setattr(verify, "assemble", recorded)
+        run_suites(SMALL, ["appendix_q"])
+        assert sides == [SMALL.sizes[0]]
+
+    def test_values_are_memoized_read_only(self):
+        ctx = SuiteContext(SMALL, SMALL.sizes[0])
+        first = ctx.values("S_H1", 0)
+        assert ctx.values("S_H1", 0) is first
+        assert not first.flags.writeable
+        assert ctx.values("S_H1", 0, wide=True) is not first
+        assert ctx.values("S_H1", 1) is not first
+
+
 class TestSerialization:
     def test_json_shape(self, small_reports):
         data = json.loads(reports_to_json(small_reports))
@@ -230,6 +293,15 @@ class TestSerialization:
         assert env["sizes"] == [8, 16]
         assert env["weight"] == "PowerWeight(1.0)"
         assert env["coefficients"] == "identity"
+
+    def test_environment_names_ladder_start(self, small_reports):
+        # the report's "h/k" is the rule TimeLadder.default_for applies
+        t_min = small_reports[0].environment["ladder"]["t_min"]
+        assert t_min.startswith("h/")
+        k = int(t_min[2:])
+        for dim, n in ((1, 8), (2, 16), (2, 32)):
+            grid = Grid(dim, n)
+            assert TimeLadder.default_for(grid).t_min == grid.h / k
 
     def test_csv_one_row_per_value(self, small_reports):
         lines = reports_to_csv(small_reports).splitlines()
