@@ -34,7 +34,7 @@ def main():
     def norm_w(values):
         return lp_norm(values, 2.0, UNIT_WEIGHT, op.weight, op.grid)
 
-    phi = op.eigenvectors[:, 1]
+    phi = op.mode(1)
     base_sq = norm_w(phi) ** 2
     print(f"eigenmode lambda_1 = {op.eigenvalues[1]:.4f}, ||phi||_w^2 = {base_sq:.6f}")
     print("kind          ||.phi||_w^2 / ||phi||_w^2")

@@ -67,11 +67,12 @@ SUITE_TOKENS = {
 class RunConfig(ProblemConfig):
     """The problem on one grid of n cells per side, for one field run.
 
-    Caps keep runs inside the budget of the dense eigendecomposition
-    (`eigh` on M x M matrices): dim in {1, 2}, at most 128 cells per side
-    and 4096 cells.  The ladder starts at ladder_t_min when given, else
-    at the default start, and has at most LADDER_CAP nodes.  All of it is
-    checked here, before anything is allocated.
+    Caps keep runs inside the budget of the eigendecomposition (an M x M
+    `eigh` when the weight has no mirror symmetry): dim in {1, 2}, at
+    most 128 cells per side and 4096 cells.  The ladder starts at
+    ladder_t_min when given, else at the default start, and has at most
+    LADDER_CAP nodes.  All of it is checked here, before anything is
+    allocated.
     """
 
     n: int = 16
@@ -194,7 +195,7 @@ def _materialize_f(spec: str, op: SpectralOperator) -> NDArray:
         index = int(spec.split(":", 1)[1])
         if not 0 <= index < grid.n_cells:
             raise ValueError(f"eigenmode index {index} outside [0, {grid.n_cells})")
-        return op.eigenvectors[:, index]
+        return op.mode(index)
     if spec.startswith("random:"):
         seed = int(spec.split(":", 1)[1])
         return np.random.default_rng(seed).standard_normal(grid.n_cells)

@@ -274,10 +274,6 @@ class CellSet:
             raise ValueError("cell index out of range")
 
     @classmethod
-    def whole(cls, grid: Grid) -> "CellSet":
-        return cls(grid, tuple(range(grid.n_cells)))
-
-    @classmethod
     def single(cls, grid: Grid, index: int) -> "CellSet":
         return cls(grid, (index,))
 

@@ -1,10 +1,11 @@
 """Finite-volume assembly and spectral decomposition of L_w.
 
 The operator is L_w f = -(1/w) div(w A grad f) on the periodic grid, with
-a two-point flux per face and the arithmetic mean of w*A at the face:
+A a constant positive diagonal, a two-point flux per face and the
+arithmetic mean of w*A at the face:
 
     (L_w f)(x) = -(1/w(x)) sum_faces c_face (f(nb) - f(x)) / h^2,
-    c_face = (w(x) A_dd(x) + w(nb) A_dd(nb)) / 2.
+    c_face = (w(x) A_dd + w(nb) A_dd) / 2.
 
 With that face coefficient the stencil is exactly self-adjoint for
 <f, g>_w = sum f g w h^dim and positive semidefinite, with kernel the
@@ -12,18 +13,35 @@ constants.  Writing K for the stiffness matrix (so L = diag(1/w) K / h^2),
 the substitution psi = sqrt(w) h^{dim/2} phi turns the generalized problem
 K phi = lambda W phi into a standard symmetric one,
 
-    diag(w^{-1/2}) (K / h^2) diag(w^{-1/2}) psi = lambda psi,
+    S psi = lambda psi,    S = diag(w^{-1/2}) (K / h^2) diag(w^{-1/2}),
 
 and phi_k = psi_k / (sqrt(w) h^{dim/2}) is then exactly w-orthonormal.
-Only the eigendecomposition is kept; the dense L itself is never stored.
 
-Two-point fluxes only see the diagonal of A, so `assemble` rejects
-coefficient fields with off-diagonal entries rather than silently dropping
-them.
+Reflection-parity blocks.  When the sampled weight equals its mirror
+image i -> N-1-i along every axis, exactly, S commutes with each of
+those reflections (A is a constant diagonal, so only w can break the
+symmetry).  Each axis then gets the orthogonal parity transform: even
+part (u_i + u_{N-1-i})/sqrt(2), odd part (u_i - u_{N-1-i})/sqrt(2), for
+i < N/2; for odd N the middle cell joins the even part unscaled.  Their
+Kronecker product splits S into 2^dim blocks, each assembled straight
+from the stencil's O(M) nonzeros and decomposed by its own `eigh`; no
+M x M array is formed.  Any other weight, such as a general
+`TabulatedWeight` or a power weight sampled at a side that is not a power
+of two (where 1 - x rounds), is the one-block case of the same
+structure: every axis keeps the identity, and the one block is the full
+S.
+
+Global modes are ordered by eigenvalue.  Eigenvalues whose adjacent gaps
+stay within CLUSTER_RTOL * lambda_max form a cluster, and inside a cluster
+modes are ordered by block, then by index within the block, so the order
+and `mode(k)` do not depend on how `eigh` rounds a degenerate pair that
+two blocks share.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +63,17 @@ EIG_ZERO_BAND = 1e-9
 
 ORTHO_TOL = 1e-10
 
-# budget of the dense eigendecomposition: M x M matrices, M <= 4096
+# adjacent eigenvalues closer than this times lambda_max share a cluster
+CLUSTER_RTOL = 1e-10
+# a mode's sign makes its first entry within this relative distance of
+# its largest magnitude positive, so rounding cannot pick another entry
+SIGN_RTOL = 1e-8
+
+# budget of the eigendecomposition: the one-block case is M x M, M <= 4096
 MAX_SIDE = 128
 MAX_CELLS = 4096
 
-_N_DIRECTIONS = 16
+_HALF_SQRT = 1.0 / math.sqrt(2.0)
 
 
 def check_dense_budget(dim: int, n: int):
@@ -61,50 +85,22 @@ def check_dense_budget(dim: int, n: int):
         raise ValueError(f"grid size out of range: dim={dim}, n={n}")
 
 
-def _unit_vectors(dim: int) -> NDArray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    theta = 2 * np.pi * np.arange(_N_DIRECTIONS) / _N_DIRECTIONS
-    return np.column_stack([np.cos(theta), np.sin(theta)])
-
-
 @dataclass(frozen=True)
 class CoefficientField:
-    """Per-cell symmetric coefficient matrices with ellipticity bounds."""
+    """Constant diagonal coefficients A = diag(entries), one positive
+    entry per axis; the ellipticity bounds are their min and max."""
 
-    matrices: NDArray  # (n_cells, dim, dim)
-    lam_ell: float
-    big_lam_ell: float
+    entries: tuple[float, ...]
 
     def __post_init__(self):
-        a = np.asarray(self.matrices, float)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ValueError(f"expected (cells, dim, dim) matrices, got {a.shape}")
-        if not (0 < self.lam_ell <= self.big_lam_ell):
-            raise ValueError(
-                f"need 0 < lam_ell <= big_lam_ell, got ({self.lam_ell}, {self.big_lam_ell})"
-            )
-        if not np.allclose(a, np.swapaxes(a, 1, 2), atol=1e-12):
-            raise ValueError("coefficient matrices must be symmetric")
-        xi = _unit_vectors(a.shape[1])
-        # lower bound xi.A xi >= lam |xi|^2 on the direction sample
-        quad = np.einsum("kd,cde,ke->ck", xi, a, xi)
-        if quad.min() < self.lam_ell - 1e-12:
-            raise ValueError(
-                f"ellipticity violated: min quadratic form {quad.min()} < {self.lam_ell}"
-            )
-        # upper bound |A xi . zeta| <= Lam for all sampled unit pairs
-        bil = np.abs(np.einsum("kd,cde,je->ckj", xi, a, xi))
-        if bil.max() > self.big_lam_ell + 1e-12:
-            raise ValueError(
-                f"boundedness violated: max bilinear form {bil.max()} > {self.big_lam_ell}"
-            )
-        object.__setattr__(self, "matrices", a)
+        d = tuple(float(e) for e in self.entries)
+        if not d or not all(math.isfinite(e) and e > 0 for e in d):
+            raise ValueError(f"diagonal entries must be finite and positive, got {d}")
+        object.__setattr__(self, "entries", d)
 
     @classmethod
     def identity(cls, grid: Grid) -> "CoefficientField":
-        eye = np.broadcast_to(np.eye(grid.dim), (grid.n_cells, grid.dim, grid.dim))
-        return cls(eye.copy(), 1.0, 1.0)
+        return cls((1.0,) * grid.dim)
 
     @classmethod
     def diagonal(cls, grid: Grid, entries) -> "CoefficientField":
@@ -112,114 +108,233 @@ class CoefficientField:
         d = np.asarray(entries, float)
         if d.shape != (grid.dim,):
             raise ValueError(f"need {grid.dim} diagonal entries, got shape {d.shape}")
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be positive")
-        mats = np.broadcast_to(np.diag(d), (grid.n_cells, grid.dim, grid.dim))
-        return cls(mats.copy(), float(d.min()), float(d.max()))
-
-    @classmethod
-    def from_values(cls, matrices, lam_ell: float, big_lam_ell: float) -> "CoefficientField":
-        return cls(np.asarray(matrices, float), lam_ell, big_lam_ell)
+        return cls(tuple(d.tolist()))
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return len(self.entries)
 
     @property
-    def is_diagonal(self) -> bool:
-        mask = ~np.eye(self.dim, dtype=bool)
-        return bool(np.all(np.abs(self.matrices[:, mask]) < 1e-14))
+    def lam_ell(self) -> float:
+        return min(self.entries)
 
-    def diag_entries(self) -> NDArray:
-        """(n_cells, dim) array of diagonal entries."""
-        return np.diagonal(self.matrices, axis1=1, axis2=2).copy()
+    @property
+    def big_lam_ell(self) -> float:
+        return max(self.entries)
 
 
-def _stiffness(grid: Grid, coeff: CoefficientField, wv: NDArray) -> NDArray:
-    """K with (K f)(x) = sum_faces c_face (f(x) - f(nb)) / h^2."""
-    m = grid.n_cells
-    k = np.zeros((m, m))
-    diag = coeff.diag_entries()
-    idx = np.arange(m)
-    for axis in range(grid.dim):
+def _take(x: NDArray, axis: int, s: slice) -> NDArray:
+    """x sliced by s along the negative axis `axis`."""
+    return x[(Ellipsis, s) + (slice(None),) * (-axis - 1)]
+
+
+def _fold(x: NDArray, axis: int) -> tuple[NDArray, NDArray]:
+    """The (even, odd) parity parts of x along the negative axis `axis`."""
+    n = x.shape[axis]
+    h = n // 2
+    lo = _take(x, axis, slice(0, h))
+    hi = _take(x, axis, slice(n - 1, n - 1 - h, -1))
+    even = (lo + hi) * _HALF_SQRT
+    odd = (lo - hi) * _HALF_SQRT
+    if n % 2:
+        even = np.concatenate([even, _take(x, axis, slice(h, h + 1))], axis=axis)
+    return even, odd
+
+
+def _unfold(even: NDArray, odd: NDArray, axis: int) -> NDArray:
+    """Inverse of `_fold`."""
+    h = odd.shape[axis]
+    e = _take(even, axis, slice(0, h))
+    lo = (e + odd) * _HALF_SQRT
+    hi = (e - odd) * _HALF_SQRT
+    middle = _take(even, axis, slice(h, None))
+    return np.concatenate([lo, middle, np.flip(hi, axis=axis)], axis=axis)
+
+
+def _to_blocks(values: NDArray, n: int, split: tuple[bool, ...]) -> list[NDArray]:
+    """The parity transform of a (..., M) stack: one (..., m_b) array per
+    block.  Blocks run over the parities of the split axes, even first,
+    axis 0 major; each is flattened row-major from its grid shape."""
+    dim = len(split)
+    lead = values.shape[:-1]
+    parts = [values.reshape(lead + (n,) * dim)]
+    for axis, s in enumerate(split):
+        if s:
+            parts = [half for p in parts for half in _fold(p, axis - dim)]
+    return [p.reshape(lead + (-1,)) for p in parts]
+
+
+def _from_blocks(parts: list[NDArray], n: int, split: tuple[bool, ...]) -> NDArray:
+    """Inverse of `_to_blocks`: the (..., M) stack from its block parts."""
+    dim = len(split)
+    lead = parts[0].shape[:-1]
+    sides = [(n - n // 2, n // 2) if s else (n,) for s in split]
+    pieces = [p.reshape(lead + s) for p, s in zip(parts, itertools.product(*sides))]
+    for axis in reversed(range(dim)):
+        if split[axis]:
+            pieces = [_unfold(pieces[i], pieces[i + 1], axis - dim)
+                      for i in range(0, len(pieces), 2)]
+    return pieces[0].reshape(lead + (n**dim,))
+
+
+def _block_maps(n: int, split: tuple[bool, ...]) -> list[tuple[NDArray, NDArray, int]]:
+    """(coefficient, block-local index) of every cell in each block, and
+    the block size: row r of block b is the sum over cells x with
+    local[x] = r of coefficient[x] u(x).  Read off `_fold` applied to the
+    1-D identity, so the assembly and the transform share one definition."""
+    axes = []
+    for s in split:
+        parts = _fold(np.eye(n), -1) if s else (np.eye(n),)
+        maps = []
+        for part in parts:  # part[i, q]: weight of cell i in local index q
+            local = np.argmax(np.abs(part), axis=1)
+            maps.append((part[np.arange(n), local], local, part.shape[1]))
+        axes.append(maps)
+    out = []
+    for combo in itertools.product(*axes):
+        coef, local, size = np.ones(1), np.zeros(1, dtype=int), 1
+        for c, q, m in combo:
+            coef = np.multiply.outer(coef, c).ravel()
+            local = np.add.outer(local * m, q).ravel()
+            size *= m
+        out.append((coef, local, size))
+    return out
+
+
+def _scaled_stencil(grid: Grid, coeff: CoefficientField, wv: NDArray):
+    """Nonzeros (rows, cols, values) of S = W^{-1/2} (K / h^2) W^{-1/2}."""
+    idx = np.arange(grid.n_cells)
+    isw = 1.0 / np.sqrt(wv)
+    rows, cols, vals = [], [], []
+    for axis, a in enumerate(coeff.entries):
         nb = grid.shift_perm(axis, 1)
-        c_face = 0.5 * (wv * diag[:, axis] + wv[nb] * diag[nb, axis])
-        k[idx, idx] += c_face
-        k[nb, nb] += c_face
-        k[idx, nb] -= c_face
-        k[nb, idx] -= c_face
-    return k / grid.h**2
+        c_face = 0.5 * (wv * a + wv[nb] * a) / grid.h**2
+        off = -c_face * isw * isw[nb]
+        rows += [idx, nb, idx, nb]
+        cols += [idx, nb, nb, idx]
+        vals += [c_face * isw * isw, c_face * isw[nb] * isw[nb], off, off]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-@dataclass(frozen=True)
-class SpectralOperator:
-    """L_w with its w-orthonormal eigendecomposition; immutable."""
-
-    grid: Grid
-    weight: WeightModel
-    coeff: CoefficientField
-    eigenvalues: NDArray = field(repr=False)  # ascending, >= 0
-    eigenvectors: NDArray = field(repr=False) # columns phi_k, w-orthonormal
-    weight_values: NDArray = field(repr=False)
-
-    def inner_w(self, f: NDArray, g: NDArray) -> float:
-        dens = self.weight_values * self.grid.cell_volume
-        return float(np.sum(f * g * dens))
-
-    def project(self, f: NDArray) -> NDArray:
-        """Coefficients c_k = <f, phi_k>_w."""
-        dens = self.weight_values * self.grid.cell_volume
-        return self.eigenvectors.T @ (f * dens)
-
-    def reconstruct(self, coeffs: NDArray) -> NDArray:
-        return self.eigenvectors @ coeffs
-
-
-def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOperator:
-    """Assemble L_w and its dense w-orthonormal eigendecomposition."""
-    if coeff.dim != grid.dim:
-        raise ValueError(f"coefficient dim {coeff.dim} does not match grid dim {grid.dim}")
-    if not coeff.is_diagonal:
-        raise ValueError(
-            "two-point flux assembly needs diagonal coefficients; "
-            "off-diagonal entries of A are not supported"
-        )
-    wv = w.sample(grid)
-    k = _stiffness(grid, coeff, wv)
-
-    inv_sqrt_w = 1.0 / np.sqrt(wv)
-    m_std = inv_sqrt_w[:, None] * k * inv_sqrt_w[None, :]
-    m_std = 0.5 * (m_std + m_std.T)
+def _block_eigh(block: NDArray) -> tuple[NDArray, NDArray]:
+    """Eigenpairs of one symmetric block with every assembly check: the
+    error floor, the zero band clamp, the sign rule and orthonormality."""
     # imported on first use, so commands that assemble nothing load no scipy
     import scipy.linalg
 
-    eigvals, psi = scipy.linalg.eigh(m_std)
-
+    eigvals, psi = scipy.linalg.eigh(block, overwrite_a=True)
     if eigvals.min() < EIG_ERROR_FLOOR:
         raise ValueError(
             f"assembly produced eigenvalue {eigvals.min()} < {EIG_ERROR_FLOOR}"
         )
-    eigvals = eigvals.copy()
     eigvals[np.abs(eigvals) < EIG_ZERO_BAND] = 0.0
 
-    # deterministic sign: largest-magnitude entry of each mode positive
-    lead = np.argmax(np.abs(psi), axis=0)
+    # deterministic sign: the first entry of near-largest magnitude positive
+    mag = np.abs(psi)
+    lead = np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0), axis=0)
     signs = np.sign(psi[lead, np.arange(psi.shape[1])])
     signs[signs == 0] = 1.0
-    psi = psi * signs[None, :]
+    psi *= signs
 
-    phi = psi * inv_sqrt_w[:, None] / grid.cell_volume**0.5
-
-    gram = phi.T @ (phi * (wv * grid.cell_volume)[:, None])
-    resid = np.max(np.abs(gram - np.eye(grid.n_cells)))
+    # psi is orthonormal exactly when the modes it gives are w-orthonormal
+    resid = np.max(np.abs(psi.T @ psi - np.eye(psi.shape[1])))
     if resid > ORTHO_TOL:
         raise ValueError(f"w-orthonormalization residual {resid} exceeds {ORTHO_TOL}")
+    return eigvals, psi
+
+
+@dataclass(frozen=True)
+class SpectralOperator:
+    """L_w with its w-orthonormal eigendecomposition, kept per parity
+    block; immutable.
+
+    `eigenvalues` are in global mode order.  Block b holds the orthonormal
+    eigenbasis `block_vectors[b]` of its block of S in block coordinates,
+    one column per mode, and `block_modes[b]` gives the global index of
+    each of those modes.  `split` marks the axes that carry the parity
+    transform."""
+
+    grid: Grid
+    weight: WeightModel
+    coeff: CoefficientField
+    eigenvalues: NDArray = field(repr=False)  # >= 0, ascending up to clusters
+    weight_values: NDArray = field(repr=False)
+    split: tuple[bool, ...]
+    block_vectors: tuple[NDArray, ...] = field(repr=False)
+    block_modes: tuple[NDArray, ...] = field(repr=False)
+
+    @property
+    def _scale(self) -> NDArray:
+        """sqrt(w) h^{dim/2}: phi = transform^T psi / scale."""
+        return np.sqrt(self.weight_values * self.grid.cell_volume)
+
+    def project(self, f: NDArray) -> NDArray:
+        """Coefficients c_k = <f, phi_k>_w of a (..., M) stack."""
+        f = np.asarray(f, float)
+        parts = _to_blocks(f * self._scale, self.grid.n_side, self.split)
+        coeffs = np.empty(f.shape)
+        for part, psi, modes in zip(parts, self.block_vectors, self.block_modes):
+            coeffs[..., modes] = part @ psi
+        return coeffs
+
+    def reconstruct(self, coeffs: NDArray) -> NDArray:
+        """sum_k c_k phi_k of a (..., M) stack of coefficients."""
+        coeffs = np.asarray(coeffs, float)
+        parts = [coeffs[..., modes] @ psi.T
+                 for psi, modes in zip(self.block_vectors, self.block_modes)]
+        return _from_blocks(parts, self.grid.n_side, self.split) / self._scale
+
+    def mode(self, k: int) -> NDArray:
+        """The eigenmode phi_k at every cell."""
+        unit = np.zeros(self.grid.n_cells)
+        unit[k] = 1.0
+        return self.reconstruct(unit)
+
+
+def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOperator:
+    """Assemble L_w and its w-orthonormal eigendecomposition, one `eigh`
+    per reflection-parity block."""
+    if coeff.dim != grid.dim:
+        raise ValueError(f"coefficient dim {coeff.dim} does not match grid dim {grid.dim}")
+    n = grid.n_side
+    wv = w.sample(grid)
+    w_grid = wv.reshape((n,) * grid.dim)
+    mirrored = all(np.array_equal(w_grid, np.flip(w_grid, axis=a))
+                   for a in range(grid.dim))
+    split = (mirrored,) * grid.dim
+
+    rows, cols, vals = _scaled_stencil(grid, coeff, wv)
+    eigs, vectors = [], []
+    for coef, local, m in _block_maps(n, split):
+        cr, cc = coef[rows], coef[cols]
+        keep = (cr != 0) & (cc != 0)
+        block = np.bincount(
+            local[rows[keep]] * m + local[cols[keep]],
+            weights=cr[keep] * vals[keep] * cc[keep],
+            minlength=m * m,
+        ).reshape(m, m)
+        block = 0.5 * (block + block.T)
+        lam, psi = _block_eigh(block)
+        eigs.append(lam)
+        vectors.append(psi)
+
+    lam = np.concatenate(eigs)
+    block_id = np.concatenate([np.full(e.size, b) for b, e in enumerate(eigs)])
+    local_id = np.concatenate([np.arange(e.size) for e in eigs])
+    order = np.lexsort((local_id, block_id, lam))
+    gaps = np.diff(lam[order])
+    cluster = np.concatenate([[0], np.cumsum(gaps > CLUSTER_RTOL * lam.max())])
+    order = order[np.lexsort((local_id[order], block_id[order], cluster))]
+    position = np.empty(lam.size, dtype=int)
+    position[order] = np.arange(lam.size)
 
     return SpectralOperator(
         grid=grid,
         weight=w,
         coeff=coeff,
-        eigenvalues=eigvals,
-        eigenvectors=phi,
+        eigenvalues=lam[order],
         weight_values=wv,
+        split=split,
+        block_vectors=tuple(vectors),
+        block_modes=tuple(position[block_id == b] for b in range(len(eigs))),
     )

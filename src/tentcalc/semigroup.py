@@ -16,9 +16,10 @@ holds exactly at the coefficient level; spatial gradients use centered
 periodic differences on the evaluated field.
 
 The four factors above are the multiplier table.  Every evaluator projects
-f once and applies each factor it needs in one product, at a single time
-(a field of M cells) or at a 1-D array of J times, such as all ladder
-nodes (a (J, M) block).
+f once and applies each factor it needs in one reconstruction (one
+product per parity block of the operator), at a single time (a field of
+M cells) or at a 1-D array of J times, such as all ladder nodes (a (J, M)
+block).
 
 The Poisson semigroup also has a quadrature path through the subordination
 formula
@@ -148,7 +149,7 @@ def _multiplier_images(
     """sum_k factor(lam_k, order, t) c_k phi_k for each factor, c = project(f).
 
     f is projected once.  t is one time or a 1-D array of J times; each
-    image is then one product (factor * c) @ Phi^T of shape (M,) or (J, M)."""
+    image is then one reconstruction of factor * c, of shape (M,) or (J, M)."""
     if not (0 <= int(order) == order and order <= ORDER_CAP):
         raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
     t = np.asarray(t, float)
@@ -157,8 +158,7 @@ def _multiplier_images(
     if np.any(t < 0):
         raise ValueError(f"time must be nonnegative, got {np.min(t)}")
     coeffs = op.project(np.asarray(f, float))
-    phi_t = op.eigenvectors.T
-    return [(factor(op.eigenvalues, order, t[..., None]) * coeffs) @ phi_t
+    return [op.reconstruct(factor(op.eigenvalues, order, t[..., None]) * coeffs)
             for factor in factors]
 
 

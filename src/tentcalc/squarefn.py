@@ -85,10 +85,6 @@ class SquareFunctionKind:
                 f"{self.family} order must lie in [{lo}, {hi}], got {self.order}"
             )
 
-    @property
-    def is_poisson(self) -> bool:
-        return self.family.endswith("_P")
-
 
 def _spatial_norm(g: GradField) -> NDArray:
     return np.sqrt(np.sum(g.spatial**2, axis=0))
@@ -168,6 +164,5 @@ def result_to_csv(grid: Grid, values: NDArray, path: str, preamble: str = ""):
         fh.write(preamble)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*("xy"[: grid.dim]), "value"])
-        for i in range(grid.n_cells):
-            row = [repr(float(c)) for c in grid.centers[i]]
-            writer.writerow(row + [repr(float(values[i]))])
+        for center, value in zip(grid.centers.tolist(), values.tolist()):
+            writer.writerow([*map(repr, center), repr(value)])

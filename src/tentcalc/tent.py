@@ -206,15 +206,22 @@ def change_of_angle_report(
     r_tilde: float | None = None,
     s: float | None = None,
     s_tilde: float | None = None,
+    cones: dict[float, NDArray] | None = None,
 ) -> AngleReport:
     """Compare ||A^beta F|| / ||A^alpha F|| in L^p(v dw) with the class
     predictions (beta/alpha)^{n r_tilde r / p} (given r, r_tilde) and
-    (alpha/beta)^{n / (s s_tilde p)} (given s, s_tilde)."""
+    (alpha/beta)^{n / (s s_tilde p)} (given s, s_tilde).  `cones` holds
+    cone values of F already computed, by aperture."""
     if not 0 < alpha <= beta:
         raise ValueError(f"need 0 < alpha <= beta, got ({alpha}, {beta})")
     grid = fld.grid
-    norm_a = lp_norm(cone_all(fld, alpha), p, v, w, grid)
-    norm_b = lp_norm(cone_all(fld, beta), p, v, w, grid)
+    cones = cones or {}
+
+    def cone(aperture: float) -> NDArray:
+        return cones[aperture] if aperture in cones else cone_all(fld, aperture)
+
+    norm_a = lp_norm(cone(alpha), p, v, w, grid)
+    norm_b = lp_norm(cone(beta), p, v, w, grid)
     ratio = norm_b / norm_a if norm_a > 0 else None
 
     n = grid.dim

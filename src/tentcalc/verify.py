@@ -326,13 +326,22 @@ def materialize(bf: BankFunction, op: SpectralOperator) -> NDArray:
         d = grid.distances_to(center)
         return np.exp(-(d**2) / (2 * sigma**2))
     if bf.kind == "modes":
-        coeffs = np.asarray(bf.params)
-        return op.eigenvectors[:, 1 : 1 + coeffs.size] @ coeffs
+        coeffs = np.zeros(grid.n_cells)
+        coeffs[1 : 1 + len(bf.params)] = bf.params
+        return op.reconstruct(coeffs)
     if bf.kind == "indicator":
         *center, radius = bf.params
         d = grid.distances_to(center)
         return (d <= radius * (1.0 + TIE_SLACK)).astype(float)
     raise ValueError(f"unknown bank function kind {bf.kind!r}")
+
+
+# the angles suite samples the S_{1,H} fields of this many bank functions
+ANGLE_SAMPLE = 4
+
+
+def _sqf(kind: str) -> SquareFunctionKind:
+    return SquareFunctionKind(kind[:-1], int(kind[-1]))
 
 
 class SuiteContext:
@@ -343,13 +352,20 @@ class SuiteContext:
     coarse grid never assembles the fine one.  A source is a bank index,
     "phi" (the first non-constant eigenmode) or "constant"; a kind is a
     family with its order, as "S_H1" for S_{1,H}.  Memoized values are
-    read-only, since all suites of the run share them.
+    read-only, since all suites of the run share them.  `field` keeps
+    each half-space field it builds.  The angles suite reads the fields
+    in KEPT_FIELDS whole, so their values are taken from those kept
+    fields and each is built once; every other field is dropped after
+    its cone.
     """
+
+    KEPT_FIELDS = frozenset(("S_H1", i) for i in range(ANGLE_SAMPLE))
 
     def __init__(self, config: SuiteConfig, n: int):
         self.config = config
         self.n = n
         self._memo: dict[tuple[str, int | str, bool], NDArray] = {}
+        self._fields: dict[tuple[str, int | str], HalfSpaceField] = {}
 
     @cached_property
     def op(self) -> SpectralOperator:
@@ -369,7 +385,7 @@ class SuiteContext:
 
     @cached_property
     def phi(self) -> NDArray:
-        return self.op.eigenvectors[:, 1]
+        return self.op.mode(1)
 
     @cached_property
     def constant(self) -> NDArray:
@@ -387,12 +403,24 @@ class SuiteContext:
         default ladder or the wide modal one; evaluated once per run."""
         key = (kind, source, wide)
         if key not in self._memo:
-            sqf = SquareFunctionKind(kind[:-1], int(kind[-1]))
-            ladder = self.wide_ladder if wide else self.ladder
-            values = evaluate(sqf, self.op, self.source(source), ladder)
+            if not wide and (kind, source) in self.KEPT_FIELDS:
+                values = cone_all(self.field(kind, source), 1.0)
+            else:
+                ladder = self.wide_ladder if wide else self.ladder
+                values = evaluate(_sqf(kind), self.op, self.source(source), ladder)
             values.flags.writeable = False
             self._memo[key] = values
         return self._memo[key]
+
+    def field(self, kind: str, source: int | str) -> HalfSpaceField:
+        """The half-space field of a cone kind on the default ladder,
+        built once per run; its values are read-only."""
+        key = (kind, source)
+        if key not in self._fields:
+            fld = build_field(_sqf(kind), self.op, self.source(source), self.ladder)
+            fld.values.flags.writeable = False
+            self._fields[key] = fld
+        return self._fields[key]
 
     def norm(self, kind: str | None, source: int | str, p: float = 2.0,
              v: WeightModel = UNIT_WEIGHT, wide: bool = False) -> float:
@@ -643,24 +671,19 @@ def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
     coarse = contexts[0]
     grid, ladder, weight = coarse.op.grid, coarse.ladder, coarse.op.weight
 
-    # S_{1,H} fields of the first four bank functions, on each grid
-    sample = range(min(4, config.bank_size))
-    bank_fields = [
-        [build_field(SquareFunctionKind("S_H", 1), ctx.op, ctx.bank[i], ctx.ladder)
-         for i in sample]
-        for ctx in contexts
-    ]
+    # three random fields, then the S_{1,H} fields of the sampled bank
+    sample = range(min(ANGLE_SAMPLE, config.bank_size))
     shape = (ladder.count, grid.n_cells)
     fields = [HalfSpaceField(grid, ladder, weight, np.abs(rng.standard_normal(shape)))
               for _ in range(3)]
     areas = [cone_all(fld, 1.0) for fld in fields]
-    fields += bank_fields[0]
+    fields += [coarse.field("S_H1", i) for i in sample]
     areas += [coarse.values("S_H1", i) for i in sample]
+    wide_areas = [cone_all(fld, 2.0) for fld in fields]
 
     worst = max(
-        max(float(np.max(cone_all(fld, 0.5) - area)),
-            float(np.max(area - cone_all(fld, 2.0))))
-        for fld, area in zip(fields, areas)
+        max(float(np.max(cone_all(fld, 0.5) - area)), float(np.max(area - wide)))
+        for fld, area, wide in zip(fields, areas, wide_areas)
     )
     checks = [_pass_fail("aperture-monotonicity", worst, 0.0)]
 
@@ -671,34 +694,41 @@ def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
         worst = max(worst, abs(cone_sq - direct) / direct)
     checks.append(_pass_fail("fubini-p2-identity", worst, FUBINI_TOL))
 
+    carleson = {p0: [carleson_p_all(fld, p0) for fld in fields] for p0 in (1.0, 2.0)}
     worst = max(
-        float(np.max(carleson_p_all(fld, p0)
-                     - maximal(area, fld.grid, p0, base=fld.weight)))
-        for fld, area in zip(fields, areas) for p0 in (1.0, 2.0)
+        float(np.max(carl - maximal(area, fld.grid, p0, base=fld.weight)))
+        for p0, carls in carleson.items()
+        for fld, area, carl in zip(fields, areas, carls)
     )
     checks.append(_pass_fail("carleson-below-maximal", worst, POINTWISE_TOL))
 
     def norm_ratios(
-        ctx: SuiteContext, ctx_fields: list[HalfSpaceField]
+        ctx: SuiteContext, carleson_1: list[NDArray], wide: list[NDArray]
     ) -> tuple[float, float]:
         """Largest Carleson-over-cone norm ratio and largest measured over
-        predicted change-of-angle ratio over the sampled bank fields."""
+        predicted change-of-angle ratio over the sampled bank fields, given
+        their p0 = 1 Carleson functionals and aperture-2 cones."""
         equiv, angle = [], []
-        for i, fld in zip(sample, ctx_fields):
+        for i, carl, wide_area in zip(sample, carleson_1, wide):
             na = ctx.norm("S_H1", i)
-            nc = lp_norm(carleson_p_all(fld, 1.0), 2.0, UNIT_WEIGHT, ctx.op.weight,
-                         ctx.op.grid)
+            nc = lp_norm(carl, 2.0, UNIT_WEIGHT, ctx.op.weight, ctx.op.grid)
             if na > 0:
                 equiv.append(nc / na)
             rep = change_of_angle_report(
-                fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, ctx.op.weight, r=2.0, r_tilde=2.0
+                ctx.field("S_H1", i), 1.0, 2.0, 2.0, UNIT_WEIGHT, ctx.op.weight,
+                r=2.0, r_tilde=2.0, cones={1.0: ctx.values("S_H1", i), 2.0: wide_area},
             )
             if rep.ratio is not None:
                 angle.append(rep.ratio / rep.predicted_increase)
         return max(equiv), max(angle)
 
-    (equiv_c, calibrated), (equiv_f, revalidated) = (
-        norm_ratios(ctx, ctx_fields) for ctx, ctx_fields in zip(contexts, bank_fields)
+    # the coarse bank fields follow the three random ones
+    equiv_c, calibrated = norm_ratios(coarse, carleson[1.0][3:], wide_areas[3:])
+    fine_fields = [contexts[1].field("S_H1", i) for i in sample]
+    equiv_f, revalidated = norm_ratios(
+        contexts[1],
+        [carleson_p_all(fld, 1.0) for fld in fine_fields],
+        [cone_all(fld, 2.0) for fld in fine_fields],
     )
     checks.append(_drift_check(
         "carleson-vs-cone-norms", equiv_c, equiv_f,

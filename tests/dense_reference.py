@@ -3,8 +3,10 @@ of the operator L_w.
 
 Independent of the ball stencil: every ball is a boolean row of the full
 pairwise periodic distance matrix, and every ball sum is a matrix-vector
-product.  Tests compare the stencil-based library functions against these.
-Only for small grids: the matrix has M^2 entries.
+product.  Independent of the parity blocks: the operator is the dense
+stiffness matrix K and its spectrum one dense `eigh` of
+W^{-1/2} K W^{-1/2}.  Tests compare the library functions against these.
+Only for small grids: the matrices have M^2 entries.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from tentcalc.operator import _stiffness
+import scipy.linalg
 
 SLACK = 1e-9
 LOG_SAFE = 700.0
@@ -30,10 +31,44 @@ def distance_matrix(grid) -> np.ndarray:
     return np.sqrt(d2)
 
 
+def stiffness(grid, coeff, wv) -> np.ndarray:
+    """K with (K f)(x) = sum_faces c_face (f(x) - f(nb)) / h^2, (M, M)."""
+    m = grid.n_cells
+    k = np.zeros((m, m))
+    idx = np.arange(m)
+    for axis, a in enumerate(coeff.entries):
+        nb = grid.shift_perm(axis, 1)
+        c_face = 0.5 * (wv * a + wv[nb] * a)
+        k[idx, idx] += c_face
+        k[nb, nb] += c_face
+        k[idx, nb] -= c_face
+        k[nb, idx] -= c_face
+    return k / grid.h**2
+
+
 def operator_matrix(op) -> np.ndarray:
     """The dense L_w = diag(1/w) K of an assembled operator, (M, M)."""
     wv = op.weight_values
-    return _stiffness(op.grid, op.coeff, wv) / wv[:, None]
+    return stiffness(op.grid, op.coeff, wv) / wv[:, None]
+
+
+def dense_spectrum(grid, coeff, wv) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of L_w and the (M, M) w-orthonormal modes,
+    columns phi_k, from one dense `eigh` of W^{-1/2} K W^{-1/2}."""
+    inv_sqrt_w = 1.0 / np.sqrt(wv)
+    m_std = inv_sqrt_w[:, None] * stiffness(grid, coeff, wv) * inv_sqrt_w[None, :]
+    lam, psi = scipy.linalg.eigh(0.5 * (m_std + m_std.T))
+    return lam, psi * inv_sqrt_w[:, None] / grid.cell_volume**0.5
+
+
+def inner_w(op, f, g) -> float:
+    """<f, g>_w = sum f g w h^dim."""
+    return float(np.sum(f * g * op.weight_values * op.grid.cell_volume))
+
+
+def modes(op) -> np.ndarray:
+    """All eigenmodes of an assembled operator as columns, (M, M)."""
+    return op.reconstruct(np.eye(op.grid.n_cells)).T
 
 
 def ball_mask(grid, radius: float, strict: bool = False) -> np.ndarray:

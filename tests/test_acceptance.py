@@ -175,7 +175,7 @@ def test_modal_constants():
     op = _modal_operator()
     ladder = TimeLadder.geometric(op.grid.h / 16, 4.0, 2 ** (1 / 16))
     for k in range(1, 6):
-        phi = op.eigenvectors[:, k]
+        phi = op.mode(k)
         base = _norm_w(op, phi) ** 2
         heat = _norm_w(op, evaluate(SquareFunctionKind("S_H", 1), op, phi, ladder)) ** 2
         poisson = _norm_w(

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import operator_matrix
-from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
+from dense_reference import dense_spectrum, inner_w, modes, operator_matrix
+from tentcalc.mesh import Grid, PowerWeight, TabulatedWeight, UNIT_WEIGHT
 from tentcalc.operator import CoefficientField, assemble
 
 # generalized-eigenproblem oracle, dim 1, N=8, w = |x|, A = I
@@ -41,8 +43,7 @@ class TestCoefficientField:
         g = Grid(2, 4)
         c = CoefficientField.identity(g)
         assert c.dim == 2
-        assert c.is_diagonal
-        npt.assert_allclose(c.diag_entries(), 1.0)
+        assert c.entries == (1.0, 1.0)
 
     def test_diagonal_bounds(self):
         g = Grid(2, 4)
@@ -50,29 +51,18 @@ class TestCoefficientField:
         assert c.lam_ell == 2.0
         assert c.big_lam_ell == 3.0
 
-    def test_rejects_nonsymmetric(self):
-        g = Grid(2, 4)
-        mats = np.tile(np.array([[1.0, 0.5], [0.2, 1.0]]), (g.n_cells, 1, 1))
-        with pytest.raises(ValueError):
-            CoefficientField.from_values(mats, 0.1, 2.0)
-
     def test_rejects_ellipticity_violation(self):
+        # a zero entry leaves no lower ellipticity bound
         g = Grid(2, 4)
-        # eigenvalues 0.5 and 1.5, so claiming lam_ell = 1 must fail
-        mats = np.tile(np.diag([0.5, 1.5]), (g.n_cells, 1, 1))
         with pytest.raises(ValueError):
-            CoefficientField.from_values(mats, 1.0, 1.5)
+            CoefficientField.diagonal(g, [0.0, 1.5])
 
     def test_rejects_bad_bounds(self):
         g = Grid(1, 4)
         with pytest.raises(ValueError):
             CoefficientField.diagonal(g, [-1.0])
-
-    def test_full_symmetric_accepted_but_not_diagonal(self):
-        g = Grid(2, 4)
-        mats = np.tile(np.array([[2.0, 0.5], [0.5, 2.0]]), (g.n_cells, 1, 1))
-        c = CoefficientField.from_values(mats, 1.0, 3.0)
-        assert not c.is_diagonal
+        with pytest.raises(ValueError):
+            CoefficientField.diagonal(g, [1.0, 2.0])
 
 
 class TestAssemble:
@@ -92,7 +82,7 @@ class TestAssemble:
         g = Grid(2, 8)
         op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]), PowerWeight(0.5))
         assert op.eigenvalues[0] == 0.0
-        phi0 = op.eigenvectors[:, 0]
+        phi0 = op.mode(0)
         assert np.ptp(phi0) <= 1e-10 * np.abs(phi0).max()
         npt.assert_allclose(operator_matrix(op) @ np.ones(g.n_cells), 0.0, atol=1e-9)
 
@@ -100,7 +90,8 @@ class TestAssemble:
         g = Grid(1, 16)
         op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
         dens = (op.weight_values * g.cell_volume)[:, None]
-        gram = op.eigenvectors.T @ (op.eigenvectors * dens)
+        phi = modes(op)
+        gram = phi.T @ (phi * dens)
         assert np.max(np.abs(gram - np.eye(16))) <= 1e-10
 
     def test_eigenvalues_nonnegative_sorted(self):
@@ -108,13 +99,6 @@ class TestAssemble:
         op = assemble(g, CoefficientField.identity(g), PowerWeight(-0.5))
         assert np.all(op.eigenvalues >= 0)
         assert np.all(np.diff(op.eigenvalues) >= -1e-9)
-
-    def test_rejects_offdiagonal(self):
-        g = Grid(2, 4)
-        mats = np.tile(np.array([[2.0, 0.5], [0.5, 2.0]]), (g.n_cells, 1, 1))
-        c = CoefficientField.from_values(mats, 1.0, 3.0)
-        with pytest.raises(ValueError, match="diagonal"):
-            assemble(g, c, UNIT_WEIGHT)
 
     def test_rejects_dim_mismatch(self):
         c = CoefficientField.identity(Grid(1, 8))
@@ -127,8 +111,8 @@ class TestApply:
         g = Grid(1, 16)
         op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
         k = 5
-        got = operator_matrix(op) @ op.eigenvectors[:, k]
-        npt.assert_allclose(got, op.eigenvalues[k] * op.eigenvectors[:, k], atol=1e-6)
+        got = operator_matrix(op) @ op.mode(k)
+        npt.assert_allclose(got, op.eigenvalues[k] * op.mode(k), atol=1e-6)
 
     def test_spectral_reconstruction_matches_direct(self):
         g = Grid(1, 16)
@@ -156,8 +140,8 @@ class TestBilinearProperties:
         rng = np.random.default_rng(seed)
         f, h = rng.normal(size=(2, 12))
         lmat = operator_matrix(op)
-        lhs = op.inner_w(lmat @ f, h)
-        rhs = op.inner_w(f, lmat @ h)
+        lhs = inner_w(op, lmat @ f, h)
+        rhs = inner_w(op, f, lmat @ h)
         scale = np.linalg.norm(f) * np.linalg.norm(h)
         assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0) * op.eigenvalues.max()
 
@@ -168,7 +152,7 @@ class TestBilinearProperties:
         op = assemble(g, CoefficientField.diagonal(g, [1.0, 3.0]), PowerWeight(0.5))
         rng = np.random.default_rng(seed)
         f = rng.normal(size=36)
-        assert op.inner_w(operator_matrix(op) @ f, f) >= -1e-10
+        assert inner_w(op, operator_matrix(op) @ f, f) >= -1e-10
 
     def test_garding_equality_identity_coeff(self):
         # A = I makes the flux-form energy equal the weighted gradient energy
@@ -177,7 +161,7 @@ class TestBilinearProperties:
         op = assemble(g, CoefficientField.identity(g), w)
         rng = np.random.default_rng(3)
         f = rng.normal(size=64)
-        energy = op.inner_w(operator_matrix(op) @ f, f)
+        energy = inner_w(op, operator_matrix(op) @ f, f)
         grad = grad_norm_sq_w(f, g, op.weight_values)
         assert energy == pytest.approx(grad, rel=1e-10)
 
@@ -189,6 +173,160 @@ class TestBilinearProperties:
         rng = np.random.default_rng(4)
         f = rng.normal(size=64)
         f -= f.mean()
-        energy = op.inner_w(operator_matrix(op) @ f, f)
+        energy = inner_w(op, operator_matrix(op) @ f, f)
         grad = grad_norm_sq_w(f, g, op.weight_values)
         assert energy >= coeff.lam_ell * grad * (1 - 1e-10)
+
+
+def mirrored_weight(grid, seed, axes):
+    """A random tabulated weight equal to its mirror image along `axes`
+    exactly (each pair of mirrored cells holds one shared value)."""
+    n = grid.n_side
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, size=(n,) * grid.dim)
+    for axis in axes:
+        w = 0.5 * (w + np.flip(w, axis=axis))
+    return TabulatedWeight(tuple(w.ravel()))
+
+
+def cluster_bounds(lam, rtol):
+    """(start, stop) of each run of eigenvalues with gaps <= rtol * max."""
+    cuts = np.flatnonzero(np.diff(lam) > rtol * lam.max()) + 1
+    edges = [0, *cuts.tolist(), lam.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def assert_matches_dense(op):
+    """Eigenvalues within 1e-12 lambda_max of one dense `eigh`, and equal
+    eigenspace projectors on every cluster."""
+    grid = op.grid
+    lam, phi = dense_spectrum(grid, op.coeff, op.weight_values)
+    scale = lam.max()
+    assert np.max(np.abs(np.sort(op.eigenvalues) - lam)) <= 1e-12 * scale
+    # projectors in the orthonormal coordinates psi = sqrt(w h^dim) phi
+    root = np.sqrt(op.weight_values * grid.cell_volume)[:, None]
+    ours = modes(op)[:, np.argsort(op.eigenvalues, kind="stable")] * root
+    theirs = phi * root
+    for start, stop in cluster_bounds(lam, 1e-8):
+        a, b = ours[:, start:stop], theirs[:, start:stop]
+        assert np.max(np.abs(a @ a.T - b @ b.T)) <= 1e-8, (start, stop)
+
+
+SYMMETRIC_CASES = [
+    (1, 8, PowerWeight(1.0), None),
+    (1, 16, PowerWeight(-0.5), None),
+    (1, 9, UNIT_WEIGHT, None),
+    (2, 8, PowerWeight(1.0), None),
+    (2, 8, PowerWeight(1.5), (1.0, 3.0)),
+    (2, 16, PowerWeight(-1.2), (2.0, 0.5)),
+    (2, 16, PowerWeight(0.0), None),
+    (2, 9, UNIT_WEIGHT, (1.0, 2.0)),
+]
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("dim,n,weight,entries", SYMMETRIC_CASES)
+    def test_symmetric_weight_splits_and_matches_dense(self, dim, n, weight, entries):
+        g = Grid(dim, n)
+        coeff = CoefficientField.identity(g) if entries is None \
+            else CoefficientField.diagonal(g, entries)
+        op = assemble(g, coeff, weight)
+        assert op.split == (True,) * dim
+        assert len(op.block_vectors) == 2**dim
+        assert_matches_dense(op)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (2, 8), (2, 9)])
+    def test_odd_and_even_mirrored_tabulated_weight(self, dim, n):
+        g = Grid(dim, n)
+        op = assemble(g, CoefficientField.diagonal(g, [1.5] * dim),
+                      mirrored_weight(g, n, range(dim)))
+        assert op.split == (True,) * dim
+        assert_matches_dense(op)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_nonsymmetric_weight_is_one_block(self, n):
+        g = Grid(2, n)
+        w = np.random.default_rng(5).uniform(0.5, 2.0, size=g.n_cells)
+        op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]),
+                      TabulatedWeight(tuple(w)))
+        assert op.split == (False, False)
+        assert len(op.block_vectors) == 1
+        assert_matches_dense(op)
+
+    def test_power_weight_off_power_of_two_is_one_block(self):
+        # the sampled |x| is not exactly mirror-symmetric at N = 9
+        g = Grid(1, 9)
+        op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+        assert op.split == (False,)
+        assert_matches_dense(op)
+
+    def test_weight_mirrored_along_one_axis_is_one_block(self):
+        g = Grid(2, 8)
+        op = assemble(g, CoefficientField.identity(g), mirrored_weight(g, 3, [0]))
+        assert op.split == (False, False)
+        assert len(op.block_vectors) == 1
+        assert_matches_dense(op)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_project_reconstruct_stacks(self, n):
+        g = Grid(2, n)
+        op = assemble(g, CoefficientField.identity(g), mirrored_weight(g, 1, [0, 1]))
+        f = np.random.default_rng(2).normal(size=(3, 2, g.n_cells))
+        coeffs = op.project(f)
+        assert coeffs.shape == f.shape
+        npt.assert_allclose(op.reconstruct(coeffs), f, atol=1e-12)
+        npt.assert_allclose(coeffs[1, 0], op.project(f[1, 0]), atol=1e-13)
+        # c_k = <f, phi_k>_w
+        phi = modes(op)
+        dens = op.weight_values * g.cell_volume
+        npt.assert_allclose(coeffs[0, 1], phi.T @ (f[0, 1] * dens), atol=1e-12)
+
+    def test_clusters_ordered_by_block(self):
+        # A = I in dim 2: the (even, odd) and (odd, even) blocks share
+        # their spectrum, so every such pair is one cluster, in block order
+        g = Grid(2, 8)
+        op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+        block_of = np.empty(g.n_cells, dtype=int)
+        for b, positions in enumerate(op.block_modes):
+            block_of[positions] = b
+        lam = op.eigenvalues
+        pairs = 0
+        for start, stop in cluster_bounds(lam, 1e-10):
+            assert np.all(np.diff(block_of[start:stop]) >= 0)
+            pairs += stop - start == 2 and set(block_of[start:stop]) == {1, 2}
+        assert pairs == g.n_cells // 4  # the size of each of the two blocks
+        assert np.all(np.diff(lam) >= -1e-10 * lam.max())
+
+    def test_mode_is_first_nonconstant_eigenpair(self):
+        g = Grid(2, 8)
+        op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+        phi = op.mode(1)
+        npt.assert_allclose(operator_matrix(op) @ phi, op.eigenvalues[1] * phi,
+                            atol=1e-9 * op.eigenvalues.max())
+        assert inner_w(op, phi, phi) == pytest.approx(1.0, rel=1e-12)
+
+    @given(
+        dim=st.sampled_from([1, 2]),
+        n=st.sampled_from([4, 8, 16]),
+        alpha_frac=st.floats(-0.95, 0.95),
+        entries=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_symmetric_power_weights_match_dense(self, dim, n, alpha_frac, entries):
+        g = Grid(dim, n)
+        op = assemble(g, CoefficientField.diagonal(g, entries[:dim]),
+                      PowerWeight(alpha_frac * dim))
+        assert op.split == (True,) * dim
+        assert_matches_dense(op)
+
+    def test_assembly_allocates_no_m_by_m_array(self):
+        # one float64 M x M array at M = 4096 takes 128 MiB
+        g = Grid(2, 64)
+        coeff = CoefficientField.identity(g)
+        tracemalloc.start()
+        try:
+            op = assemble(g, coeff, PowerWeight(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.split == (True, True)
+        assert peak < 8 * g.n_cells**2

@@ -74,10 +74,6 @@ class TestKind:
         assert SquareFunctionKind("Gcal_H").order == 0
         assert SquareFunctionKind("vertical_g_H").order == 0
 
-    def test_is_poisson(self):
-        assert SquareFunctionKind("G_P").is_poisson
-        assert not SquareFunctionKind("G_H").is_poisson
-
     @pytest.mark.parametrize(
         "family,order", [("S_H", 0), ("S_P", 0), ("G_H", 5), ("S_H", 5),
                          ("vertical_g_H", 1)]
@@ -99,7 +95,7 @@ class TestModalConstants:
     def test_heat_constant_one_eighth(self, op_modal, wide_ladder):
         kind = SquareFunctionKind("S_H", 1)
         for k, _, q_heat, _ in ORACLE_MODAL:
-            phi = op_modal.eigenvectors[:, k]
+            phi = op_modal.mode(k)
             got = norm_sq_w(op_modal, evaluate(kind, op_modal, phi, wide_ladder))
             got /= norm_sq_w(op_modal, phi)
             assert got == pytest.approx(0.125, rel=1e-4)
@@ -108,7 +104,7 @@ class TestModalConstants:
     def test_poisson_constant_three_eighths(self, op_modal, wide_ladder):
         kind = SquareFunctionKind("S_P", 1)
         for k, _, _, q_poisson in ORACLE_MODAL:
-            phi = op_modal.eigenvectors[:, k]
+            phi = op_modal.mode(k)
             got = norm_sq_w(op_modal, evaluate(kind, op_modal, phi, wide_ladder))
             got /= norm_sq_w(op_modal, phi)
             assert got == pytest.approx(0.375, rel=1e-4)
@@ -254,7 +250,8 @@ def per_node_field(kind, op, f, ladder):
         elif kind.family == "S_P":
             rows.append(np.abs(poisson_eval(op, kind.order, t, f)))
         else:
-            evaluator = poisson_grad_eval if kind.is_poisson else grad_eval
+            poisson = kind.family.endswith("_P")
+            evaluator = poisson_grad_eval if poisson else grad_eval
             g = evaluator(op, kind.order, t, f)
             if kind.family.startswith("G_"):
                 rows.append(np.sqrt(np.sum(g.spatial**2, axis=0)))
@@ -314,6 +311,26 @@ class TestFieldAndCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y", "value"]
         assert len(rows) == 1 + grid.n_cells
+
+    def test_result_csv_rows_match_centers(self, tmp_path, monkeypatch):
+        grid = Grid(2, 4)
+        centers = grid.centers
+        values = np.arange(grid.n_cells) / 7.0
+        builds = []
+
+        def counted(self):
+            builds.append(1)
+            return centers
+
+        # the writer reads the centers once, not once per row
+        monkeypatch.setattr(Grid, "centers", property(counted))
+        path = tmp_path / "out.csv"
+        result_to_csv(grid, values, str(path))
+        assert len(builds) == 1
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[repr(float(x)), repr(float(y)), repr(float(v))]
+                        for (x, y), v in zip(centers, values)]
 
     def test_result_csv_shape_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

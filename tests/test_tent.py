@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import ball_mask
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT, lp_norm, maximal, measure
+from tentcalc import tent
 from tentcalc.semigroup import TimeLadder
 from tentcalc.tent import (
     HalfSpaceField,
@@ -182,6 +183,19 @@ class TestChangeOfAngle:
         fld = make_field()
         with pytest.raises(ValueError):
             change_of_angle_report(fld, 2.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight)
+
+    def test_known_cones_give_the_same_report(self, monkeypatch):
+        fld = make_field(dim=2, n=8, seed=11)
+        fresh = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight)
+        cones = {1.0: cone_all(fld, 1.0), 2.0: cone_all(fld, 2.0)}
+
+        def refuse(*args):
+            raise AssertionError("cone recomputed")
+
+        monkeypatch.setattr(tent, "cone_all", refuse)
+        known = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight,
+                                       cones=cones)
+        assert known == fresh
 
     def test_predicted_bounds_plumbing(self):
         fld = make_field(dim=2, n=8, seed=9)

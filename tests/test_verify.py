@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tentcalc import squarefn, verify
+from tentcalc import squarefn, tent, verify
 from tentcalc.exponents import ext
 from tentcalc.mesh import Grid, PowerWeight
 from tentcalc.operator import CoefficientField, assemble
@@ -247,7 +247,31 @@ class TestRunMemo:
         monkeypatch.setattr(squarefn, "build_field", counted)
         monkeypatch.setattr(verify, "build_field", counted)
         run_suites(SMALL)
-        assert 0 < len(calls) <= 126
+        assert 0 < len(calls) <= 114
+
+    def test_angles_suite_computes_each_functional_once(self, monkeypatch):
+        counts = {"build_field": 0, "cone_all": 0, "carleson_p_all": 0}
+
+        def counting(name, module):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name, module in (("build_field", squarefn), ("cone_all", tent),
+                             ("carleson_p_all", tent)):
+            wrapper = counting(name, module)
+            for binding in (module, squarefn, verify, tent):
+                if hasattr(binding, name):
+                    monkeypatch.setattr(binding, name, wrapper)
+        run_suites(SMALL, ["angles_carleson"])
+        # 4 sampled bank fields per grid; cones: 3 random areas, apertures
+        # 1/2 and 2 of 7 coarse fields, 4 fine areas and aperture-2 cones,
+        # the zero field; Carleson: p0 = 1 and 2 of 7 coarse fields, 4 fine
+        # fields, the zero field
+        assert counts == {"build_field": 8, "cone_all": 30, "carleson_p_all": 19}
 
     def test_coarse_only_suite_assembles_coarse_grid_only(self, monkeypatch):
         sides = []
