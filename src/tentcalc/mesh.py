@@ -68,6 +68,7 @@ class Grid:
         self._dim = int(dim)
         self._n = int(n_side)
         self._stencil: BallStencil | None = None
+        self._origin_distances: NDArray | None = None
 
     @property
     def dim(self) -> int:
@@ -92,7 +93,10 @@ class Grid:
     @property
     def centers(self) -> NDArray:
         """Cell centers, shape (n_cells, dim); flat index is row-major."""
-        axis = (np.arange(self._n) + 0.5) / self._n
+        return self._per_cell((np.arange(self._n) + 0.5) / self._n)
+
+    def _per_cell(self, axis: NDArray) -> NDArray:
+        """Per-axis values at every cell, (n_cells, dim), row-major."""
         if self._dim == 1:
             return axis[:, None]
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
@@ -118,6 +122,22 @@ class Grid:
         delta = np.abs(self.centers - np.asarray(point, float))
         delta = np.minimum(delta, 1.0 - delta)
         return np.sqrt(np.sum(delta**2, axis=1))
+
+    @property
+    def origin_distances(self) -> NDArray:
+        """Periodic distances from every cell center to the origin, (M,),
+        read-only, built on first use.  Each axis offset is taken from
+        integer indices, min(2i+1, 2N-2i-1)/(2N), so the distances are
+        exactly mirror-symmetric (i -> N-1-i) at every side; at sides that
+        are powers of two they equal `distances_to(0)` bit for bit."""
+        if self._origin_distances is None:
+            i = np.arange(self._n)
+            delta = self._per_cell(np.minimum(2 * i + 1, 2 * self._n - 2 * i - 1)
+                                   / (2 * self._n))
+            dist = np.sqrt(np.sum(delta**2, axis=1))
+            dist.flags.writeable = False
+            self._origin_distances = dist
+        return self._origin_distances
 
     @property
     def stencil(self) -> "BallStencil":
@@ -300,7 +320,8 @@ class WeightModel:
 
 @dataclass(frozen=True)
 class PowerWeight(WeightModel):
-    """w(x) = d(x, origin)^alpha with the periodic distance to the origin.
+    """w(x) = d(x, origin)^alpha with the periodic distance to the origin
+    (`Grid.origin_distances`, so the samples are exactly mirror-symmetric).
 
     Centers are offset by h/2, so the value is finite and positive for any
     alpha.  Weights used to define measures and operators should keep
@@ -311,7 +332,7 @@ class PowerWeight(WeightModel):
     alpha: float
 
     def sample(self, grid: Grid) -> NDArray:
-        return grid.distances_to(np.zeros(grid.dim)) ** float(self.alpha)
+        return grid.origin_distances ** float(self.alpha)
 
     def power(self, exponent: float) -> "PowerWeight":
         """w^delta is again a power weight."""

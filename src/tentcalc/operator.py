@@ -26,16 +26,30 @@ i < N/2; for odd N the middle cell joins the even part unscaled.  Their
 Kronecker product splits S into 2^dim blocks, each assembled straight
 from the stencil's O(M) nonzeros and decomposed by its own `eigh`; no
 M x M array is formed.  Any other weight, such as a general
-`TabulatedWeight` or a power weight sampled at a side that is not a power
-of two (where 1 - x rounds), is the one-block case of the same
-structure: every axis keeps the identity, and the one block is the full
-S.
+`TabulatedWeight`, is the one-block case of the same structure: every
+axis keeps the identity, and the one block is the full S.
+
+Axis-swap split.  In dim 2, when also A = a I and the sampled weight
+equals its transpose exactly, S commutes with the swap (x, y) -> (y, x).
+The swap carries the (even, odd) block onto the (odd, even) block, which
+therefore takes the former's eigenvalues and its basis with the rows
+permuted by the local transpose, and needs no `eigh` of its own.  The
+square (even, even) and (odd, odd) blocks each split once more: the
+symmetric part holds the diagonal cells u_ii and (u_ij + u_ji)/sqrt(2),
+the antisymmetric part (u_ij - u_ji)/sqrt(2), for i < j.  Each part is
+assembled from the stencil nonzeros and decomposed by its own `eigh`, and
+its modes are scattered back to block coordinates, so the stored bases
+stay per parity block.  The sign rule runs once per parity block in its
+coordinates, so a simple mode keeps its sign whichever way its block was
+solved.  At N = 64 that is one 1024^2 and four ~512^2 `eigh`s instead of
+four 1024^2.  Every `eigh` is numpy's, LAPACK's divide-and-conquer
+driver, so assembly loads no scipy.
 
 Global modes are ordered by eigenvalue.  Eigenvalues whose adjacent gaps
 stay within CLUSTER_RTOL * lambda_max form a cluster, and inside a cluster
-modes are ordered by block, then by index within the block, so the order
-and `mode(k)` do not depend on how `eigh` rounds a degenerate pair that
-two blocks share.
+modes are ordered by block, then swap-symmetric before antisymmetric, then
+by index within the block, so the order and `mode(k)` do not depend on how
+`eigh` rounds a degenerate pair that two blocks or two parts share.
 """
 
 from __future__ import annotations
@@ -216,31 +230,76 @@ def _scaled_stencil(grid: Grid, coeff: CoefficientField, wv: NDArray):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
+def _swap_maps(m: int) -> list[tuple[NDArray, NDArray, int]]:
+    """(coefficient, sub-block index) of every cell of an m x m block grid
+    in its axis-swap parts, and their sizes: the symmetric part holds u_ii
+    and (u_ij + u_ji)/sqrt(2), the antisymmetric part (u_ij - u_ji)/sqrt(2),
+    for i < j, each numbered row-major over (i, j).  Diagonal cells have
+    coefficient 0 in the antisymmetric part."""
+    i, j = np.divmod(np.arange(m * m), m)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # pairs whose first index is below lo: sum over k < lo of (m - k) or (m - k - 1)
+    before = lo * (lo - 1) // 2
+    sym = (np.where(i == j, 1.0, _HALF_SQRT), lo * m - before + hi - lo, m * (m + 1) // 2)
+    anti = (np.sign(j - i) * _HALF_SQRT,
+            np.maximum(lo * (m - 1) - before + hi - lo - 1, 0), m * (m - 1) // 2)
+    return [sym, anti]
+
+
+def _block_matrix(stencil, coef: NDArray, local: NDArray, m: int) -> NDArray:
+    """The m x m block of S whose row r is the sum over cells x with
+    local[x] = r of coef[x] u(x), from the stencil nonzeros."""
+    rows, cols, vals = stencil
+    cr, cc = coef[rows], coef[cols]
+    keep = (cr != 0) & (cc != 0)
+    block = np.bincount(
+        local[rows[keep]] * m + local[cols[keep]],
+        weights=cr[keep] * vals[keep] * cc[keep],
+        minlength=m * m,
+    ).reshape(m, m)
+    return 0.5 * (block + block.T)
+
+
 def _block_eigh(block: NDArray) -> tuple[NDArray, NDArray]:
     """Eigenpairs of one symmetric block with every assembly check: the
-    error floor, the zero band clamp, the sign rule and orthonormality."""
-    # imported on first use, so commands that assemble nothing load no scipy
-    import scipy.linalg
-
-    eigvals, psi = scipy.linalg.eigh(block, overwrite_a=True)
+    error floor, the zero band clamp and orthonormality.  numpy's `eigh`
+    is LAPACK's divide-and-conquer ?syevd."""
+    eigvals, psi = np.linalg.eigh(block)
     if eigvals.min() < EIG_ERROR_FLOOR:
         raise ValueError(
             f"assembly produced eigenvalue {eigvals.min()} < {EIG_ERROR_FLOOR}"
         )
     eigvals[np.abs(eigvals) < EIG_ZERO_BAND] = 0.0
 
-    # deterministic sign: the first entry of near-largest magnitude positive
-    mag = np.abs(psi)
-    lead = np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0), axis=0)
-    signs = np.sign(psi[lead, np.arange(psi.shape[1])])
-    signs[signs == 0] = 1.0
-    psi *= signs
-
     # psi is orthonormal exactly when the modes it gives are w-orthonormal
     resid = np.max(np.abs(psi.T @ psi - np.eye(psi.shape[1])))
     if resid > ORTHO_TOL:
         raise ValueError(f"w-orthonormalization residual {resid} exceeds {ORTHO_TOL}")
     return eigvals, psi
+
+
+def _swap_eigh(stencil, coef: NDArray, local: NDArray, side: int):
+    """Eigenpairs of a square parity block (side x side local grid) from
+    one `_block_eigh` per axis-swap part, with the modes scattered back to
+    block coordinates: the symmetric part's modes first, each part in
+    ascending order."""
+    lams, psis = [], []
+    for c, q, size in _swap_maps(side):
+        lam, psi = _block_eigh(_block_matrix(stencil, coef * c[local], q[local], size))
+        lams.append(lam)
+        psis.append(c[:, None] * psi[q])
+    return np.concatenate(lams), np.hstack(psis)
+
+
+def _signed(psi: NDArray) -> NDArray:
+    """psi with the deterministic sign: in each column, the first entry of
+    near-largest magnitude positive."""
+    mag = np.abs(psi)
+    lead = np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0), axis=0)
+    signs = np.sign(psi[lead, np.arange(psi.shape[1])])
+    signs[signs == 0] = 1.0
+    psi *= signs
+    return psi
 
 
 @dataclass(frozen=True)
@@ -293,7 +352,7 @@ class SpectralOperator:
 
 def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOperator:
     """Assemble L_w and its w-orthonormal eigendecomposition, one `eigh`
-    per reflection-parity block."""
+    per reflection-parity block or axis-swap part of one."""
     if coeff.dim != grid.dim:
         raise ValueError(f"coefficient dim {coeff.dim} does not match grid dim {grid.dim}")
     n = grid.n_side
@@ -303,20 +362,24 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
                    for a in range(grid.dim))
     split = (mirrored,) * grid.dim
 
-    rows, cols, vals = _scaled_stencil(grid, coeff, wv)
+    # A = a I and w(x, y) = w(y, x) make S commute with the axis swap too
+    swap = (grid.dim == 2 and mirrored and len(set(coeff.entries)) == 1
+            and np.array_equal(w_grid, w_grid.T))
+    stencil = _scaled_stencil(grid, coeff, wv)
+    h = n // 2
     eigs, vectors = [], []
-    for coef, local, m in _block_maps(n, split):
-        cr, cc = coef[rows], coef[cols]
-        keep = (cr != 0) & (cc != 0)
-        block = np.bincount(
-            local[rows[keep]] * m + local[cols[keep]],
-            weights=cr[keep] * vals[keep] * cc[keep],
-            minlength=m * m,
-        ).reshape(m, m)
-        block = 0.5 * (block + block.T)
-        lam, psi = _block_eigh(block)
+    for b, (coef, local, m) in enumerate(_block_maps(n, split)):
+        if swap and b == 2:
+            # the swap carries (even, odd) onto (odd, even): the same
+            # spectrum, basis rows permuted by the local transpose
+            lam = eigs[1]
+            psi = vectors[1].reshape(n - h, h, m).transpose(1, 0, 2).reshape(m, m)
+        elif swap and b in (0, 3):
+            lam, psi = _swap_eigh(stencil, coef, local, n - h if b == 0 else h)
+        else:
+            lam, psi = _block_eigh(_block_matrix(stencil, coef, local, m))
         eigs.append(lam)
-        vectors.append(psi)
+        vectors.append(_signed(psi))
 
     lam = np.concatenate(eigs)
     block_id = np.concatenate([np.full(e.size, b) for b, e in enumerate(eigs)])

@@ -27,6 +27,16 @@ def _write_json(path, data):
         json.dump(data, fh)
 
 
+def _run_python(code, cwd=None):
+    """Run `code` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    root = str(Path(tentcalc.__file__).resolve().parents[1])
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -120,7 +130,7 @@ class TestExponents:
         assert json.loads(result.output)["range_W"] == ["9/4", "4"]
 
     def test_loads_no_scipy(self):
-        # scipy is imported on first assembly or subordination, so neither
+        # scipy is imported only for subordination quadrature, so neither
         # importing the CLI nor an exponent query loads it
         code = (
             "import sys\n"
@@ -135,12 +145,7 @@ class TestExponents:
             "    assert exc.code == 0, exc.code\n"
             "assert not loaded(), loaded()\n"
         )
-        env = dict(os.environ)
-        root = str(Path(tentcalc.__file__).resolve().parents[1])
-        rest = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = _run_python(code)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["r_w"] == "3/2"
 
@@ -153,6 +158,31 @@ class TestExponents:
             assert data["header"]["version"]
             assert len(data["header"]["config_hash"]) == 12
             assert data["r_w"] == "3/2"
+
+
+def test_sf_and_verify_load_no_scipy(tmp_path):
+    # assembly diagonalises with numpy's eigh, so a field and a verify run
+    # without subordination load no scipy either
+    _write_json(tmp_path / "sf.json", {"dim": 2, "n": 8})
+    _write_json(tmp_path / "suite.json", {"sizes": [8, 16], "bank_size": 2})
+    code = (
+        "import sys\n"
+        "import tentcalc.cli\n"
+        "for args in (['sf', '--kind', 'SH', '--m', '1', '--f', 'random:1',\n"
+        "              '--config', 'sf.json'],\n"
+        "             ['verify', '--suite', 'appendix', '--seed', '7',\n"
+        "              '--config', 'suite.json']):\n"
+        "    try:\n"
+        "        tentcalc.cli.main.main(args=args, prog_name='tentcalc')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (args, exc.code)\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    result = _run_python(code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "sf_field.csv").exists()
+    assert (tmp_path / "verify_report.json").exists()
 
 
 class TestSf:

@@ -78,6 +78,34 @@ class TestGrid:
         q = g.shift_perm(0, -1)
         npt.assert_array_equal(p[q], np.arange(16))
 
+    @pytest.mark.parametrize("dim,top", [(1, 128), (2, 64)])
+    def test_origin_distances_exactly_symmetric(self, dim, top):
+        # every side in the dense budget: mirror- and (dim 2) transpose-
+        # symmetric, and bit for bit the old distances at powers of two
+        for n in range(4, top + 1):
+            g = Grid(dim, n)
+            d = g.origin_distances.reshape((n,) * dim)
+            for axis in range(dim):
+                npt.assert_array_equal(d, np.flip(d, axis=axis))
+            npt.assert_array_equal(d, d.T)
+            if n & (n - 1) == 0:
+                npt.assert_array_equal(g.origin_distances,
+                                       g.distances_to(np.zeros(dim)))
+            else:
+                # there the old 1 - x rounds at 1: off by up to an ulp of 1
+                npt.assert_allclose(g.origin_distances,
+                                    g.distances_to(np.zeros(dim)),
+                                    rtol=0, atol=np.finfo(float).eps)
+
+    def test_origin_distances_cached_read_only(self):
+        g = Grid(2, 9)
+        assert g.origin_distances is g.origin_distances
+        with pytest.raises(ValueError):
+            g.origin_distances[0] = 1.0
+        w = PowerWeight(1.0).sample(g)
+        w[0] = 2.0  # samples are the caller's own array
+        assert g.origin_distances[0] != 2.0
+
     def test_ball_mask_matches_ball(self):
         g = Grid(2, 6)
         mask = ball_mask(g, 0.3)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import dense_spectrum, inner_w, modes, operator_matrix
+from tentcalc import operator as operator_module
 from tentcalc.mesh import Grid, PowerWeight, TabulatedWeight, UNIT_WEIGHT
 from tentcalc.operator import CoefficientField, assemble
 
@@ -252,11 +253,14 @@ class TestParityBlocks:
         assert len(op.block_vectors) == 1
         assert_matches_dense(op)
 
-    def test_power_weight_off_power_of_two_is_one_block(self):
-        # the sampled |x| is not exactly mirror-symmetric at N = 9
-        g = Grid(1, 9)
-        op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
-        assert op.split == (False,)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_power_weight_off_power_of_two_splits(self, dim):
+        # origin distances come from integer indices, so the sampled |x|
+        # is exactly mirror-symmetric at N = 9 too
+        g = Grid(dim, 9)
+        op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0][:dim]),
+                      PowerWeight(1.0))
+        assert op.split == (True,) * dim
         assert_matches_dense(op)
 
     def test_weight_mirrored_along_one_axis_is_one_block(self):
@@ -306,13 +310,17 @@ class TestParityBlocks:
 
     @given(
         dim=st.sampled_from([1, 2]),
-        n=st.sampled_from([4, 8, 16]),
+        n=st.sampled_from([4, 8, 9, 16]),
         alpha_frac=st.floats(-0.95, 0.95),
         entries=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        equal=st.booleans(),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_symmetric_power_weights_match_dense(self, dim, n, alpha_frac, entries):
+    @settings(max_examples=30, deadline=None)
+    def test_symmetric_power_weights_match_dense(self, dim, n, alpha_frac, entries, equal):
+        # equal entries in dim 2 take the axis-swap split as well
         g = Grid(dim, n)
+        if equal:
+            entries = (entries[0],) * 2
         op = assemble(g, CoefficientField.diagonal(g, entries[:dim]),
                       PowerWeight(alpha_frac * dim))
         assert op.split == (True,) * dim
@@ -330,3 +338,78 @@ class TestParityBlocks:
             tracemalloc.stop()
         assert op.split == (True, True)
         assert peak < 8 * g.n_cells**2
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The sizes of the blocks `assemble` passes to `_block_eigh`, in order."""
+    sizes = []
+    real = operator_module._block_eigh
+
+    def counted(block):
+        sizes.append(block.shape[0])
+        return real(block)
+
+    monkeypatch.setattr(operator_module, "_block_eigh", counted)
+    return sizes
+
+
+def swap_symmetric_weight(grid, seed):
+    """A random tabulated weight, mirrored along both axes and equal to
+    its transpose, exactly."""
+    n = grid.n_side
+    w = np.asarray(mirrored_weight(grid, seed, [0, 1]).values).reshape(n, n)
+    return TabulatedWeight(tuple((0.5 * (w + w.T)).ravel()))
+
+
+class TestSwapSplit:
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [-1.2, 0.0, 1.0, 1.5])
+    def test_power_weights_match_dense(self, n, a, alpha, eigh_sizes):
+        g = Grid(2, n)
+        op = assemble(g, CoefficientField.diagonal(g, [a, a]), PowerWeight(alpha))
+        assert op.split == (True, True)
+        # (even, even) and (odd, odd) in two parts each, (odd, even) derived
+        assert len(eigh_sizes) == 5
+        assert sum(eigh_sizes) + (n - n // 2) * (n // 2) == g.n_cells
+        assert_matches_dense(op)
+
+    @pytest.mark.parametrize("n,sizes", [(8, [10, 6, 16, 10, 6]),
+                                         (9, [15, 10, 20, 10, 6])])
+    def test_sub_block_sizes(self, n, sizes, eigh_sizes):
+        g = Grid(2, n)
+        assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+        assert eigh_sizes == sizes
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_tabulated_weight_at_odd_side(self, n, eigh_sizes):
+        g = Grid(2, n)
+        op = assemble(g, CoefficientField.diagonal(g, [1.5, 1.5]),
+                      swap_symmetric_weight(g, n))
+        assert len(eigh_sizes) == 5
+        assert_matches_dense(op)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_odd_even_modes_are_transposed_even_odd_modes(self, n):
+        g = Grid(2, n)
+        op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+        eo, oe = op.block_modes[1], op.block_modes[2]
+        npt.assert_array_equal(op.eigenvalues[eo], op.eigenvalues[oe])
+        for k, j in zip(eo.tolist(), oe.tolist()):
+            moved = op.mode(k).reshape(n, n).T.ravel()
+            phi = op.mode(j)
+            sign = np.sign(phi @ moved)
+            npt.assert_allclose(phi, sign * moved, rtol=0,
+                                atol=1e-13 * np.abs(phi).max())
+
+    @pytest.mark.parametrize("coeff_entries,transposed", [((1.0, 2.0), True),
+                                                          ((1.5, 1.5), False)])
+    def test_without_swap_symmetry_four_blocks(self, coeff_entries, transposed,
+                                               eigh_sizes):
+        g = Grid(2, 8)
+        w = swap_symmetric_weight(g, 4) if transposed \
+            else mirrored_weight(g, 4, [0, 1])
+        op = assemble(g, CoefficientField.diagonal(g, coeff_entries), w)
+        assert eigh_sizes == [16] * 4
+        assert_matches_dense(op)
