@@ -14,14 +14,15 @@ relative tie slack of 1e-9 toward inclusion.
 
 On the torus d(x, y) depends only on the offset y - x, so every ball family
 is one translation-invariant stencil: the M cell offsets sorted by distance
-(`BallStencil`, built lazily per Grid).  A ball of any radius is a prefix of
-that order, and a ball sum at x is the sum of the field shifted by each
-offset in the prefix.  Sums over nested balls run as prefix reductions in
-the one fixed offset order, never as FFT convolutions or differences of
-prefix sums: with non-negative terms, a fixed order makes every sum over a
-larger ball at least the sum over a smaller one in floating point too,
-which the tolerance-0 aperture-monotonicity check relies on.  Geometry
-memory is O(M); no pairwise distance matrix is formed.
+(`BallStencil`, one per grid size per process).  A ball of any radius is a
+prefix of that order, and a ball sum at x is the sum of the field shifted
+by each offset in the prefix.  Sums over nested balls run as prefix
+reductions in the one fixed offset order, never as FFT convolutions or
+differences of prefix sums: with non-negative terms, a fixed order makes
+every sum over a larger ball at least the sum over a smaller one in
+floating point too, which the tolerance-0 aperture-monotonicity check
+relies on.  Geometry memory is O(M); no pairwise distance matrix is
+formed.
 
 Weighted measures and norms use the cell quadrature
 
@@ -35,6 +36,7 @@ dyadic ball family {all centers} x {h, 2h, 4h, ..., 1/2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,8 +69,6 @@ class Grid:
             raise ValueError(f"need at least 4 cells per side, got {n_side}")
         self._dim = int(dim)
         self._n = int(n_side)
-        self._stencil: BallStencil | None = None
-        self._origin_distances: NDArray | None = None
 
     @property
     def dim(self) -> int:
@@ -126,25 +126,18 @@ class Grid:
     @property
     def origin_distances(self) -> NDArray:
         """Periodic distances from every cell center to the origin, (M,),
-        read-only, built on first use.  Each axis offset is taken from
-        integer indices, min(2i+1, 2N-2i-1)/(2N), so the distances are
-        exactly mirror-symmetric (i -> N-1-i) at every side; at sides that
-        are powers of two they equal `distances_to(0)` bit for bit."""
-        if self._origin_distances is None:
-            i = np.arange(self._n)
-            delta = self._per_cell(np.minimum(2 * i + 1, 2 * self._n - 2 * i - 1)
-                                   / (2 * self._n))
-            dist = np.sqrt(np.sum(delta**2, axis=1))
-            dist.flags.writeable = False
-            self._origin_distances = dist
-        return self._origin_distances
+        read-only, one array per grid size per process.  Each axis offset
+        is taken from integer indices, min(2i+1, 2N-2i-1)/(2N), so the
+        distances are exactly mirror-symmetric (i -> N-1-i) at every side;
+        at sides that are powers of two they equal `distances_to(0)` bit
+        for bit."""
+        return _origin_distances(self)
 
     @property
     def stencil(self) -> "BallStencil":
-        """The ball stencil of this grid, built on first use."""
-        if self._stencil is None:
-            self._stencil = BallStencil(self)
-        return self._stencil
+        """The ball stencil of this grid size, shared by every Grid of
+        the same (dim, n_side) in the process."""
+        return _stencil(self)
 
     def ball(self, center: int, radius: float) -> "CellSet":
         """The closed ball of cells whose centers lie within `radius`."""
@@ -175,6 +168,23 @@ class Grid:
         return hash((self._dim, self._n))
 
 
+# Grids hash and compare by (dim, n_side), so each cache below holds one
+# entry per grid size; the bound keeps a long session's geometry small.
+@lru_cache(maxsize=16)
+def _origin_distances(grid: Grid) -> NDArray:
+    i = np.arange(grid.n_side)
+    delta = grid._per_cell(np.minimum(2 * i + 1, 2 * grid.n_side - 2 * i - 1)
+                           / (2 * grid.n_side))
+    dist = np.sqrt(np.sum(delta**2, axis=1))
+    dist.flags.writeable = False
+    return dist
+
+
+@lru_cache(maxsize=16)
+def _stencil(grid: Grid) -> "BallStencil":
+    return BallStencil(grid)
+
+
 class BallStencil:
     """The M cell offsets of a Grid sorted by periodic center distance.
 
@@ -188,18 +198,24 @@ class BallStencil:
 
     Fields are shifted through a periodically doubled copy, so each
     shifted field is a strided view rather than a gather.
+
+    `Grid.stencil` holds one stencil per grid size per process, shared by
+    every Grid of that size, so `distances` is read-only.
     """
 
     def __init__(self, grid: Grid):
         dist = grid.distances_to(grid.centers[0])
         order = np.argsort(dist, kind="stable")
         self.distances: NDArray = dist[order]
+        self.distances.flags.writeable = False
         n = grid.n_side
         self._shape = (n,) * grid.dim
-        offsets = np.column_stack(np.unravel_index(order, self._shape))
-        self._windows = [
-            tuple(slice(a, a + n) for a in offset) for offset in offsets.tolist()
-        ]
+        # one tuple of per-axis slices per offset; map and zip iterate in
+        # C, with no Python frame per offset
+        starts = np.unravel_index(order, self._shape)
+        self._windows = list(
+            zip(*(map(slice, a.tolist(), (a + n).tolist()) for a in starts))
+        )
 
     def _bounds(self, radii) -> NDArray:
         radii = np.atleast_1d(np.asarray(radii, float))

@@ -122,37 +122,39 @@ def _max_product(
     """Max over the ball family of the defining product for `kind`,
     with averages in the measure `base` (cell volumes cancel)."""
     p_or_s = kind.index
+    is_ap = kind.family in ("Ap", "Ap_of_w")
     stencil = grid.stencil
     radii = _family_radii(grid)
-    sums = stencil.ball_reduce(np.stack([base, values * base]), radii)
+    # the power of v averaged beside v: the dual -1/(p-1) for A_p, s for
+    # RH_s; A_1 and RH_oo take the ball min / max instead
+    if is_ap:
+        power = None if p_or_s == 1 else -1.0 / (p_or_s - 1.0)
+    else:
+        power = None if math.isinf(p_or_s) else p_or_s
+    log_pow = None if power is None else power * np.log(values)
+    # p near 1 or a large s sends v^power out of float range: log path
+    direct = log_pow is not None and float(np.abs(log_pow).max()) <= _LOG_SAFE
+    rows = [base, values * base] + ([values**power * base] if direct else [])
+    # one additive pass serves every average; rows reduce elementwise
+    sums = stencil.ball_reduce(np.stack(rows), radii)
     mass = sums[:, 0]
     avg_v = sums[:, 1] / mass
-    if kind.family in ("Ap", "Ap_of_w"):
-        if p_or_s == 1:
-            ball_min = stencil.ball_reduce(values, radii, ufunc=np.minimum)
-            per_ball = avg_v / ball_min
+    if is_ap:
+        if power is None:
+            per_ball = avg_v / stencil.ball_reduce(values, radii, ufunc=np.minimum)
+        elif direct:
+            per_ball = avg_v * (sums[:, 2] / mass) ** (p_or_s - 1.0)
         else:
-            dual = -1.0 / (p_or_s - 1.0)
-            log_sigma = dual * np.log(values)
-            if float(np.abs(log_sigma).max()) <= _LOG_SAFE:
-                avg_s = stencil.ball_reduce(values**dual * base, radii) / mass
-                per_ball = avg_v * avg_s ** (p_or_s - 1.0)
-            else:
-                # p near 1 sends the dual power out of float range
-                log_avg = _log_ball_avg(grid, log_sigma + np.log(base), radii, mass)
-                per_ball = avg_v * np.exp((p_or_s - 1.0) * log_avg)
+            log_avg = _log_ball_avg(grid, log_pow + np.log(base), radii, mass)
+            per_ball = avg_v * np.exp((p_or_s - 1.0) * log_avg)
     else:
-        if math.isinf(p_or_s):
-            ball_max = stencil.ball_reduce(values, radii, ufunc=np.maximum)
-            per_ball = ball_max / avg_v
+        if power is None:
+            per_ball = stencil.ball_reduce(values, radii, ufunc=np.maximum) / avg_v
+        elif direct:
+            per_ball = (sums[:, 2] / mass) ** (1.0 / p_or_s) / avg_v
         else:
-            log_pow = p_or_s * np.log(values)
-            if float(np.abs(log_pow).max()) <= _LOG_SAFE:
-                avg_pow = stencil.ball_reduce(values**p_or_s * base, radii) / mass
-                per_ball = avg_pow ** (1.0 / p_or_s) / avg_v
-            else:
-                log_avg = _log_ball_avg(grid, log_pow + np.log(base), radii, mass)
-                per_ball = np.exp(log_avg / p_or_s) / avg_v
+            log_avg = _log_ball_avg(grid, log_pow + np.log(base), radii, mass)
+            per_ball = np.exp(log_avg / p_or_s) / avg_v
     best = 0.0
     for row in per_ball:  # one radius at a time: a NaN row is skipped
         best = max(best, float(row.max()))

@@ -290,25 +290,25 @@ def test_carleson_angle_suite(timed_suites):
     assert elapsed < 60.0
 
 
-def test_cli_byte_determinism(tmp_path):
+def _verify_children(tmp_path, thread_counts):
+    """Run `verify --suite all --seed 7` at the default config in one child
+    per OpenBLAS thread count, all at once, each in its own directory;
+    return (stdout, report JSON bytes, report CSV bytes) per child."""
     # An absolute PYTHONPATH entry for the package imported here, so each
-    # child runs this very code although its cwd differs.  One OpenBLAS
-    # thread each: the two children run at once, and more BLAS threads than
-    # cores multiply their wall time several times over.
+    # child runs this very code although its cwd differs.
     env = dict(os.environ)
     root = str(Path(tentcalc.__file__).resolve().parents[1])
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
-    env["OPENBLAS_NUM_THREADS"] = "1"
     procs = []
     try:
-        for name in ("one", "two"):
-            workdir = tmp_path / name
+        for i, threads in enumerate(thread_counts):
+            workdir = tmp_path / f"child{i}"
             workdir.mkdir()
             procs.append((workdir, subprocess.Popen(
                 [sys.executable, "-m", "tentcalc",
                  "verify", "--suite", "all", "--seed", "7"],
-                cwd=workdir, env=env,
+                cwd=workdir, env={**env, "OPENBLAS_NUM_THREADS": threads},
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             )))
         outputs = []
@@ -320,9 +320,34 @@ def test_cli_byte_determinism(tmp_path):
                 (workdir / "verify_report.json").read_bytes(),
                 (workdir / "verify_report.csv").read_bytes(),
             ))
-        assert outputs[0] == outputs[1]
+        return outputs
     finally:
         for _, proc in procs:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+
+
+def test_cli_byte_determinism(tmp_path):
+    # One OpenBLAS thread each: the two children run at once, and more BLAS
+    # threads than cores multiply their wall time several times over.
+    outputs = _verify_children(tmp_path, ("1", "1"))
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_agrees_across_blas_threads(tmp_path):
+    # The thread count changes the rounding of the block products, so
+    # values may move in their last bits; verdicts may not move at all.
+    (_, one, _), (_, two, _) = _verify_children(tmp_path, ("1", "2"))
+    one, two = json.loads(one)["reports"], json.loads(two)["reports"]
+    assert [r["suite"] for r in one] == [r["suite"] for r in two]
+    for a, b in zip(one, two):
+        assert a["passed"] == b["passed"]
+        assert a["environment"] == b["environment"]
+        assert [c["id"] for c in a["checks"]] == [c["id"] for c in b["checks"]]
+        for ca, cb in zip(a["checks"], b["checks"]):
+            assert ca["verdict"] == cb["verdict"], ca["id"]
+            assert len(ca["values"]) == len(cb["values"]), ca["id"]
+            for x, y in zip(ca["values"], cb["values"]):
+                assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-14), \
+                    (a["suite"], ca["id"], x, y)

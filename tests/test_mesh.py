@@ -99,12 +99,20 @@ class TestGrid:
 
     def test_origin_distances_cached_read_only(self):
         g = Grid(2, 9)
-        assert g.origin_distances is g.origin_distances
+        assert g.origin_distances is Grid(2, 9).origin_distances
         with pytest.raises(ValueError):
             g.origin_distances[0] = 1.0
         w = PowerWeight(1.0).sample(g)
         w[0] = 2.0  # samples are the caller's own array
         assert g.origin_distances[0] != 2.0
+
+    def test_stencil_shared_per_grid_size(self):
+        stencil = Grid(2, 16).stencil
+        assert Grid(2, 16).stencil is stencil
+        assert Grid(2, 32).stencil is not stencil
+        assert Grid(1, 16).stencil is not stencil
+        with pytest.raises(ValueError):
+            stencil.distances[0] = 1.0
 
     def test_ball_mask_matches_ball(self):
         g = Grid(2, 6)

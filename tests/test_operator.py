@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dense_reference import dense_spectrum, inner_w, modes, operator_matrix
 from tentcalc import operator as operator_module
@@ -198,7 +198,15 @@ def cluster_bounds(lam, rtol):
 
 def assert_matches_dense(op):
     """Eigenvalues within 1e-12 lambda_max of one dense `eigh`, and equal
-    eigenspace projectors on every cluster."""
+    spectral projectors on every group of eigenvalues cut at gaps above
+    1e-6 lambda_max.
+
+    The projector of a group is determined only to about
+    eps * lambda_max / gap, in the dense `eigh` as well as in the blocks:
+    a cut at 1e-8 lambda_max would let a gap of 1.65e-8 lambda_max split
+    a pair whose single projectors differ by ~2e-8 between two correct
+    solvers.  At a 1e-6 cut the bound is ~2e-10, well inside the 1e-8
+    tolerance."""
     grid = op.grid
     lam, phi = dense_spectrum(grid, op.coeff, op.weight_values)
     scale = lam.max()
@@ -207,7 +215,7 @@ def assert_matches_dense(op):
     root = np.sqrt(op.weight_values * grid.cell_volume)[:, None]
     ours = modes(op)[:, np.argsort(op.eigenvalues, kind="stable")] * root
     theirs = phi * root
-    for start, stop in cluster_bounds(lam, 1e-8):
+    for start, stop in cluster_bounds(lam, 1e-6):
         a, b = ours[:, start:stop], theirs[:, start:stop]
         assert np.max(np.abs(a @ a.T - b @ b.T)) <= 1e-8, (start, stop)
 
@@ -316,6 +324,9 @@ class TestParityBlocks:
         equal=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
+    # two eigenvalues 1.65e-8 lambda_max apart
+    @example(dim=1, n=4, alpha_frac=0.00033042853970111086, entries=(1.0, 1.0),
+             equal=False)
     def test_symmetric_power_weights_match_dense(self, dim, n, alpha_frac, entries, equal):
         # equal entries in dim 2 take the axis-swap split as well
         g = Grid(dim, n)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tentcalc.mesh import CellSet, Grid, PowerWeight, UNIT_WEIGHT, measure
+from tentcalc import mesh
+from tentcalc.mesh import BallStencil, CellSet, Grid, PowerWeight, UNIT_WEIGHT, measure
 from tentcalc.weights import (
     ClassEstimate,
     ClassKind,
@@ -170,6 +171,64 @@ class TestWeightedClassConstant:
         assert via_weighted == pytest.approx(
             ap_constant(v, 2.0, g).constant_estimate, rel=1e-14
         )
+
+
+def separate_passes(values, base, grid, kind):
+    """The class product on a fresh, uncached stencil with one ball pass
+    per average."""
+    stencil = BallStencil(grid)
+    radii = grid.dyadic_radii(0.25)
+    mass = stencil.ball_reduce(base, radii)
+    avg_v = stencil.ball_reduce(values * base, radii) / mass
+    p = kind.index
+    if kind.family in ("Ap", "Ap_of_w"):
+        if p == 1:
+            per_ball = avg_v / stencil.ball_reduce(values, radii, ufunc=np.minimum)
+        else:
+            dual = -1.0 / (p - 1.0)
+            avg_s = stencil.ball_reduce(values**dual * base, radii) / mass
+            per_ball = avg_v * avg_s ** (p - 1.0)
+    elif math.isinf(p):
+        per_ball = stencil.ball_reduce(values, radii, ufunc=np.maximum) / avg_v
+    else:
+        avg_pow = stencil.ball_reduce(values**p * base, radii) / mass
+        per_ball = avg_pow ** (1.0 / p) / avg_v
+    return max(float(row.max()) for row in per_ball)
+
+
+PASS_KINDS = [("Ap", 1.0), ("Ap", 2.0), ("Ap", 4.0),
+              ("RHs", 2.0), ("RHs", 4.0), ("RHs", math.inf)]
+
+
+class TestSharedStencilPasses:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("family,index", PASS_KINDS)
+    def test_same_bits_as_separate_passes(self, n, family, index):
+        grid = Grid(2, n)
+        v, w = PowerWeight(-1.2), PowerWeight(0.5)
+        vv, wv = v.sample(grid), w.sample(grid)
+        ones = np.ones(grid.n_cells)
+        plain = ap_constant if family == "Ap" else rh_constant
+        assert plain(v, index, grid).constant_estimate == separate_passes(
+            vv, ones, grid, ClassKind(family, index))
+        weighted = ClassKind(family + "_of_w", index)
+        assert weighted_class_constant(v, w, weighted, grid).constant_estimate \
+            == separate_passes(vv, wv, grid, weighted)
+
+    def test_refinement_builds_one_stencil_per_size(self, monkeypatch):
+        built = []
+        init = BallStencil.__init__
+
+        def counting_init(self, grid):
+            built.append(grid)
+            init(self, grid)
+
+        monkeypatch.setattr(BallStencil, "__init__", counting_init)
+        mesh._stencil.cache_clear()
+        kinds = [ClassKind(f, i) for f, i in PASS_KINDS[:5]]
+        for kind in kinds:
+            membership_by_refinement(PowerWeight(-1.0), kind, 2, sizes=(16, 32, 64))
+        assert built == [Grid(2, 16), Grid(2, 32), Grid(2, 64)]
 
 
 class TestRefinement:
