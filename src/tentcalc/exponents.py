@@ -46,7 +46,6 @@ __all__ = [
     "range_W",
     "corollary_ranges",
     "ext_to_json",
-    "range_to_json",
 ]
 
 ExtLike = Union["ExtReal", Fraction, int, str]
@@ -230,10 +229,6 @@ class ExponentRange:
         return f"({self.lower}, {self.upper})"
 
 
-def range_to_json(r: ExponentRange):
-    return {"lo": ext_to_json(r.lower), "hi": ext_to_json(r.upper), "empty": r.empty}
-
-
 # ---------------------------------------------------------------------------
 # power weights
 # ---------------------------------------------------------------------------
@@ -397,7 +392,7 @@ def corollary_ranges(kind: str, params: dict) -> dict:
     kind="heat_Lp"/"poisson_Lp": params {"n", "r", "p"(optional)}; returns
         the p interval for the given r and, when p is supplied, the exact
         reverse-Holder index (p(nr+2)/(2nr))'.
-    All values exact; serialized via ext_to_json/range_to_json.
+    All values exact; serialized via ext_to_json.
     """
     n = int(params["n"])
     if n < 2:

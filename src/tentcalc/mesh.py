@@ -48,8 +48,6 @@ __all__ = [
     "PowerWeight",
     "TabulatedWeight",
     "UNIT_WEIGHT",
-    "CellSet",
-    "measure",
     "lp_norm",
     "maximal",
 ]
@@ -138,12 +136,6 @@ class Grid:
         """The ball stencil of this grid size, shared by every Grid of
         the same (dim, n_side) in the process."""
         return _stencil(self)
-
-    def ball(self, center: int, radius: float) -> "CellSet":
-        """The closed ball of cells whose centers lie within `radius`."""
-        row = self.distances_to(self.centers[center])
-        members = np.nonzero(row <= radius * (1.0 + TIE_SLACK))[0]
-        return CellSet(self, tuple(int(i) for i in members))
 
     def dyadic_radii(self, cap: float = 0.5) -> list[float]:
         """The radii {h, 2h, 4h, ...} up to and including `cap`."""
@@ -297,36 +289,6 @@ class BallStencil:
         return acc.reshape(values.shape[1:])
 
 
-@dataclass(frozen=True)
-class CellSet:
-    """An immutable set of cell indices on a fixed grid."""
-
-    grid: Grid
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.grid.n_cells
-        if any(not (0 <= i < m) for i in self.indices):
-            raise ValueError("cell index out of range")
-
-    @classmethod
-    def single(cls, grid: Grid, index: int) -> "CellSet":
-        return cls(grid, (index,))
-
-    @classmethod
-    def empty(cls, grid: Grid) -> "CellSet":
-        return cls(grid, ())
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in set(self.indices)
-
-    def as_array(self) -> NDArray:
-        return np.asarray(self.indices, dtype=int)
-
-
 class WeightModel:
     """A strictly positive weight sampled at cell centers."""
 
@@ -350,10 +312,6 @@ class PowerWeight(WeightModel):
     def sample(self, grid: Grid) -> NDArray:
         return grid.origin_distances ** float(self.alpha)
 
-    def power(self, exponent: float) -> "PowerWeight":
-        """w^delta is again a power weight."""
-        return PowerWeight(float(self.alpha) * float(exponent))
-
 
 @dataclass(frozen=True)
 class TabulatedWeight(WeightModel):
@@ -376,14 +334,6 @@ class TabulatedWeight(WeightModel):
 
 
 UNIT_WEIGHT = PowerWeight(0.0)
-
-
-def measure(w: WeightModel, s: CellSet) -> float:
-    """w(S) = sum over cells of w * h^dim (0 for the empty set)."""
-    if len(s) == 0:
-        return 0.0
-    values = w.sample(s.grid)
-    return float(np.sum(values[s.as_array()]) * s.grid.cell_volume)
 
 
 def lp_norm(

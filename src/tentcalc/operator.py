@@ -128,14 +128,6 @@ class CoefficientField:
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
-    def lam_ell(self) -> float:
-        return min(self.entries)
-
-    @property
-    def big_lam_ell(self) -> float:
-        return max(self.entries)
-
 
 def _take(x: NDArray, axis: int, s: slice) -> NDArray:
     """x sliced by s along the negative axis `axis`."""

@@ -55,8 +55,6 @@ __all__ = [
     "poisson_scalar",
     "subordination_factors",
     "centered_gradient",
-    "OffDiagReport",
-    "offdiag_probe",
 ]
 
 ORDER_CAP = 4
@@ -284,129 +282,3 @@ def poisson_scalar(lam: float, t: float, tol: float = SUBORDINATION_TOL) -> floa
     """Scalar subordination value, the quadrature's closed-form cross-check."""
     return float(subordination_factors(np.array([lam]), t, tol)[0])
 
-
-def _restricted_norm(op: SpectralOperator, g: NDArray, cells: NDArray) -> float:
-    dens = op.weight_values * op.grid.cell_volume
-    return float(np.sqrt(np.sum(g[cells] ** 2 * dens[cells])))
-
-
-@dataclass(frozen=True)
-class OffDiagReport:
-    """Normalized two-ball decay quantities for one semigroup family.
-
-    Quantities are restricted L^2(w) operator ratios on the ball B and the
-    annuli C_j = 2^{j+1}B minus 2^j B; report-only, no pass/fail."""
-
-    family: str
-    t: float
-    radius: float
-    upsilon: float
-    j_values: tuple[int, ...]
-    b_to_b: float
-    c_to_b: tuple[float, ...]
-    b_to_c: tuple[float, ...]
-    empty_annuli: tuple[int, ...]
-    log_ratios_b_to_c: tuple[float, ...]
-    fitted_rate: float | None
-
-
-def offdiag_probe(
-    op: SpectralOperator,
-    family: str,
-    center: int,
-    radius: float,
-    t: float,
-    j_max: int,
-    f: NDArray,
-) -> OffDiagReport:
-    """Probe off-diagonal decay of e^{-t^2 L_w} or e^{-t sqrt(L_w)}.
-
-    For j = 2..j_max the annulus-to-ball and ball-to-annulus quantities
-    are ||1_B T 1_{C_j} f|| / ||1_{C_j} f|| and ||1_{C_j} T 1_B f|| /
-    ||1_B f||; a least-squares line through log(b_to_c) against
-    4^j (radius/t)^2 gives the fitted decay rate."""
-    if family not in ("heat", "poisson"):
-        raise ValueError(f"family must be heat or poisson, got {family!r}")
-    if j_max < 2:
-        raise ValueError(f"j_max must be at least 2, got {j_max}")
-    if 2 ** (j_max + 1) * radius > 0.25 * (1 + 1e-9):
-        raise ValueError(
-            f"annuli out of range: 2^{j_max + 1} * {radius} exceeds 1/4"
-        )
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-
-    grid = op.grid
-    f = np.asarray(f, float)
-
-    def evolve(g: NDArray) -> NDArray:
-        if family == "heat":
-            return heat_eval(op, 0, t, g)
-        return poisson_eval(op, 0, t, g)
-
-    ball = grid.ball(center, radius).as_array()
-    in_ball = np.zeros(grid.n_cells, bool)
-    in_ball[ball] = True
-
-    f_ball = np.where(in_ball, f, 0.0)
-    norm_f_ball = _restricted_norm(op, f, ball)
-    tf_ball = evolve(f_ball)
-
-    if norm_f_ball > 0:
-        b_to_b = _restricted_norm(op, tf_ball, ball) / norm_f_ball
-    else:
-        b_to_b = 0.0
-
-    j_values, c_to_b, b_to_c, empty = [], [], [], []
-    for j in range(2, j_max + 1):
-        outer = grid.ball(center, 2 ** (j + 1) * radius).as_array()
-        inner = grid.ball(center, 2**j * radius).as_array()
-        annulus = np.setdiff1d(outer, inner)
-        j_values.append(j)
-        if annulus.size == 0:
-            empty.append(j)
-            c_to_b.append(0.0)
-            b_to_c.append(0.0)
-            continue
-        in_ann = np.zeros(grid.n_cells, bool)
-        in_ann[annulus] = True
-        f_ann = np.where(in_ann, f, 0.0)
-        norm_f_ann = _restricted_norm(op, f, annulus)
-        if norm_f_ann > 0:
-            c_to_b.append(_restricted_norm(op, evolve(f_ann), ball) / norm_f_ann)
-        else:
-            c_to_b.append(0.0)
-        if norm_f_ball > 0:
-            b_to_c.append(_restricted_norm(op, tf_ball, annulus) / norm_f_ball)
-        else:
-            b_to_c.append(0.0)
-
-    log_ratios = []
-    for a, b in zip(b_to_c, b_to_c[1:]):
-        if a > 0 and b > 0:
-            log_ratios.append(math.log(b / a))
-
-    xs, ys = [], []
-    for j, q in zip(j_values, b_to_c):
-        if q > 0 and j not in empty:
-            xs.append(4.0**j * (radius / t) ** 2)
-            ys.append(math.log(q))
-    rate = None
-    if len(xs) >= 2:
-        slope = np.polyfit(xs, ys, 1)[0]
-        rate = float(-slope)
-
-    ratio = radius / t
-    return OffDiagReport(
-        family=family,
-        t=t,
-        radius=radius,
-        upsilon=max(ratio, 1.0 / ratio),
-        j_values=tuple(j_values),
-        b_to_b=b_to_b,
-        c_to_b=tuple(c_to_b),
-        b_to_c=tuple(b_to_c),
-        empty_annuli=tuple(empty),
-        log_ratios_b_to_c=tuple(log_ratios),
-        fitted_rate=rate,
-    )

@@ -28,14 +28,12 @@ A^alpha <= A^beta for alpha <= beta holds exactly in floating point.  For
 that reason no FFT and no difference of prefix sums is used: either would
 let rounding reverse the order.
 
-The Carleson functionals run over the same closed ball family as the
+The Carleson functional runs over the same closed ball family as the
 maximal operator (all centers, dyadic radii up to 1/2), with the t-range
 0 < t < r_B realized as ladder nodes strictly below r_B:
 
     C_{w,p0}F(x) = sup_{B contains x} ( (1/w(B)) sum_{x' in B}
-                     (truncated cone at x')^{p0} w(x') h^dim )^{1/p0},
-    C_w F(x)     = sup_{B contains x} ( (1/w(B)) sum_{t_j < r_B, y in B}
-                     |F(y,t_j)|^2 w(y) h^dim ln(rho) )^{1/2}.
+                     (truncated cone at x')^{p0} w(x') h^dim )^{1/p0}.
 
 The truncated cone at each cut is its own reverse sum over the nodes below
 the cut, and the sup over balls containing x is an exact max over the
@@ -57,7 +55,6 @@ __all__ = [
     "HalfSpaceField",
     "cone_all",
     "carleson_p_all",
-    "carleson_box_all",
     "fubini_norm_sq",
     "AngleReport",
     "change_of_angle_report",
@@ -161,23 +158,6 @@ def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
         )[0]
         radii.append(r)
         vals.append((mass / wb) ** (1.0 / p0))
-    return _sup_over_balls(grid, radii, vals)
-
-
-def carleson_box_all(fld: HalfSpaceField) -> NDArray:
-    """C_w F at every cell: box averages without the cone."""
-    grid = fld.grid
-    node_mass = fld.values**2 * fld.node_measures()[None, :]
-    cum = np.cumsum(node_mass, axis=0)
-    whn = fld.weight_values * grid.cell_volume
-    radii, vals = [], []
-    for r in grid.dyadic_radii(0.5):
-        j_cut = _truncation_index(fld.ladder, r)
-        if j_cut == 0:
-            continue
-        box, wb = grid.stencil.ball_reduce(np.stack([cum[j_cut - 1], whn]), [r])[0]
-        radii.append(r)
-        vals.append(np.sqrt(box / wb))
     return _sup_over_balls(grid, radii, vals)
 
 

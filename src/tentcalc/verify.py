@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -169,6 +170,12 @@ def reports_to_csv(reports: list[SuiteReport]) -> str:
     return buf.getvalue()
 
 
+def _check_int(name: str, value, low: int):
+    """Reject a config field that is not an integer >= low (bools too)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """The problem that both `sf` and `verify` run on: grid dimension,
@@ -201,11 +208,19 @@ class ProblemConfig:
             raise ValueError(f"ladder_t_max must be in (0, 8], got {self.ladder_t_max}")
         entries = self.coeff_entries
         if entries is not None and (
-            len(entries) != self.dim or not all(e > 0 for e in entries)
+            not isinstance(entries, tuple)
+            or len(entries) != self.dim
+            or not all(
+                isinstance(e, numbers.Real) and not isinstance(e, bool)
+                and math.isfinite(e) and e > 0
+                for e in entries
+            )
         ):
             raise ValueError(
-                f"coeff_entries must be {self.dim} positive values, got {entries}"
+                f"coeff_entries must be a list of {self.dim} finite positive "
+                f"values, got {entries!r}"
             )
+        _check_int("seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemConfig":
@@ -246,6 +261,8 @@ class SuiteConfig(ProblemConfig):
 
     The two sizes are the calibration grid and the revalidation grid,
     each within the dense-operator budget of `check_dense_budget`.
+    drift_limit, the relative coarse-to-fine drift a stability check
+    allows, lies in (0, 1].
     appendix_{r,s,q} are the class indices of the averaging inequality;
     it needs q <= s, and its alpha-power is fitted over at least two
     distinct positive apertures.  Grid sizes and ladder lengths are
@@ -266,8 +283,9 @@ class SuiteConfig(ProblemConfig):
         for n in self.sizes:
             check_dense_budget(self.dim, n)
         super().__post_init__()
-        if self.bank_size < 1:
-            raise ValueError("bank_size must be positive")
+        _check_int("bank_size", self.bank_size, 1)
+        if not 0.0 < self.drift_limit <= 1.0:
+            raise ValueError(f"drift_limit must be in (0, 1], got {self.drift_limit}")
         if self.appendix_q > self.appendix_s:
             raise ValueError(
                 f"averaging inequality needs q <= s, got "

@@ -78,10 +78,6 @@ def ball_mask(grid, radius: float, strict: bool = False) -> np.ndarray:
     return dist < bound if strict else dist <= bound
 
 
-def ball(grid, center: int, radius: float) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.nonzero(ball_mask(grid, radius)[center])[0])
-
-
 def scatter_max(masks, vals, n_cells: int) -> np.ndarray:
     """max of vals[i][c] over the (mask i, center c) balls containing x."""
     out = np.zeros(n_cells)
@@ -131,18 +127,6 @@ def carleson_p_all(fld, p0: float) -> np.ndarray:
         avg = (mask @ (cum[j_cut - 1] ** (p0 / 2) * whn)) / (mask @ whn)
         masks.append(mask)
         vals.append(avg ** (1.0 / p0))
-    return scatter_max(masks, vals, grid.n_cells)
-
-
-def carleson_box_all(fld) -> np.ndarray:
-    grid = fld.grid
-    cum = np.cumsum(fld.values**2 * fld.node_measures()[None, :], axis=0)
-    whn = fld.weight_values * grid.cell_volume
-    masks, vals = [], []
-    for r, j_cut in _cuts(fld):
-        mask = ball_mask(grid, r)
-        masks.append(mask)
-        vals.append(np.sqrt((mask @ cum[j_cut - 1]) / (mask @ whn)))
     return scatter_max(masks, vals, grid.n_cells)
 
 

@@ -78,6 +78,11 @@ class TestRunConfig:
     ({"coeff_entries": (1.0,)}, "coeff_entries"),
     ({"coeff_entries": (1.0, 2.0, 3.0)}, "coeff_entries"),
     ({"coeff_entries": (1.0, 0.0)}, "coeff_entries"),
+    ({"coeff_entries": 5}, "coeff_entries"),
+    ({"coeff_entries": ("x", 1.0)}, "coeff_entries"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 @pytest.mark.parametrize("config_cls", [RunConfig, verify.SuiteConfig])
 def test_shared_fields_rejected_alike(config_cls, bad, match):
@@ -334,17 +339,25 @@ class TestVerifyCommand:
             assert "grid size" in result.output or "nodes" in result.output
             assert not os.path.exists("verify_report.json")
 
-    @pytest.mark.parametrize("config", [
-        {"weight_alpha": 3.0},
-        {"weight_alpha": -2.5},
-        {"ladder_ratio": 4.0},
-        {"coeff_entries": [1.0]},
-        {"appendix_alphas": []},
-        {"appendix_alphas": [1.0]},
-        {"appendix_alphas": [1.0, -0.5]},
+    @pytest.mark.parametrize("config, field", [
+        ({"weight_alpha": 3.0}, "alpha"),
+        ({"weight_alpha": -2.5}, "alpha"),
+        ({"ladder_ratio": 4.0}, "ladder_ratio"),
+        ({"coeff_entries": [1.0]}, "coeff_entries"),
+        ({"appendix_alphas": []}, "appendix_alphas"),
+        ({"appendix_alphas": [1.0]}, "appendix_alphas"),
+        ({"appendix_alphas": [1.0, -0.5]}, "appendix_alphas"),
+        ({"drift_limit": -1}, "drift_limit"),
+        ({"drift_limit": float("nan")}, "drift_limit"),
+        ({"bank_size": True, "sizes": [8, 16]}, "bank_size"),
+        ({"bank_size": 2.5}, "bank_size"),
+        ({"seed": 1.5}, "seed"),
+        ({"coeff_entries": 5}, "coeff_entries"),
     ], ids=["alpha-high", "alpha-low", "ratio", "coeff", "alphas-empty",
-            "alphas-one", "alphas-negative"])
-    def test_bad_config_rejected_before_assembly(self, runner, monkeypatch, config):
+            "alphas-one", "alphas-negative", "drift-negative", "drift-nan",
+            "bank-bool", "bank-float", "seed-float", "coeff-scalar"])
+    def test_bad_config_rejected_before_assembly(self, runner, monkeypatch, config,
+                                                 field):
         def no_assembly(*args, **kwargs):
             pytest.fail("operator assembled for a config that must be rejected")
 
@@ -355,6 +368,7 @@ class TestVerifyCommand:
             result = runner.invoke(main, ["verify", "--config", "cfg.json"])
             assert result.exit_code == 1, result.output
             assert result.output.startswith("error: ")
+            assert field in result.output
             assert not os.path.exists("verify_report.json")
 
     def test_report_csv_bytes(self, runner):

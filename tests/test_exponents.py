@@ -21,7 +21,6 @@ from tentcalc.exponents import (
     power_weight_in_ap,
     power_weight_in_rh,
     range_W,
-    range_to_json,
     sobolev_exponent,
     surrogate_p_bounds,
 )
@@ -182,7 +181,6 @@ class TestRangeW:
     def test_empty_flag(self):
         r = range_W(F(6, 5), 2, CriticalPair(ext(2), ext(2)))
         assert r.empty
-        assert range_to_json(r)["empty"] is True
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

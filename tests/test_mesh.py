@@ -10,21 +10,24 @@ from hypothesis import given, settings, strategies as st
 from dense_reference import ball_mask, distance_matrix
 from tentcalc.mesh import (
     UNIT_WEIGHT,
-    CellSet,
     Grid,
     PowerWeight,
     TabulatedWeight,
     lp_norm,
     maximal,
-    measure,
 )
 
 RTOL = 1e-12
 
 
-def whole(grid):
-    """The set of every cell of the grid."""
-    return CellSet(grid, tuple(range(grid.n_cells)))
+def membership(grid, radii):
+    """m[i, y, x] = 1 if y lies in the stencil's closed ball B(x, radii[i])."""
+    return grid.stencil.ball_reduce(np.eye(grid.n_cells), radii)
+
+
+def ball_measures(w, grid, radius):
+    """w(B(x, radius)) at every center x, summed on the stencil."""
+    return grid.stencil.ball_reduce(w.sample(grid) * grid.cell_volume, [radius])[0]
 
 
 class TestGrid:
@@ -67,10 +70,12 @@ class TestGrid:
 
     def test_ball_closed_includes_boundary(self):
         g = Grid(1, 8)
-        # centers 0.0625 and 0.3125 are exactly 0.25 apart
-        b = g.ball(0, 0.25)
-        assert 2 in b.indices
-        assert g.distances_to(g.centers[0])[2] == pytest.approx(0.25)
+        # centers 0.0625 and 0.3125 are exactly 0.25 apart: offsets 0,
+        # +-h and the tied +-2h make the closed ball
+        assert g.distances_to(g.centers[0])[2] == 0.25
+        npt.assert_array_equal(g.stencil.distances[3:5], 0.25)
+        assert g.stencil.counts(0.25)[0] == 5
+        assert membership(g, [0.25])[0, 2, 0] == 1.0
 
     def test_shift_perm_roundtrip(self):
         g = Grid(2, 4)
@@ -116,9 +121,7 @@ class TestGrid:
 
     def test_ball_mask_matches_ball(self):
         g = Grid(2, 6)
-        mask = ball_mask(g, 0.3)
-        b = g.ball(7, 0.3)
-        npt.assert_array_equal(np.nonzero(mask[7])[0], b.as_array())
+        npt.assert_array_equal(membership(g, [0.3])[0], ball_mask(g, 0.3))
 
 
 class TestWeights:
@@ -139,9 +142,6 @@ class TestWeights:
         v = PowerWeight(2.0).sample(g)
         assert v[0] == pytest.approx(0.0625**2)
 
-    def test_power_of_power(self):
-        assert PowerWeight(1.5).power(-1.0) == PowerWeight(-1.5)
-
     def test_tabulated_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             TabulatedWeight((1.0, 0.0, 2.0))
@@ -154,23 +154,19 @@ class TestWeights:
 
 class TestMeasure:
     def test_unit_weight_whole_grid(self):
+        # radius sqrt(2)/2 is the largest periodic distance in dim 2
         g = Grid(2, 8)
-        assert measure(UNIT_WEIGHT, whole(g)) == pytest.approx(1.0, rel=RTOL)
+        npt.assert_allclose(ball_measures(UNIT_WEIGHT, g, np.sqrt(2) / 2), 1.0, rtol=RTOL)
 
     def test_single_cell(self):
         g = Grid(1, 8)
-        assert measure(UNIT_WEIGHT, CellSet.single(g, 3)) == pytest.approx(0.125)
-
-    def test_empty_set(self):
-        g = Grid(1, 8)
-        assert measure(UNIT_WEIGHT, CellSet.empty(g)) == 0.0
+        npt.assert_array_equal(ball_measures(UNIT_WEIGHT, g, g.h / 4), 0.125)
 
     def test_power_weight_whole_grid_frozen(self):
         # independently computed: sum_{i<8} d_i * (1/8) with
         # d = (1,3,5,7,7,5,3,1)/16 sums to 32/16, so the measure is 0.25
         g = Grid(1, 8)
-        got = measure(PowerWeight(1.0), whole(g))
-        assert got == pytest.approx(0.25, rel=RTOL)
+        npt.assert_allclose(ball_measures(PowerWeight(1.0), g, 0.5), 0.25, rtol=RTOL)
 
 
 class TestLpNorm:
@@ -287,36 +283,26 @@ class TestMaximal:
 
 
 class TestBallProperties:
-    @given(
-        c1=st.integers(0, 35),
-        c2=st.integers(0, 35),
-        r=st.floats(0.05, 0.7),
-    )
+    # x in B(y, r) iff y in B(x, r) is what makes the stencil's Fubini
+    # identities exact
+    @given(r=st.floats(0.05, 0.7))
     @settings(max_examples=60, deadline=None)
-    def test_symmetry(self, c1, c2, r):
-        g = Grid(2, 6)
-        in12 = c2 in g.ball(c1, r).indices
-        in21 = c1 in g.ball(c2, r).indices
-        assert in12 == in21
+    def test_symmetry(self, r):
+        m = membership(Grid(2, 6), [r])[0]
+        npt.assert_array_equal(m, m.T)
 
-    @given(
-        c=st.integers(0, 15),
-        r1=st.floats(0.05, 0.4),
-        r2=st.floats(0.05, 0.4),
-    )
+    @given(r1=st.floats(0.05, 0.4), r2=st.floats(0.05, 0.4))
     @settings(max_examples=60, deadline=None)
-    def test_monotone_in_radius(self, c, r1, r2):
-        g = Grid(1, 16)
-        lo, hi = sorted((r1, r2))
-        small = set(g.ball(c, lo).indices)
-        big = set(g.ball(c, hi).indices)
-        assert small <= big
+    def test_monotone_in_radius(self, r1, r2):
+        small, big = membership(Grid(1, 16), sorted((r1, r2)))
+        assert np.all(small <= big)
 
-    @given(c=st.integers(0, 35), r=st.floats(0.05, 0.7))
+    @given(r=st.floats(0.05, 0.7))
     @settings(max_examples=40, deadline=None)
-    def test_measure_monotone_sets(self, c, r):
+    def test_measure_monotone_sets(self, r):
+        # exact in floating point: the larger ball's sum continues the
+        # smaller one's with non-negative terms
         g = Grid(2, 6)
-        b = g.ball(c, r)
-        sub = CellSet(g, b.indices[: max(1, len(b) // 2)])
-        w = PowerWeight(-0.5)
-        assert measure(w, sub) <= measure(w, b) + 1e-15
+        dens = PowerWeight(-0.5).sample(g) * g.cell_volume
+        small, big = g.stencil.ball_reduce(dens, [r / 2, r])
+        assert np.all(small <= big)

@@ -1,4 +1,4 @@
-"""Tests for heat/Poisson evaluation, subordination and the decay probe."""
+"""Tests for heat/Poisson evaluation and subordination."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from tentcalc.semigroup import (
     centered_gradient,
     grad_eval,
     heat_eval,
-    offdiag_probe,
     poisson_eval,
     poisson_grad_eval,
     poisson_scalar,
@@ -328,50 +327,3 @@ class TestArrayTimes:
             with pytest.raises(ValueError, match="power"):
                 evaluator(op_flat16, order, 0.1, f)
 
-
-class TestOffdiagProbe:
-    def test_decay_monotone_flat_heat(self):
-        g = Grid(1, 64)
-        op = assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
-        center = 32
-        radius = g.h
-        f = np.zeros(64)
-        f[g.ball(center, radius).as_array()] = 1.0
-        rep = offdiag_probe(op, "heat", center, radius, t=0.05, j_max=3, f=f)
-        assert rep.b_to_c[0] > rep.b_to_c[1] > 0
-        assert all(r < 0 for r in rep.log_ratios_b_to_c)
-        assert rep.fitted_rate is not None and rep.fitted_rate > 0
-
-    def test_zero_function(self):
-        g = Grid(1, 64)
-        op = assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
-        rep = offdiag_probe(op, "heat", 10, g.h, t=0.1, j_max=3, f=np.zeros(64))
-        assert rep.b_to_b == 0.0
-        assert all(q == 0.0 for q in rep.c_to_b)
-        assert all(q == 0.0 for q in rep.b_to_c)
-
-    def test_annuli_range_check(self):
-        g = Grid(1, 16)
-        op = assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
-        with pytest.raises(ValueError, match="annuli"):
-            offdiag_probe(op, "heat", 0, 4 * g.h, t=0.1, j_max=3, f=np.ones(16))
-
-    def test_empty_annulus_reported(self):
-        g = Grid(1, 64)
-        op = assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
-        radius = g.h / 16
-        rep = offdiag_probe(op, "heat", 5, radius, t=0.1, j_max=3, f=np.ones(64))
-        assert 2 in rep.empty_annuli
-
-    def test_upsilon(self):
-        g = Grid(1, 64)
-        op = assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
-        f = np.ones(64)
-        rep = offdiag_probe(op, "poisson", 0, g.h, t=0.5, j_max=3, f=f)
-        assert rep.upsilon == pytest.approx(0.5 / g.h)
-
-    def test_rejects_bad_family(self):
-        g = Grid(1, 16)
-        op = assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
-        with pytest.raises(ValueError, match="family"):
-            offdiag_probe(op, "wave", 0, g.h, t=0.1, j_max=2, f=np.ones(16))
