@@ -39,6 +39,8 @@ from .verify import (
     BankFunction,
     ProblemConfig,
     SuiteConfig,
+    _check_int,
+    _check_real,
     materialize,
     reports_to_csv,
     run_suites,
@@ -79,12 +81,15 @@ class RunConfig(ProblemConfig):
     ladder_t_min: float | None = None
 
     def __post_init__(self):
+        _check_int("n", self.n, 1)
         check_dense_budget(self.dim, self.n)
         super().__post_init__()
-        if self.ladder_t_min is not None and not 0.0 < self.ladder_t_min < self.ladder_t_max:
-            raise ValueError(
-                f"ladder_t_min must be in (0, t_max), got {self.ladder_t_min}"
-            )
+        if self.ladder_t_min is not None:
+            _check_real("ladder_t_min", self.ladder_t_min)
+            if not 0.0 < self.ladder_t_min < self.ladder_t_max:
+                raise ValueError(
+                    f"ladder_t_min must be in (0, t_max), got {self.ladder_t_min}"
+                )
         self.build_ladder(Grid(self.dim, self.n))
 
     def build_ladder(self, grid: Grid) -> TimeLadder:

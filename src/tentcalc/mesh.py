@@ -16,13 +16,12 @@ On the torus d(x, y) depends only on the offset y - x, so every ball family
 is one translation-invariant stencil: the M cell offsets sorted by distance
 (`BallStencil`, one per grid size per process).  A ball of any radius is a
 prefix of that order, and a ball sum at x is the sum of the field shifted
-by each offset in the prefix.  Sums over nested balls run as prefix
-reductions in the one fixed offset order, never as FFT convolutions or
-differences of prefix sums: with non-negative terms, a fixed order makes
-every sum over a larger ball at least the sum over a smaller one in
-floating point too, which the tolerance-0 aperture-monotonicity check
-relies on.  Geometry memory is O(M); no pairwise distance matrix is
-formed.
+by each offset in the prefix.  Ball sums run in orders fixed by the grid,
+never as FFT convolutions or differences of prefix sums: with
+non-negative terms, a fixed order makes every sum over a larger ball at
+least the sum over a smaller one in floating point too, which the
+tolerance-0 aperture-monotonicity check relies on.  Geometry memory is
+O(M); no pairwise distance matrix is formed.
 
 Weighted measures and norms use the cell quadrature
 
@@ -177,31 +176,45 @@ def _stencil(grid: Grid) -> "BallStencil":
     return BallStencil(grid)
 
 
+# the value that nested_reduce gives offsets outside the largest ball
+_IDENTITY = {np.add: 0.0, np.maximum: -np.inf}
+
+
 class BallStencil:
     """The M cell offsets of a Grid sorted by periodic center distance.
 
-    Offset k carries the distance from cell 0 to cell k, computed exactly
-    as `Grid.distances_to`; the sort is stable, so equal distances
-    keep flat-index order.  The ball B(x, r) is x plus the offsets whose
-    distance is at most r (below r for strict balls), with the 1e-9 tie
-    slack toward inclusion, and is always a prefix of the order.  Every
-    reduction visits offsets in this one order; sums accumulate
-    sequentially.
+    Offset k carries the periodic distance from cell 0 to cell k, taken
+    per axis from integer indices as min(i, N-i)/N, so it is exactly
+    mirror-symmetric (i -> N-i) and transpose-symmetric at every side; at
+    sides that are powers of two it equals `Grid.distances_to` of cell 0
+    bit for bit.  The sort is stable, so equal distances keep flat-index
+    order.  The ball B(x, r) is x plus the offsets whose distance is at
+    most r (below r for strict balls), with the 1e-9 tie slack toward
+    inclusion, and is always a prefix of the order.
 
-    Fields are shifted through a periodically doubled copy, so each
-    shifted field is a strided view rather than a gather.
+    `ball_reduce` and `shifts` visit offsets in this order and accumulate
+    sequentially, shifting fields through a periodically doubled copy so
+    that each shifted field is a strided view rather than a gather.
+    `nested_reduce` sums by rows and columns of offsets instead (see
+    there).
 
     `Grid.stencil` holds one stencil per grid size per process, shared by
     every Grid of that size, so `distances` is read-only.
     """
 
     def __init__(self, grid: Grid):
-        dist = grid.distances_to(grid.centers[0])
+        n = grid.n_side
+        i = np.arange(n)
+        dist = np.sqrt(np.sum(grid._per_cell(np.minimum(i, n - i) / n) ** 2, axis=1))
         order = np.argsort(dist, kind="stable")
         self.distances: NDArray = dist[order]
         self.distances.flags.writeable = False
-        n = grid.n_side
         self._shape = (n,) * grid.dim
+        # nested_reduce sees a field as a plane of rows x columns, a 1-D
+        # field as one row; by mirror symmetry it needs only the columns
+        # 0..N/2 of the offset distances
+        self._plane = (1, n) if grid.dim == 1 else (n, n)
+        self._half_distances = dist.reshape(self._plane)[:, : n // 2 + 1]
         # one tuple of per-axis slices per offset; map and zip iterate in
         # C, with no Python frame per offset
         starts = np.unravel_index(order, self._shape)
@@ -263,30 +276,66 @@ class BallStencil:
     def nested_reduce(
         self, values: NDArray, radii, strict: bool = False, ufunc=np.add
     ) -> NDArray:
-        """out(x) = ufunc over i and y in B(x, radii[i]) of values[i](y).
+        """out(x) = ufunc over i and y in B(x, radii[i]) of values[i](y),
+        for ufunc np.add or np.maximum.
 
         `values` has shape (len(radii), M).  Offset o lies in the balls
-        of radii[i] for i >= first(o), so the suffix reductions over i
-        are taken first and the result is one pass over the offsets of
-        the largest ball.  By ball symmetry, ufunc = np.maximum gives at
-        each x the sup of values[i](c) over all balls B(c, radii[i])
-        that contain x.
+        of radii[i] for i >= layer(o), so the suffix reductions S over i
+        are taken first and o contributes S[layer(o)](x + o); offsets
+        outside the largest ball get an extra layer holding the identity
+        (0, or -inf for np.maximum).  With offsets o = (a, b) in rows and
+        columns of the plane, the row sums
+
+            R_b(y) = ufunc over a of S[layer(a, b)](y_1 + a, y_2)
+
+        take one gather per row offset a over all columns b at once, and
+        out(x) = ufunc over b of R_b(x_1, x_2 + b) takes one step per
+        column offset.  Ball symmetry gives R_{N-b} = R_b, so only
+        b <= N/2 is built.  Rows and columns wholly outside the largest
+        ball hold only the identity and are skipped, which leaves every
+        result exactly as if they were reduced too.
+
+        So the reduction tree is fixed by the grid alone, whatever the
+        radii, and every leaf is one suffix value.  For non-negative
+        values a suffix only grows as the layer falls, so growing the
+        radii grows every leaf and, since rounding is monotone, every
+        sum: monotonicity in the radii holds exactly in floating point,
+        and an all-zero payload gives exact zeros.  By ball symmetry,
+        ufunc = np.maximum gives at each x the sup of values[i](c) over
+        all balls B(c, radii[i]) that contain x.
         """
         values = np.asarray(values, float)
         bounds = self._bounds(radii)
         if values.shape != (bounds.size, self.distances.size):
             raise ValueError(f"values shape {values.shape}: need one row per radius")
-        stop = int(self.counts(radii, strict)[-1])
-        # offset k lies in the ball of radii[i] iff i >= first[k]
-        first = np.searchsorted(
-            bounds, self.distances[:stop], side="right" if strict else "left"
+        if ufunc not in _IDENTITY:
+            raise ValueError(f"nested_reduce supports np.add and np.maximum, got {ufunc}")
+        layer = np.searchsorted(
+            bounds, self._half_distances, side="right" if strict else "left"
         )
-        suffix = ufunc.accumulate(values[::-1], axis=0)[::-1]
-        tiled = self._tile(suffix)
-        acc = tiled[(int(first[0]), *self._windows[0])].copy()
-        for layer, window in zip(first[1:].tolist(), self._windows[1:stop]):
-            ufunc(acc, tiled[(layer, *window)], out=acc)
-        return acc.reshape(values.shape[1:])
+        inside = layer < bounds.size
+        rows = np.flatnonzero(inside.any(axis=1)).tolist()
+        n_cols = int(np.flatnonzero(inside.any(axis=0))[-1]) + 1
+        n_rows, n_side = self._plane
+        # suffix[i] = ufunc over i' >= i of values[i'], doubled along the
+        # rows so that each row offset is a slice
+        suffix = np.empty((bounds.size + 1, 2 * n_rows, n_side))
+        suffix[-1] = _IDENTITY[ufunc]
+        planes = values.reshape((bounds.size, n_rows, n_side))
+        for i in range(bounds.size - 1, -1, -1):
+            ufunc(suffix[i + 1, :n_rows], planes[i], out=suffix[i, :n_rows])
+        suffix[:, n_rows:] = suffix[:, :n_rows]
+        # the largest ball holds offset 0, so rows[0] == 0
+        acc = suffix[layer[0, :n_cols], :n_rows]
+        for a in rows[1:]:
+            ufunc(acc, suffix[layer[a, :n_cols], a : a + n_rows], out=acc)
+        doubled = np.concatenate([acc, acc], axis=-1)
+        out = acc[0].copy()
+        for b in range(1, n_cols):
+            ufunc(out, doubled[b, :, b : b + n_side], out=out)
+            if 2 * b != n_side:
+                ufunc(out, doubled[b, :, n_side - b : 2 * n_side - b], out=out)
+        return out.reshape(values.shape[1:])
 
 
 class WeightModel:

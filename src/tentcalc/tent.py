@@ -18,15 +18,16 @@ reproduces w(B(y,t_j)) exactly, so the normalizers cancel.
 
 Both are evaluated on the grid's ball stencil (see mesh).  The normalizing
 measures are snapshots of one running ball sum over the distance-sorted
-offsets, cached per (grid, weight, ladder).  The cone sum takes the
-reverse cumulative sums R[j] = sum_{j' >= j} payload[j'] over the ladder
-and adds R[j_alpha(o)] shifted by each offset o, where j_alpha(o) is the
-first node whose strict alpha-cone contains o; this is O(M) work per
-offset instead of one dense M x M product per node.  The offsets run in
-the same order for every aperture and every term is non-negative, so
-A^alpha <= A^beta for alpha <= beta holds exactly in floating point.  For
-that reason no FFT and no difference of prefix sums is used: either would
-let rounding reverse the order.
+offsets; divided into w(y) h^dim ln(rho), they are cached per (grid,
+weight, ladder) as the field-independent factor of the integrand.  The
+cone sum is one `BallStencil.nested_reduce` of the integrand over the
+radii alpha t_j: offset o adds the ladder suffix sum from the first node
+whose strict alpha-cone contains o, and the offsets are summed by rows
+and columns in an order fixed by the grid alone.  That order is the same
+for every aperture and every term is non-negative, so A^alpha <= A^beta
+for alpha <= beta holds exactly in floating point.  For that reason no
+FFT and no difference of prefix sums is used: either would let rounding
+reverse the order.
 
 The Carleson functional runs over the same closed ball family as the
 maximal operator (all centers, dyadic radii up to 1/2), with the t-range
@@ -92,20 +93,22 @@ class HalfSpaceField:
 
 
 @lru_cache(maxsize=16)
-def _ball_measures(grid: Grid, weight: WeightModel, ladder: TimeLadder) -> NDArray:
-    """(J, M) read-only array of w(B(y, t_j)) over strict balls: the
-    cone's normalizing measures, which do not depend on the field."""
+def _cone_factors(grid: Grid, weight: WeightModel, ladder: TimeLadder) -> NDArray:
+    """(J, M) read-only array of w(y) h^dim ln(rho) / w(B(y, t_j)) over
+    strict balls: the part of the cone integrand that does not depend on
+    the field."""
     whn = weight.sample(grid) * grid.cell_volume
     out = grid.stencil.ball_reduce(whn, ladder.nodes, strict=True)
+    np.divide(whn * ladder.node_weight, out, out=out)
     out.flags.writeable = False
     return out
 
 
 def _cone_payload(fld: HalfSpaceField) -> NDArray:
     """(J, M) node integrands |F|^2 w h^dim ln(rho) / w(B(y, t_j))."""
-    whn = fld.weight_values * fld.grid.cell_volume
-    wball = _ball_measures(fld.grid, fld.weight, fld.ladder)
-    return fld.values**2 * whn * fld.ladder.node_weight / wball
+    payload = np.square(fld.values)
+    payload *= _cone_factors(fld.grid, fld.weight, fld.ladder)
+    return payload
 
 
 def _cone_sq(fld: HalfSpaceField, payload: NDArray, alpha: float) -> NDArray:

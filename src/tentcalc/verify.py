@@ -176,6 +176,15 @@ def _check_int(name: str, value, low: int):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_real(name: str, value):
+    """Reject a config field that is not a real number (bools too), so
+    that the range checks after it compare numbers.  A bounded range
+    also rejects NaN and infinities; unbounded fields check finiteness
+    themselves."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """The problem that both `sf` and `verify` run on: grid dimension,
@@ -183,10 +192,11 @@ class ProblemConfig:
     None), geometric time ladder and seed.
 
     The weight is in A_2 exactly when -dim < weight_alpha < dim.  These
-    fields are checked here.  Each extension checks its grid sizes (which
-    also fixes dim in {1, 2}) before calling `__post_init__` here and its
-    own fields after, so a bad config is rejected before anything is
-    allocated.
+    fields are checked here, each for its type (an int, or a finite real
+    that is not a bool) before its range.  Each extension checks its
+    grid sizes (which also fixes dim in {1, 2}) before calling
+    `__post_init__` here and its own fields after, so a bad config is
+    rejected before anything is allocated.
     """
 
     dim: int = 2
@@ -197,6 +207,9 @@ class ProblemConfig:
     seed: int = 7
 
     def __post_init__(self):
+        _check_int("dim", self.dim, 1)
+        for name in ("weight_alpha", "ladder_ratio", "ladder_t_max"):
+            _check_real(name, getattr(self, name))
         if not -self.dim < self.weight_alpha < self.dim:
             raise ValueError(
                 f"alpha outside (-n, n): weight power {self.weight_alpha} "
@@ -278,12 +291,22 @@ class SuiteConfig(ProblemConfig):
     appendix_alphas: tuple[float, ...] = (1.0, 0.5, 0.25)
 
     def __post_init__(self):
-        if len(self.sizes) != 2 or self.sizes[0] >= self.sizes[1]:
+        if not isinstance(self.sizes, tuple) or len(self.sizes) != 2:
+            raise ValueError(f"sizes must be (coarse, fine), got {self.sizes!r}")
+        for n in self.sizes:
+            _check_int("sizes", n, 1)
+        if self.sizes[0] >= self.sizes[1]:
             raise ValueError(f"sizes must be (coarse, fine), got {self.sizes}")
         for n in self.sizes:
             check_dense_budget(self.dim, n)
         super().__post_init__()
         _check_int("bank_size", self.bank_size, 1)
+        _check_real("drift_limit", self.drift_limit)
+        for name in ("appendix_r", "appendix_s", "appendix_q"):
+            value = getattr(self, name)
+            _check_real(name, value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.drift_limit <= 1.0:
             raise ValueError(f"drift_limit must be in (0, 1], got {self.drift_limit}")
         if self.appendix_q > self.appendix_s:
@@ -292,10 +315,14 @@ class SuiteConfig(ProblemConfig):
                 f"q={self.appendix_q}, s={self.appendix_s}"
             )
         alphas = self.appendix_alphas
-        if len(set(alphas)) < 2 or not all(a > 0 for a in alphas):
+        if not isinstance(alphas, tuple):
+            raise ValueError(f"appendix_alphas must be a list, got {alphas!r}")
+        for a in alphas:
+            _check_real("appendix_alphas", a)
+        if len(set(alphas)) < 2 or not all(0 < a < math.inf for a in alphas):
             raise ValueError(
-                f"appendix_alphas needs at least two distinct positive values, "
-                f"got {alphas}"
+                f"appendix_alphas needs at least two distinct positive finite "
+                f"values, got {alphas}"
             )
         # the finest grid carries the longest ladders
         fine = Grid(self.dim, self.sizes[1])

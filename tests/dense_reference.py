@@ -86,6 +86,11 @@ def scatter_max(masks, vals, n_cells: int) -> np.ndarray:
     return out
 
 
+def scatter_sum(masks, vals) -> np.ndarray:
+    """sum over i of the ball sums of vals[i], mask i centered at x."""
+    return sum(mask @ v for mask, v in zip(masks, vals))
+
+
 def ball_min(values, mask) -> np.ndarray:
     return np.where(mask, values[None, :], np.inf).min(axis=1)
 

@@ -83,6 +83,12 @@ class TestRunConfig:
     ({"seed": 1.5}, "seed"),
     ({"seed": -1}, "seed"),
     ({"seed": True}, "seed"),
+    ({"dim": 2.0}, "dim must be an integer"),
+    ({"dim": True}, "dim must be an integer"),
+    ({"weight_alpha": "x"}, "weight_alpha must be a real number"),
+    ({"weight_alpha": True}, "weight_alpha must be a real number"),
+    ({"ladder_ratio": "x"}, "ladder_ratio must be a real number"),
+    ({"ladder_t_max": "x"}, "ladder_t_max must be a real number"),
 ])
 @pytest.mark.parametrize("config_cls", [RunConfig, verify.SuiteConfig])
 def test_shared_fields_rejected_alike(config_cls, bad, match):
@@ -240,6 +246,23 @@ class TestSf:
         assert result.exit_code == 1
         assert "S_P" in result.output
 
+    @pytest.mark.parametrize("config, field", [
+        ({"n": 16.5}, "n must be an integer"),
+        ({"n": "x"}, "n must be an integer"),
+        ({"dim": 2.0}, "dim must be an integer"),
+        ({"ladder_t_min": "x"}, "ladder_t_min must be a real number"),
+    ], ids=["n-float", "n-string", "dim-float", "t-min-string"])
+    def test_mistyped_config_rejected(self, runner, config, field):
+        # rejected when read, with the field named rather than a Python
+        # comparison error, and no output written
+        with runner.isolated_filesystem():
+            _write_json("cfg.json", config)
+            result = runner.invoke(main, ["sf", "--kind", "SH",
+                                          "--config", "cfg.json"])
+            assert result.exit_code == 1, result.output
+            assert result.output.startswith(f"error: {field}")
+            assert not os.path.exists("sf_field.csv")
+
     def test_unknown_config_key_rejected(self, runner):
         with runner.isolated_filesystem():
             _write_json("cfg.json", {"dim": 1, "n": 16, "weight_beta": 0.5})
@@ -353,9 +376,22 @@ class TestVerifyCommand:
         ({"bank_size": 2.5}, "bank_size"),
         ({"seed": 1.5}, "seed"),
         ({"coeff_entries": 5}, "coeff_entries"),
+        ({"sizes": [8.5, 16]}, "sizes must be an integer"),
+        ({"sizes": 16}, "sizes"),
+        ({"appendix_r": float("nan")}, "appendix_r must be finite"),
+        ({"appendix_q": float("nan")}, "appendix_q must be finite"),
+        ({"appendix_s": float("inf")}, "appendix_s must be finite"),
+        ({"weight_alpha": "x"}, "weight_alpha must be a real number"),
+        ({"drift_limit": "x"}, "drift_limit must be a real number"),
+        ({"appendix_alphas": [1, "x"]}, "appendix_alphas must be a real number"),
+        ({"appendix_alphas": 1}, "appendix_alphas"),
+        ({"appendix_alphas": [1.0, float("inf")]}, "appendix_alphas"),
     ], ids=["alpha-high", "alpha-low", "ratio", "coeff", "alphas-empty",
             "alphas-one", "alphas-negative", "drift-negative", "drift-nan",
-            "bank-bool", "bank-float", "seed-float", "coeff-scalar"])
+            "bank-bool", "bank-float", "seed-float", "coeff-scalar",
+            "sizes-float", "sizes-scalar", "r-nan", "q-nan", "s-inf",
+            "alpha-string", "drift-string", "alphas-string", "alphas-scalar",
+            "alphas-inf"])
     def test_bad_config_rejected_before_assembly(self, runner, monkeypatch, config,
                                                  field):
         def no_assembly(*args, **kwargs):

@@ -94,6 +94,72 @@ class TestGeometry:
         )
 
 
+class TestNestedReduce:
+    """The row-and-column pass of `nested_reduce` on odd and even sides,
+    with radius lists whose largest ball is smaller than the torus (so
+    rows and columns are skipped) and lists that cover it."""
+
+    SIDES = [(1, 7), (1, 16), (2, 9), (2, 12), (2, 16)]
+
+    @staticmethod
+    def radius_lists(grid):
+        h = grid.h
+        return [[h], [0.5 * h, h, 2.5 * h], [h, 3 * h, 3 * h, 4.5 * h],
+                grid.dyadic_radii(0.5), [0.1, 0.8]]
+
+    @pytest.mark.parametrize("dim, n", SIDES)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_dense(self, dim, n, strict):
+        grid = Grid(dim, n)
+        rng = np.random.default_rng(n + 10 * dim)
+        for radii in self.radius_lists(grid):
+            vals = rng.random((len(radii), grid.n_cells))
+            masks = [dense.ball_mask(grid, r, strict) for r in radii]
+            npt.assert_array_equal(
+                grid.stencil.nested_reduce(vals, radii, strict, ufunc=np.maximum),
+                dense.scatter_max(masks, vals, grid.n_cells),
+            )
+            assert_close(
+                grid.stencil.nested_reduce(vals, radii, strict),
+                dense.scatter_sum(masks, vals),
+            )
+
+    @given(
+        side=st.sampled_from(SIDES),
+        strict=st.booleans(),
+        density=st.sampled_from([0.01, 0.05, 0.3]),
+        scales=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_monotone_and_exact_zeros(self, side, strict, density, scales, seed):
+        dim, n = side
+        grid = Grid(dim, n)
+        ladder = np.sort([grid.h, 2 * grid.h, 0.2, 0.45])
+        rng = np.random.default_rng(seed)
+        vals = rng.random((ladder.size, grid.n_cells))
+        vals *= rng.random(vals.shape) < density
+        sums = []
+        for scale in sorted(scales):
+            radii = scale * ladder
+            got = grid.stencil.nested_reduce(vals, radii, strict)
+            # a cell that no ball reaches with a nonzero value is exactly 0
+            masks = [dense.ball_mask(grid, r, strict) for r in radii]
+            reach = dense.scatter_sum(masks, (vals != 0).astype(float))
+            npt.assert_array_equal(got[reach == 0], 0.0)
+            assert np.all(got[reach > 0] > 0)
+            sums.append(got)
+        for lo, hi in zip(sums, sums[1:]):
+            assert np.all(lo <= hi)  # tolerance 0
+        zero = grid.stencil.nested_reduce(np.zeros_like(vals), ladder, strict)
+        npt.assert_array_equal(zero, 0.0)
+
+    def test_rejects_other_reductions(self):
+        grid = Grid(1, 8)
+        with pytest.raises(ValueError, match="np.add and np.maximum"):
+            grid.stencil.nested_reduce(np.ones((1, 8)), [0.25], ufunc=np.minimum)
+
+
 class TestTent:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_cone(self, fld, alpha):
