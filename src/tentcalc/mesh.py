@@ -13,11 +13,12 @@ than approximate.  Closed balls use d <= r, strict balls d < r; both get a
 relative tie slack of 1e-9 toward inclusion.
 
 On the torus d(x, y) depends only on the offset y - x, so every ball family
-is one translation-invariant stencil: the M cell offsets sorted by distance
-(`BallStencil`, one per grid size per process).  A ball of any radius is a
-prefix of that order, and a ball sum at x is the sum of the field shifted
-by each offset in the prefix.  Ball sums run in orders fixed by the grid,
-never as FFT convolutions or differences of prefix sums: with
+is one translation-invariant stencil: the M cell offsets with their
+distances (`BallStencil`, one per grid size per process).  Distances are
+mirror-symmetric per axis, so in every column of offsets a ball holds a
+symmetric interval of rows, and every ball reduction runs as a row step
+and a column step over those intervals.  Ball sums run in orders fixed by
+the grid, never as FFT convolutions or differences of prefix sums: with
 non-negative terms, a fixed order makes every sum over a larger ball at
 least the sum over a smaller one in floating point too, which the
 tolerance-0 aperture-monotonicity check relies on.  Geometry memory is
@@ -176,51 +177,45 @@ def _stencil(grid: Grid) -> "BallStencil":
     return BallStencil(grid)
 
 
-# the value that nested_reduce gives offsets outside the largest ball
-_IDENTITY = {np.add: 0.0, np.maximum: -np.inf}
+# the reductions the stencil runs, each with its identity: the value a
+# ball_reduce ball starts from and nested_reduce's outside layer holds
+_IDENTITY = {np.add: 0.0, np.minimum: np.inf, np.maximum: -np.inf, np.logaddexp: -np.inf}
 
 
 class BallStencil:
-    """The M cell offsets of a Grid sorted by periodic center distance.
+    """The M cell offsets of a Grid with their periodic distances, and
+    the two ball reductions over them.
 
     Offset k carries the periodic distance from cell 0 to cell k, taken
     per axis from integer indices as min(i, N-i)/N, so it is exactly
     mirror-symmetric (i -> N-i) and transpose-symmetric at every side; at
     sides that are powers of two it equals `Grid.distances_to` of cell 0
-    bit for bit.  The sort is stable, so equal distances keep flat-index
-    order.  The ball B(x, r) is x plus the offsets whose distance is at
-    most r (below r for strict balls), with the 1e-9 tie slack toward
-    inclusion, and is always a prefix of the order.
+    bit for bit.  The ball B(x, r) is x plus the offsets whose distance
+    is at most r (below r for strict balls), with the 1e-9 tie slack
+    toward inclusion.
 
-    `ball_reduce` and `shifts` visit offsets in this order and accumulate
-    sequentially, shifting fields through a periodically doubled copy so
-    that each shifted field is a strided view rather than a gather.
-    `nested_reduce` sums by rows and columns of offsets instead (see
-    there).
+    Both reductions see a field as a plane of rows x columns (a 1-D field
+    as one row).  A row step reduces over the row offsets a for each
+    column offset b <= N/2, and `_column_step` takes those row reductions
+    at column offsets b and N-b, equal by mirror symmetry.  Each
+    reduction tree is fixed by the grid alone, so for non-negative values
+    a larger radius only grows leaves, or fills leaves that held the
+    identity; since rounding is monotone, sums are monotone in the radii
+    exactly in floating point, and an all-zero input gives exact zeros.
 
     `Grid.stencil` holds one stencil per grid size per process, shared by
-    every Grid of that size, so `distances` is read-only.
+    every Grid of that size, so `offset_distances` is read-only.
     """
 
     def __init__(self, grid: Grid):
         n = grid.n_side
         i = np.arange(n)
         dist = np.sqrt(np.sum(grid._per_cell(np.minimum(i, n - i) / n) ** 2, axis=1))
-        order = np.argsort(dist, kind="stable")
-        self.distances: NDArray = dist[order]
-        self.distances.flags.writeable = False
-        self._shape = (n,) * grid.dim
-        # nested_reduce sees a field as a plane of rows x columns, a 1-D
-        # field as one row; by mirror symmetry it needs only the columns
-        # 0..N/2 of the offset distances
+        dist.flags.writeable = False
+        self.offset_distances: NDArray = dist
         self._plane = (1, n) if grid.dim == 1 else (n, n)
+        # by mirror symmetry the reductions need only the columns 0..N/2
         self._half_distances = dist.reshape(self._plane)[:, : n // 2 + 1]
-        # one tuple of per-axis slices per offset; map and zip iterate in
-        # C, with no Python frame per offset
-        starts = np.unravel_index(order, self._shape)
-        self._windows = list(
-            zip(*(map(slice, a.tolist(), (a + n).tolist()) for a in starts))
-        )
 
     def _bounds(self, radii) -> NDArray:
         radii = np.atleast_1d(np.asarray(radii, float))
@@ -230,47 +225,58 @@ class BallStencil:
             raise ValueError("ball radii must be non-decreasing")
         return radii * (1.0 + TIE_SLACK)
 
-    def counts(self, radii, strict: bool = False) -> NDArray:
-        """Number of offsets in the ball of each radius (a prefix length)."""
-        side = "left" if strict else "right"
-        return np.searchsorted(self.distances, self._bounds(radii), side=side)
-
-    def _tile(self, values: NDArray) -> NDArray:
-        """Values reshaped to the grid and doubled along each grid axis."""
-        tiled = values.reshape(values.shape[:-1] + self._shape)
-        for axis in range(-len(self._shape), 0):
-            tiled = np.concatenate([tiled, tiled], axis=axis)
-        return tiled
-
-    def shifts(self, values: NDArray, radius: float, strict: bool = False):
-        """Yield values(x + o), shaped like values, for each offset o in
-        the ball of `radius`, in stencil order."""
-        values = np.asarray(values, float)
-        tiled = self._tile(values)
-        stop = int(self.counts(radius, strict)[0])
-        for window in self._windows[:stop]:
-            yield tiled[(Ellipsis, *window)].reshape(values.shape)
+    def _column_step(self, out: NDArray, part: NDArray, b: int, ufunc):
+        """out = ufunc(out, part at column offset b), and at N-b too when
+        that is another column; `part` is doubled along the columns so
+        that each column offset is a slice."""
+        n = self._plane[1]
+        ufunc(out, part[..., b : b + n], out=out)
+        if 0 < 2 * b < n:
+            ufunc(out, part[..., n - b : 2 * n - b], out=out)
 
     def ball_reduce(
         self, values: NDArray, radii, strict: bool = False, ufunc=np.add
     ) -> NDArray:
-        """out[i](x) = ufunc over y in B(x, radii[i]) of values(y).
+        """out[i](x) = ufunc over y in B(x, radii[i]) of values(y), for
+        ufunc np.add, np.minimum, np.maximum or np.logaddexp.
 
         `values` has shape (..., M) and the result (len(radii), ..., M).
-        One pass over the offsets serves every radius: the reduction for
-        a larger ball continues the one for the smaller ball.
+        In column b a ball holds the row offsets |a| <= e(b), an extent
+        that falls as b grows.  So one running row reduction T_k over
+        a = 0, +-1, ..., +-k (rows k and N-k in one step) serves every
+        radius: after step k, each ball takes T_k at its columns of
+        extent k, outermost first, starting from the identity of ufunc.
+        Radii with the same extents in every column share one result.
         """
         values = np.asarray(values, float)
-        stops = self.counts(radii, strict)
-        tiled = self._tile(values)
-        acc = tiled[(Ellipsis, *self._windows[0])].copy()
-        out = np.empty((stops.size, *values.shape))
-        done = 1
-        for i, stop in enumerate(stops.tolist()):
-            for window in self._windows[done:stop]:
-                ufunc(acc, tiled[(Ellipsis, *window)], out=acc)
-            done = stop
-            out[i] = acc.reshape(values.shape)
+        if ufunc not in _IDENTITY:
+            raise ValueError(f"ball_reduce does not support {ufunc}")
+        n_rows, n = self._plane
+        # extents[i, b]: the row extent of column b in ball i, -1 outside
+        bounds = self._bounds(radii)[:, None, None]
+        quarter = self._half_distances[: n_rows // 2 + 1]
+        inside = quarter < bounds if strict else quarter <= bounds
+        extents = inside.sum(axis=1) - 1
+        # radii are sorted, so radii with equal extents are neighbours
+        fresh = np.r_[True, np.any(extents[1:] != extents[:-1], axis=1)]
+        out = np.empty((len(extents), *values.shape))
+        out[fresh] = _IDENTITY[ufunc]
+        balls = out.reshape(out.shape[:-1] + self._plane)
+        plane = values.reshape(values.shape[:-1] + self._plane)
+        rows = np.concatenate([plane, plane], axis=-2)
+        acc = np.concatenate([plane, plane], axis=-1)  # T_k, doubled
+        now = acc[..., :n]
+        for k in range(extents[-1, 0] + 1):
+            if k:
+                ufunc(now, rows[..., k : k + n_rows, :], out=now)
+                if 2 * k != n_rows:
+                    ufunc(now, rows[..., n_rows - k : 2 * n_rows - k, :], out=now)
+                acc[..., n:] = now
+            pairs = np.nonzero(fresh[:, None] & (extents == k))
+            for i, b in zip(pairs[0][::-1].tolist(), pairs[1][::-1].tolist()):
+                self._column_step(balls[i], acc, b, ufunc)
+        for i in np.flatnonzero(~fresh).tolist():
+            out[i] = out[i - 1]
         return out
 
     def nested_reduce(
@@ -283,32 +289,23 @@ class BallStencil:
         of radii[i] for i >= layer(o), so the suffix reductions S over i
         are taken first and o contributes S[layer(o)](x + o); offsets
         outside the largest ball get an extra layer holding the identity
-        (0, or -inf for np.maximum).  With offsets o = (a, b) in rows and
-        columns of the plane, the row sums
+        (0, or -inf for np.maximum).  The row sums
 
             R_b(y) = ufunc over a of S[layer(a, b)](y_1 + a, y_2)
 
-        take one gather per row offset a over all columns b at once, and
-        out(x) = ufunc over b of R_b(x_1, x_2 + b) takes one step per
-        column offset.  Ball symmetry gives R_{N-b} = R_b, so only
-        b <= N/2 is built.  Rows and columns wholly outside the largest
-        ball hold only the identity and are skipped, which leaves every
-        result exactly as if they were reduced too.
-
-        So the reduction tree is fixed by the grid alone, whatever the
-        radii, and every leaf is one suffix value.  For non-negative
-        values a suffix only grows as the layer falls, so growing the
-        radii grows every leaf and, since rounding is monotone, every
-        sum: monotonicity in the radii holds exactly in floating point,
-        and an all-zero payload gives exact zeros.  By ball symmetry,
-        ufunc = np.maximum gives at each x the sup of values[i](c) over
-        all balls B(c, radii[i]) that contain x.
+        take one gather per row offset a over all columns b at once.
+        Rows and columns wholly outside the largest ball hold only the
+        identity and are skipped, which leaves every result exactly as if
+        they were reduced too.  For non-negative values a suffix only grows
+        as its layer falls, so growing the radii grows every leaf.  By
+        ball symmetry, ufunc = np.maximum gives at each x the sup of
+        values[i](c) over all balls B(c, radii[i]) that contain x.
         """
         values = np.asarray(values, float)
         bounds = self._bounds(radii)
-        if values.shape != (bounds.size, self.distances.size):
+        if values.shape != (bounds.size, self.offset_distances.size):
             raise ValueError(f"values shape {values.shape}: need one row per radius")
-        if ufunc not in _IDENTITY:
+        if ufunc not in (np.add, np.maximum):
             raise ValueError(f"nested_reduce supports np.add and np.maximum, got {ufunc}")
         layer = np.searchsorted(
             bounds, self._half_distances, side="right" if strict else "left"
@@ -332,9 +329,7 @@ class BallStencil:
         doubled = np.concatenate([acc, acc], axis=-1)
         out = acc[0].copy()
         for b in range(1, n_cols):
-            ufunc(out, doubled[b, :, b : b + n_side], out=out)
-            if 2 * b != n_side:
-                ufunc(out, doubled[b, :, n_side - b : 2 * n_side - b], out=out)
+            self._column_step(out, doubled[b], b, ufunc)
         return out.reshape(values.shape[1:])
 
 

@@ -17,10 +17,10 @@ hold termwise: summing w(x) h^dim over the cone slice at (y,t_j)
 reproduces w(B(y,t_j)) exactly, so the normalizers cancel.
 
 Both are evaluated on the grid's ball stencil (see mesh).  The normalizing
-measures are snapshots of one running ball sum over the distance-sorted
-offsets; divided into w(y) h^dim ln(rho), they are cached per (grid,
-weight, ladder) as the field-independent factor of the integrand.  The
-cone sum is one `BallStencil.nested_reduce` of the integrand over the
+measures come from one `BallStencil.ball_reduce` whose row pass serves
+every ladder node; divided into w(y) h^dim ln(rho), they are cached per
+(grid, weight, ladder) as the field-independent factor of the integrand.
+The cone sum is one `BallStencil.nested_reduce` of the integrand over the
 radii alpha t_j: offset o adds the ladder suffix sum from the first node
 whose strict alpha-cone contains o, and the offsets are summed by rows
 and columns in an order fixed by the grid alone.  That order is the same

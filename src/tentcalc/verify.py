@@ -276,9 +276,10 @@ class SuiteConfig(ProblemConfig):
     each within the dense-operator budget of `check_dense_budget`.
     drift_limit, the relative coarse-to-fine drift a stability check
     allows, lies in (0, 1].
-    appendix_{r,s,q} are the class indices of the averaging inequality;
-    it needs q <= s, and its alpha-power is fitted over at least two
-    distinct positive apertures.  Grid sizes and ladder lengths are
+    appendix_{r,s,q} are the finite class indices of the averaging
+    inequality: r >= 1 (an A_r index) and 0 < q <= s (the averages
+    are raised to 1/q and 1/s); its alpha-power is fitted over at least
+    two distinct positive apertures.  Grid sizes and ladder lengths are
     checked here, before anything is allocated.
     """
 
@@ -309,6 +310,11 @@ class SuiteConfig(ProblemConfig):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.drift_limit <= 1.0:
             raise ValueError(f"drift_limit must be in (0, 1], got {self.drift_limit}")
+        if self.appendix_r < 1.0:
+            raise ValueError(f"appendix_r must be >= 1, got {self.appendix_r}")
+        for name in ("appendix_s", "appendix_q"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.appendix_q > self.appendix_s:
             raise ValueError(
                 f"averaging inequality needs q <= s, got "

@@ -96,23 +96,6 @@ def _family_size(grid: Grid) -> int:
 _LOG_SAFE = 700.0
 
 
-def _log_ball_avg(
-    grid: Grid, log_terms: NDArray, radii: list[float], mass: NDArray
-) -> NDArray:
-    """Log of the per-ball average of exp(log_terms), (len(radii), M),
-    shifted by the ball max so no intermediate overflows even when
-    log_terms spans hundreds."""
-    stencil = grid.stencil
-    shift = stencil.ball_reduce(log_terms, radii, ufunc=np.maximum)
-    out = np.empty_like(shift)
-    for i, r in enumerate(radii):
-        total = np.zeros(grid.n_cells)
-        for shifted in stencil.shifts(log_terms, r):
-            total += np.exp(shifted - shift[i])
-        out[i] = shift[i] + np.log(total) - np.log(mass[i])
-    return out
-
-
 def _max_product(
     values: NDArray,
     base: NDArray,
@@ -139,13 +122,16 @@ def _max_product(
     sums = stencil.ball_reduce(np.stack(rows), radii)
     mass = sums[:, 0]
     avg_v = sums[:, 1] / mass
+    if log_pow is not None and not direct:
+        # log of the ball average of v^power; np.logaddexp stays in range
+        log_sums = stencil.ball_reduce(log_pow + np.log(base), radii, ufunc=np.logaddexp)
+        log_avg = log_sums - np.log(mass)
     if is_ap:
         if power is None:
             per_ball = avg_v / stencil.ball_reduce(values, radii, ufunc=np.minimum)
         elif direct:
             per_ball = avg_v * (sums[:, 2] / mass) ** (p_or_s - 1.0)
         else:
-            log_avg = _log_ball_avg(grid, log_pow + np.log(base), radii, mass)
             per_ball = avg_v * np.exp((p_or_s - 1.0) * log_avg)
     else:
         if power is None:
@@ -153,7 +139,6 @@ def _max_product(
         elif direct:
             per_ball = (sums[:, 2] / mass) ** (1.0 / p_or_s) / avg_v
         else:
-            log_avg = _log_ball_avg(grid, log_pow + np.log(base), radii, mass)
             per_ball = np.exp(log_avg / p_or_s) / avg_v
     best = 0.0
     for row in per_ball:  # one radius at a time: a NaN row is skipped

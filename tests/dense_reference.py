@@ -145,10 +145,16 @@ def maximal(f, grid, p0: float = 1.0, base=None) -> np.ndarray:
     return scatter_max(masks, vals, grid.n_cells) ** (1.0 / p0)
 
 
-def _log_masked_avg(log_terms, mask, mass):
+def ball_logsumexp(log_terms, mask) -> np.ndarray:
+    """log of the ball sums of exp(log_terms), shifted by the ball max so
+    that no exp overflows."""
     row = np.where(mask, log_terms[None, :], -np.inf)
     shift = row.max(axis=1)
-    return shift + np.log(np.exp(row - shift[:, None]).sum(axis=1)) - np.log(mass)
+    return shift + np.log(np.exp(row - shift[:, None]).sum(axis=1))
+
+
+def _log_masked_avg(log_terms, mask, mass):
+    return ball_logsumexp(log_terms, mask) - np.log(mass)
 
 
 def class_constant(values, base, grid, family: str, index: float) -> float:

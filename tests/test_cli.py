@@ -386,12 +386,16 @@ class TestVerifyCommand:
         ({"appendix_alphas": [1, "x"]}, "appendix_alphas must be a real number"),
         ({"appendix_alphas": 1}, "appendix_alphas"),
         ({"appendix_alphas": [1.0, float("inf")]}, "appendix_alphas"),
+        ({"sizes": [8, 16], "bank_size": 3, "appendix_q": 0}, "appendix_q"),
+        ({"appendix_r": -5}, "appendix_r"),
+        ({"appendix_r": 0.5}, "appendix_r"),
+        ({"appendix_s": -1, "appendix_q": -2}, "appendix_s"),
     ], ids=["alpha-high", "alpha-low", "ratio", "coeff", "alphas-empty",
             "alphas-one", "alphas-negative", "drift-negative", "drift-nan",
             "bank-bool", "bank-float", "seed-float", "coeff-scalar",
             "sizes-float", "sizes-scalar", "r-nan", "q-nan", "s-inf",
             "alpha-string", "drift-string", "alphas-string", "alphas-scalar",
-            "alphas-inf"])
+            "alphas-inf", "q-zero", "r-negative", "r-below-one", "s-negative"])
     def test_bad_config_rejected_before_assembly(self, runner, monkeypatch, config,
                                                  field):
         def no_assembly(*args, **kwargs):

@@ -73,8 +73,8 @@ class TestGrid:
         # centers 0.0625 and 0.3125 are exactly 0.25 apart: offsets 0,
         # +-h and the tied +-2h make the closed ball
         assert g.distances_to(g.centers[0])[2] == 0.25
-        npt.assert_array_equal(g.stencil.distances[3:5], 0.25)
-        assert g.stencil.counts(0.25)[0] == 5
+        npt.assert_array_equal(g.stencil.offset_distances[[2, 6]], 0.25)
+        npt.assert_array_equal(g.stencil.ball_reduce(np.ones(8), [0.25])[0], 5.0)
         assert membership(g, [0.25])[0, 2, 0] == 1.0
 
     def test_shift_perm_roundtrip(self):
@@ -117,7 +117,7 @@ class TestGrid:
         assert Grid(2, 32).stencil is not stencil
         assert Grid(1, 16).stencil is not stencil
         with pytest.raises(ValueError):
-            stencil.distances[0] = 1.0
+            stencil.offset_distances[0] = 1.0
 
     def test_ball_mask_matches_ball(self):
         g = Grid(2, 6)
@@ -297,12 +297,16 @@ class TestBallProperties:
         small, big = membership(Grid(1, 16), sorted((r1, r2)))
         assert np.all(small <= big)
 
-    @given(r=st.floats(0.05, 0.7))
-    @settings(max_examples=40, deadline=None)
-    def test_measure_monotone_sets(self, r):
-        # exact in floating point: the larger ball's sum continues the
-        # smaller one's with non-negative terms
-        g = Grid(2, 6)
+    @given(dim=st.sampled_from([1, 2]), n=st.sampled_from([5, 6, 7, 9]),
+           r=st.floats(0.05, 0.7))
+    @settings(max_examples=60, deadline=None)
+    def test_measure_monotone_sets(self, dim, n, r):
+        # exact in floating point: a larger ball has longer row intervals
+        # and more columns of non-negative terms, in the same order
+        g = Grid(dim, n)
         dens = PowerWeight(-0.5).sample(g) * g.cell_volume
-        small, big = g.stencil.ball_reduce(dens, [r / 2, r])
-        assert np.all(small <= big)
+        sums = g.stencil.ball_reduce(dens, [r / 4, r / 2, r, 2 * r])
+        for small, big in zip(sums, sums[1:]):
+            assert np.all(small <= big)  # tolerance 0
+        zero = g.stencil.ball_reduce(np.zeros(g.n_cells), [r / 2, r], strict=True)
+        npt.assert_array_equal(zero, 0.0)

@@ -62,7 +62,8 @@ class TestGeometry:
         dist = dense.distance_matrix(grid)
         for c in (0, 1, grid.n_cells - 1):
             npt.assert_array_equal(grid.distances_to(grid.centers[c]), dist[c])
-        npt.assert_array_equal(grid.stencil.distances, np.sort(dist[0]))
+        # the offset table is the distance from cell 0 to every cell
+        npt.assert_array_equal(grid.stencil.offset_distances, dist[0])
 
     def test_ball_matches_dense(self, fld):
         grid = fld.grid
@@ -70,18 +71,30 @@ class TestGeometry:
             members = grid.stencil.ball_reduce(np.eye(grid.n_cells), [r])[0]
             npt.assert_array_equal(members, dense.ball_mask(grid, r))
 
+    # the sides each case's test also runs: odd sides and one that is
+    # not a power of two beside the case's own
+    NEAR_SIDES = {8: (7, 8, 9), 16: (12, 16)}
+
     def test_ball_reduce_matches_dense(self, fld):
-        grid = fld.grid
-        radii = grid.dyadic_radii(0.5)
-        v = fld.values[2]
-        sums = grid.stencil.ball_reduce(v, radii)
-        mins = grid.stencil.ball_reduce(v, radii, ufunc=np.minimum)
-        maxs = grid.stencil.ball_reduce(v, radii, ufunc=np.maximum)
-        for i, r in enumerate(radii):
-            mask = dense.ball_mask(grid, r)
-            assert_close(sums[i], mask @ v)
-            npt.assert_array_equal(mins[i], dense.ball_min(v, mask))
-            npt.assert_array_equal(maxs[i], dense.ball_max(v, mask))
+        rng = np.random.default_rng(fld.grid.n_cells)
+        for n in self.NEAR_SIDES[fld.grid.n_side]:
+            grid = Grid(fld.grid.dim, n)
+            stencil = grid.stencil
+            # from below h/2 (the center alone) to above sqrt(dim)/2 (all)
+            radii = sorted([0.4 * grid.h, *grid.dyadic_radii(0.5), 0.3, 0.8])
+            v = rng.random(grid.n_cells)
+            logs = 400.0 * rng.standard_normal(grid.n_cells)
+            for strict in (False, True):
+                sums = stencil.ball_reduce(v, radii, strict)
+                mins = stencil.ball_reduce(v, radii, strict, ufunc=np.minimum)
+                maxs = stencil.ball_reduce(v, radii, strict, ufunc=np.maximum)
+                lses = stencil.ball_reduce(logs, radii, strict, ufunc=np.logaddexp)
+                for i, r in enumerate(radii):
+                    mask = dense.ball_mask(grid, r, strict)
+                    assert_close(sums[i], mask @ v)
+                    npt.assert_array_equal(mins[i], dense.ball_min(v, mask))
+                    npt.assert_array_equal(maxs[i], dense.ball_max(v, mask))
+                    assert_close(lses[i], dense.ball_logsumexp(logs, mask))
 
     def test_sup_over_balls_matches_dense_scatter(self, fld):
         grid = fld.grid
