@@ -41,6 +41,7 @@ from .verify import (
     SuiteConfig,
     _check_int,
     _check_real,
+    _named,
     materialize,
     reports_to_csv,
     run_suites,
@@ -82,7 +83,7 @@ class RunConfig(ProblemConfig):
 
     def __post_init__(self):
         _check_int("n", self.n, 1)
-        check_dense_budget(self.dim, self.n)
+        _named("dim, n", check_dense_budget, self.dim, self.n)
         super().__post_init__()
         if self.ladder_t_min is not None:
             _check_real("ladder_t_min", self.ladder_t_min)
@@ -90,7 +91,8 @@ class RunConfig(ProblemConfig):
                 raise ValueError(
                     f"ladder_t_min must be in (0, t_max), got {self.ladder_t_min}"
                 )
-        self.build_ladder(Grid(self.dim, self.n))
+        _named("ladder_ratio, ladder_t_min, ladder_t_max", self.build_ladder,
+               Grid(self.dim, self.n))
 
     def build_ladder(self, grid: Grid) -> TimeLadder:
         if self.ladder_t_min is None:

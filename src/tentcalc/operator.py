@@ -29,11 +29,21 @@ M x M array is formed.  Any other weight, such as a general
 `TabulatedWeight`, is the one-block case of the same structure: every
 axis keeps the identity, and the one block is the full S.
 
+Block coordinates.  sqrt(w) is one value on each mirror orbit, so the
+1/sqrt(w h^dim) of phi and the fold factors (1/sqrt(2), or 1 for the
+middle cell) are folded into each block's rows once, at assembly.
+`project` is then the unscaled fold (u_i + u_{N-1-i}, u_i - u_{N-1-i})
+of f w h^dim and one product per block, and `reconstruct` one product
+per block and the unscaled sum/difference butterflies into one array.
+The semigroup works in block order throughout; only the public
+`project`, `reconstruct` and `mode` use the global order.
+
 Axis-swap split.  In dim 2, when also A = a I and the sampled weight
 equals its transpose exactly, S commutes with the swap (x, y) -> (y, x).
 The swap carries the (even, odd) block onto the (odd, even) block, which
 therefore takes the former's eigenvalues and its basis with the rows
-permuted by the local transpose, and needs no `eigh` of its own.  The
+permuted by the local transpose, and needs no `eigh` of its own; the
+basis is stored once and read in transposed coordinates.  The
 square (even, even) and (odd, odd) blocks each split once more: the
 symmetric part holds the diagonal cells u_ii and (u_ij + u_ji)/sqrt(2),
 the antisymmetric part (u_ij - u_ji)/sqrt(2), for i < j.  Each part is
@@ -135,32 +145,25 @@ def _take(x: NDArray, axis: int, s: slice) -> NDArray:
 
 
 def _fold(x: NDArray, axis: int) -> tuple[NDArray, NDArray]:
-    """The (even, odd) parity parts of x along the negative axis `axis`."""
+    """The unscaled (even, odd) parity parts of x along the negative axis
+    `axis`: u_i + u_{N-1-i} and u_i - u_{N-1-i} for i < N/2, and for odd
+    N the middle cell last in the even part."""
     n = x.shape[axis]
     h = n // 2
     lo = _take(x, axis, slice(0, h))
     hi = _take(x, axis, slice(n - 1, n - 1 - h, -1))
-    even = (lo + hi) * _HALF_SQRT
-    odd = (lo - hi) * _HALF_SQRT
-    if n % 2:
-        even = np.concatenate([even, _take(x, axis, slice(h, h + 1))], axis=axis)
-    return even, odd
-
-
-def _unfold(even: NDArray, odd: NDArray, axis: int) -> NDArray:
-    """Inverse of `_fold`."""
-    h = odd.shape[axis]
-    e = _take(even, axis, slice(0, h))
-    lo = (e + odd) * _HALF_SQRT
-    hi = (e - odd) * _HALF_SQRT
-    middle = _take(even, axis, slice(h, None))
-    return np.concatenate([lo, middle, np.flip(hi, axis=axis)], axis=axis)
+    shape = list(x.shape)
+    shape[axis] = n - h
+    even = np.empty(shape)
+    np.add(lo, hi, out=_take(even, axis, slice(0, h)))
+    _take(even, axis, slice(h, n - h))[...] = _take(x, axis, slice(h, n - h))
+    return even, lo - hi
 
 
 def _to_blocks(values: NDArray, n: int, split: tuple[bool, ...]) -> list[NDArray]:
-    """The parity transform of a (..., M) stack: one (..., m_b) array per
-    block.  Blocks run over the parities of the split axes, even first,
-    axis 0 major; each is flattened row-major from its grid shape."""
+    """The unscaled parity fold of a (..., M) stack: one (..., m_b) array
+    per block.  Blocks run over the parities of the split axes, even
+    first, axis 0 major; each is flattened row-major from its grid shape."""
     dim = len(split)
     lead = values.shape[:-1]
     parts = [values.reshape(lead + (n,) * dim)]
@@ -170,29 +173,48 @@ def _to_blocks(values: NDArray, n: int, split: tuple[bool, ...]) -> list[NDArray
     return [p.reshape(lead + (-1,)) for p in parts]
 
 
-def _from_blocks(parts: list[NDArray], n: int, split: tuple[bool, ...]) -> NDArray:
-    """Inverse of `_to_blocks`: the (..., M) stack from its block parts."""
-    dim = len(split)
-    lead = parts[0].shape[:-1]
-    sides = [(n - n // 2, n // 2) if s else (n,) for s in split]
-    pieces = [p.reshape(lead + s) for p, s in zip(parts, itertools.product(*sides))]
-    for axis in reversed(range(dim)):
-        if split[axis]:
-            pieces = [_unfold(pieces[i], pieces[i + 1], axis - dim)
-                      for i in range(0, len(pieces), 2)]
-    return pieces[0].reshape(lead + (n**dim,))
+def _unfold_into(parts: list[NDArray], n: int, out: NDArray, scratch: NDArray):
+    """Inverse of the unscaled fold along every axis of `out`, a
+    (..., n, ..., n) grid stack: the field whose block parts are `parts`,
+    grids in their blocks' local coordinates each already divided by its
+    fold factors, written into `out` by sum/difference butterflies.
+
+    The last (contiguous) axis is combined from the parts straight into
+    `out`, the odd part of every leading axis reversed onto its mirror
+    cells; each leading axis then takes one butterfly in place, its
+    differences held in `scratch`, a flat buffer of at least half of
+    `out` that the parts may share."""
+    dim = len(parts).bit_length() - 1
+    h = n // 2
+    a = n - h
+    lo, hi = slice(0, h), slice(n - 1, n - 1 - h, -1)
+    halves = (slice(0, a), slice(n - 1, a - 1, -1))
+    for r, rest in enumerate(itertools.product((0, 1), repeat=dim - 1)):
+        even, odd = parts[2 * r], parts[2 * r + 1]
+        region = out[(Ellipsis,) + tuple(halves[p] for p in rest) + (slice(None),)]
+        np.add(even[..., lo], odd, out=region[..., lo])
+        np.subtract(even[..., lo], odd, out=region[..., hi])
+        region[..., h:a] = even[..., h:a]
+    for axis in range(-dim, -1):
+        x, y = _take(out, axis, lo), _take(out, axis, hi)
+        diff = np.subtract(x, y, out=scratch[: x.size].reshape(x.shape))
+        x += y
+        y[...] = diff
 
 
 def _block_maps(n: int, split: tuple[bool, ...]) -> list[tuple[NDArray, NDArray, int]]:
     """(coefficient, block-local index) of every cell in each block, and
     the block size: row r of block b is the sum over cells x with
-    local[x] = r of coefficient[x] u(x).  Read off `_fold` applied to the
-    1-D identity, so the assembly and the transform share one definition."""
+    local[x] = r of coefficient[x] u(x), the orthonormal parity transform.
+    Read off `_fold` applied to the 1-D identity, each local index scaled
+    by its fold factor (1/sqrt(2), or 1 for the middle cell), so the
+    assembly and the transform share one definition."""
     axes = []
     for s in split:
         parts = _fold(np.eye(n), -1) if s else (np.eye(n),)
         maps = []
         for part in parts:  # part[i, q]: weight of cell i in local index q
+            part = part / np.linalg.norm(part, axis=0)
             local = np.argmax(np.abs(part), axis=1)
             maps.append((part[np.arange(n), local], local, part.shape[1]))
         axes.append(maps)
@@ -283,15 +305,14 @@ def _swap_eigh(stencil, coef: NDArray, local: NDArray, side: int):
     return np.concatenate(lams), np.hstack(psis)
 
 
-def _signed(psi: NDArray) -> NDArray:
-    """psi with the deterministic sign: in each column, the first entry of
-    near-largest magnitude positive."""
+def _signs(psi: NDArray) -> NDArray:
+    """The deterministic sign of each column of psi: the one that makes
+    its first entry of near-largest magnitude positive."""
     mag = np.abs(psi)
     lead = np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0), axis=0)
     signs = np.sign(psi[lead, np.arange(psi.shape[1])])
     signs[signs == 0] = 1.0
-    psi *= signs
-    return psi
+    return signs
 
 
 @dataclass(frozen=True)
@@ -299,11 +320,21 @@ class SpectralOperator:
     """L_w with its w-orthonormal eigendecomposition, kept per parity
     block; immutable.
 
-    `eigenvalues` are in global mode order.  Block b holds the orthonormal
-    eigenbasis `block_vectors[b]` of its block of S in block coordinates,
-    one column per mode, and `block_modes[b]` gives the global index of
-    each of those modes.  `split` marks the axes that carry the parity
-    transform."""
+    `eigenvalues` are in global mode order.  Block b holds its modes in
+    block coordinates, `block_vectors[b]`, one column per mode: the
+    orthonormal eigenbasis psi_b of its block of S with each row r scaled
+    by fold_r / sqrt(w_r h^dim), where fold_r is the product of the fold
+    factors of the split axes (1/sqrt(2), or 1 for the middle cell at odd
+    N).  A split needs an exactly mirror-symmetric w, so w is one value
+    on each mirror orbit, and the unscaled fold maps a field to these
+    coordinates.  `block_eigenvalues` holds the blocks' eigenvalues one
+    block after the other, each in its block's column order, and
+    `block_modes[b]` gives the global index of each mode of block b.
+    `split` marks the axes that carry the parity transform.  With the
+    axis-swap split (`swap`), the (odd, even) block holds the (even, odd)
+    basis itself, read in transposed local coordinates, and its modes
+    differ from that basis by `mode_signs` (+-1 per mode in block order,
+    1 outside that block), which only the global-order methods apply."""
 
     grid: Grid
     weight: WeightModel
@@ -311,29 +342,73 @@ class SpectralOperator:
     eigenvalues: NDArray = field(repr=False)  # >= 0, ascending up to clusters
     weight_values: NDArray = field(repr=False)
     split: tuple[bool, ...]
+    swap: bool
     block_vectors: tuple[NDArray, ...] = field(repr=False)
+    block_eigenvalues: NDArray = field(repr=False)
     block_modes: tuple[NDArray, ...] = field(repr=False)
+    mode_signs: NDArray = field(repr=False)
 
-    @property
-    def _scale(self) -> NDArray:
-        """sqrt(w) h^{dim/2}: phi = transform^T psi / scale."""
-        return np.sqrt(self.weight_values * self.grid.cell_volume)
+    def _grids(self, parts: list[NDArray]) -> list[NDArray]:
+        """Block parts (..., m_b) as grids in each block's local
+        coordinates; the (odd, even) part of a swap split is transposed
+        from the (even, odd) layout."""
+        n, h = self.grid.n_side, self.grid.n_side // 2
+        sides = [(n - h, h) if s else (n,) for s in self.split]
+        grids = [p.reshape(p.shape[:-1] + shape)
+                 for p, shape in zip(parts, itertools.product(*sides))]
+        if self.swap:
+            grids[2] = parts[2].reshape(parts[2].shape[:-1] + (n - h, h)).swapaxes(-1, -2)
+        return grids
+
+    def project_blocks(self, f: NDArray) -> NDArray:
+        """Coefficients <f, phi_k>_w of a (..., M) stack in block order,
+        as `block_eigenvalues`: the unscaled fold of f w h^dim, then one
+        product per block."""
+        f = np.asarray(f, float)
+        n = self.grid.n_side
+        parts = _to_blocks(f * (self.weight_values * self.grid.cell_volume), n, self.split)
+        if self.swap:
+            p = parts[2]
+            parts[2] = p.reshape(p.shape[:-1] + (n // 2, n - n // 2)).swapaxes(-1, -2) \
+                .reshape(p.shape)
+        return np.concatenate([part @ phi for part, phi in zip(parts, self.block_vectors)],
+                              axis=-1)
+
+    def reconstruct_blocks(self, coeffs: NDArray, out: NDArray | None = None) -> NDArray:
+        """sum_k c_k phi_k of a (..., M) stack of coefficients in block
+        order: one product per block into one buffer, then the unscaled
+        butterflies into `out`, a new (..., M) array when None.  `out` may
+        be `coeffs` itself, which the products have read by then."""
+        coeffs = np.asarray(coeffs, float)
+        cuts = np.cumsum([phi.shape[1] for phi in self.block_vectors])[:-1]
+        values = np.empty(coeffs.shape)
+        parts = [np.matmul(c, phi.T, out=v) for c, v, phi in zip(
+            np.split(coeffs, cuts, axis=-1), np.split(values, cuts, axis=-1),
+            self.block_vectors)]
+        out = np.empty(coeffs.shape) if out is None else out
+        if len(parts) == 1:
+            out[...] = values
+        else:
+            n = self.grid.n_side
+            _unfold_into(self._grids(parts), n,
+                         out.reshape(out.shape[:-1] + (n,) * self.grid.dim),
+                         values.reshape(-1))
+        return out
 
     def project(self, f: NDArray) -> NDArray:
-        """Coefficients c_k = <f, phi_k>_w of a (..., M) stack."""
-        f = np.asarray(f, float)
-        parts = _to_blocks(f * self._scale, self.grid.n_side, self.split)
-        coeffs = np.empty(f.shape)
-        for part, psi, modes in zip(parts, self.block_vectors, self.block_modes):
-            coeffs[..., modes] = part @ psi
+        """Coefficients c_k = <f, phi_k>_w of a (..., M) stack, in global
+        mode order."""
+        blocks = self.project_blocks(f)
+        coeffs = np.empty(blocks.shape)
+        coeffs[..., np.concatenate(self.block_modes)] = blocks * self.mode_signs
         return coeffs
 
     def reconstruct(self, coeffs: NDArray) -> NDArray:
-        """sum_k c_k phi_k of a (..., M) stack of coefficients."""
+        """sum_k c_k phi_k of a (..., M) stack of coefficients in global
+        mode order."""
         coeffs = np.asarray(coeffs, float)
-        parts = [coeffs[..., modes] @ psi.T
-                 for psi, modes in zip(self.block_vectors, self.block_modes)]
-        return _from_blocks(parts, self.grid.n_side, self.split) / self._scale
+        return self.reconstruct_blocks(
+            coeffs[..., np.concatenate(self.block_modes)] * self.mode_signs)
 
     def mode(self, k: int) -> NDArray:
         """The eigenmode phi_k at every cell."""
@@ -359,19 +434,34 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
             and np.array_equal(w_grid, w_grid.T))
     stencil = _scaled_stencil(grid, coeff, wv)
     h = n // 2
-    eigs, vectors = [], []
-    for b, (coef, local, m) in enumerate(_block_maps(n, split)):
+    maps = _block_maps(n, split)
+    eigs, vectors, signs = [], [], []
+    for b, (coef, local, m) in enumerate(maps):
         if swap and b == 2:
             # the swap carries (even, odd) onto (odd, even): the same
-            # spectrum, basis rows permuted by the local transpose
-            lam = eigs[1]
-            psi = vectors[1].reshape(n - h, h, m).transpose(1, 0, 2).reshape(m, m)
-        elif swap and b in (0, 3):
+            # spectrum and basis, in transposed local coordinates; only
+            # the sign rule, applied in this block's row order, is its own
+            eigs.append(eigs[1])
+            vectors.append(vectors[1])
+            signs.append(_signs(vectors[1].reshape(n - h, h, m).transpose(1, 0, 2)
+                                .reshape(m, m)))
+            continue
+        if swap and b in (0, 3):
             lam, psi = _swap_eigh(stencil, coef, local, n - h if b == 0 else h)
         else:
             lam, psi = _block_eigh(_block_matrix(stencil, coef, local, m))
+        psi *= _signs(psi)
         eigs.append(lam)
-        vectors.append(_signed(psi))
+        vectors.append(psi)
+        signs.append(np.ones(m))
+    # to block coordinates of the unscaled fold: every cell of a mirror
+    # orbit gives its row the same factor, since w is equal on the orbit
+    density_root = np.sqrt(wv * grid.cell_volume)
+    for b, ((coef, local, m), phi) in enumerate(zip(maps, vectors)):
+        if not (swap and b == 2):
+            rows = np.empty(m)
+            rows[local] = np.abs(coef) / density_root
+            phi *= rows[:, None]
 
     lam = np.concatenate(eigs)
     block_id = np.concatenate([np.full(e.size, b) for b, e in enumerate(eigs)])
@@ -390,6 +480,9 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
         eigenvalues=lam[order],
         weight_values=wv,
         split=split,
+        swap=swap,
         block_vectors=tuple(vectors),
+        block_eigenvalues=lam,
+        mode_signs=np.concatenate(signs),
         block_modes=tuple(position[block_id == b] for b in range(len(eigs))),
     )

@@ -8,18 +8,23 @@ All evaluations are functional calculus on the w-orthonormal spectrum:
 
 Time derivatives are computed analytically on the spectrum,
 
-    t d/dt [(t^2 lam)^m e^{-t^2 lam}] = (2m (t^2 lam)^m - 2 (t^2 lam)^{m+1}) e^{-t^2 lam},
-    t d/dt [(t s)^{2K} e^{-t s}]      = (2K (t s)^{2K} - (t s)^{2K+1}) e^{-t s},  s = sqrt(lam),
+    t d/dt [(t^2 lam)^m e^{-t^2 lam}] = (2m - 2 t^2 lam) (t^2 lam)^m e^{-t^2 lam},
+    t d/dt [(t s)^{2K} e^{-t s}]      = (2K - t s) (t s)^{2K} e^{-t s},  s = sqrt(lam),
 
 so the m = 0 heat identity t d_t e^{-t^2 L_w} f = -2 (t^2 L_w) e^{-t^2 L_w} f
-holds exactly at the coefficient level; spatial gradients use centered
-periodic differences on the evaluated field.
+holds at the coefficient level up to rounding; spatial gradients use
+centered periodic differences on the evaluated field.
 
-The four factors above are the multiplier table.  Every evaluator projects
-f once and applies each factor it needs in one reconstruction (one
-product per parity block of the operator), at a single time (a field of
-M cells) or at a 1-D array of J times, such as all ladder nodes (a (J, M)
-block).
+The factors above are the multiplier tables.  Every evaluator projects
+f once into the operator's block coordinates and builds each table it
+needs at a single time (M cells) or at a 1-D array of J times, such as
+all ladder nodes ((J, M)), in one buffer and in place: -t^2 lam (or
+-t sqrt(lam)) over the block-ordered eigenvalues, its exponential
+(flushed to 0 past EXPONENT_FLOOR), the power as t^{2m} per row times
+lam^m per column, then the coefficients.  A time table is the image
+table times its bracket above.  Each image is one reconstruction, one
+product per parity block, written over its table; no table or image
+outlives its call.
 
 The Poisson semigroup also has a quadrature path through the subordination
 formula
@@ -55,6 +60,7 @@ __all__ = [
     "poisson_scalar",
     "subordination_factors",
     "centered_gradient",
+    "spatial_norm_sq",
 ]
 
 ORDER_CAP = 4
@@ -65,6 +71,12 @@ LADDER_CAP = 4096
 # suite reports name the rule as "h/<divisor>"
 LADDER_START_DIVISOR = 4
 SUBORDINATION_TOL = 1e-10
+# semigroup factors e^{-s} with s past this are flushed to 0.  Below
+# 1e-304, and below 1e-290 after any power and coefficient, they are
+# invisible next to the leading terms of an image, while exp takes a slow
+# path on them and the reconstruction products run about twice as slow on
+# the subnormal numbers they leave in a table
+EXPONENT_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -116,38 +128,42 @@ class TimeLadder:
         return math.log(self.ratio)
 
 
-def heat_factor(lam: NDArray, m: int, t: float | NDArray) -> NDArray:
-    """(t^2 lam)^m e^{-t^2 lam} (0^0 = 1, so m = 0 fixes the kernel mode)."""
-    x = (t * t) * np.asarray(lam, float)
-    return x**m * np.exp(-x)
+def _exp(table: NDArray) -> NDArray:
+    """e^table in place, flushed to 0 where table < EXPONENT_FLOOR."""
+    np.exp(table, out=table, where=table >= EXPONENT_FLOOR)
+    return np.maximum(table, 0.0, out=table)
 
 
-def heat_time_factor(lam: NDArray, m: int, t: float | NDArray) -> NDArray:
-    x = (t * t) * np.asarray(lam, float)
-    return (2 * m * x**m - 2 * x ** (m + 1)) * np.exp(-x)
+def _heat(lam: NDArray, t: NDArray) -> NDArray:
+    """e^{-t^2 lam} in one buffer of shape t.shape + lam.shape."""
+    return _exp(np.multiply.outer(-(t * t), lam))
 
 
-def poisson_factor(lam: NDArray, big_k: int, t: float | NDArray) -> NDArray:
-    """(t sqrt(lam))^{2K} e^{-t sqrt(lam)} via (t^2 lam)^K."""
-    lam = np.asarray(lam, float)
-    y = t * np.sqrt(lam)
-    return ((t * t) * lam) ** big_k * np.exp(-y)
+def _heat_rate(lam: NDArray, t: NDArray) -> NDArray:
+    """t d_t of the exponent -t^2 lam."""
+    return np.multiply.outer(-2 * (t * t), lam)
 
 
-def poisson_time_factor(lam: NDArray, big_k: int, t: float | NDArray) -> NDArray:
-    lam = np.asarray(lam, float)
-    y = t * np.sqrt(lam)
-    y2k = ((t * t) * lam) ** big_k
-    return (2 * big_k * y2k - y2k * y) * np.exp(-y)
+def _poisson(lam: NDArray, t: NDArray) -> NDArray:
+    return _exp(_poisson_rate(lam, t))
 
 
-def _multiplier_images(
-    op: SpectralOperator, order: int, t: float | NDArray, f: NDArray, factors
-) -> list[NDArray]:
-    """sum_k factor(lam_k, order, t) c_k phi_k for each factor, c = project(f).
+def _poisson_rate(lam: NDArray, t: NDArray) -> NDArray:
+    """-t sqrt(lam), its own t d_t."""
+    return np.multiply.outer(-t, np.sqrt(lam))
 
-    f is projected once.  t is one time or a 1-D array of J times; each
-    image is then one reconstruction of factor * c, of shape (M,) or (J, M)."""
+
+def _images(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
+            semigroup, rate=None) -> list[NDArray]:
+    """The image sum_k (t^2 lam_k)^order S_k(t) c_k phi_k of f, with S the
+    `semigroup` factor and c = project(f), and given the `rate` t d_t log S
+    also its t d_t image, whose table is the image table times
+    2 order + rate.
+
+    t is one time or a 1-D array of J times, so each image has shape (M,)
+    or (J, M).  f is projected once; the tables and the coefficients stay
+    in the operator's block order, and each image is one reconstruction
+    written over its own table."""
     if not (0 <= int(order) == order and order <= ORDER_CAP):
         raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
     t = np.asarray(t, float)
@@ -155,30 +171,36 @@ def _multiplier_images(
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
     if np.any(t < 0):
         raise ValueError(f"time must be nonnegative, got {np.min(t)}")
-    coeffs = op.project(np.asarray(f, float))
-    return [op.reconstruct(factor(op.eigenvalues, order, t[..., None]) * coeffs)
-            for factor in factors]
+    lam = op.block_eigenvalues
+    coeffs = op.project_blocks(f)
+    table = semigroup(lam, t)
+    if order:  # no power at order 0: 0^0 = 1 keeps the kernel mode
+        table *= (t * t)[..., None] ** order
+        coeffs *= lam**order
+    table *= coeffs
+    tables = [table]
+    if rate is not None:
+        time = rate(lam, t)
+        time += 2 * order
+        time *= table
+        tables.append(time)
+    return [op.reconstruct_blocks(x, out=x) for x in tables]
 
 
 def heat_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> NDArray:
     """(t^2 L_w)^m e^{-t^2 L_w} f at one time (M,) or at each of J times (J, M)."""
-    return _multiplier_images(op, m, t, f, (heat_factor,))[0]
+    return _images(op, m, t, f, _heat)[0]
 
 
-@dataclass(frozen=True)
-class GradField:
-    """t grad_{y,t} of a semigroup power: spatial part (dim, cells) already
-    scaled by t, time part t d_t as a scalar field (cells).  Evaluated at J
-    times the shapes are (dim, J, cells) and (J, cells)."""
-
-    spatial: NDArray = field(repr=False)
-    time: NDArray = field(repr=False)
-
-    def norm_sq(self) -> NDArray:
-        return np.sum(self.spatial**2, axis=0) + self.time**2
-
-    def norm(self) -> NDArray:
-        return np.sqrt(self.norm_sq())
+def _centered_difference(grid: Grid, u: NDArray, axis: int) -> NDArray:
+    """u(x + h e_axis) - u(x - h e_axis), from periodic slices of u viewed
+    as a grid stack."""
+    v = np.moveaxis(u.reshape(u.shape[:-1] + (grid.n_side,) * grid.dim), axis - grid.dim, -1)
+    out = np.empty_like(v)
+    np.subtract(v[..., 2:], v[..., :-2], out=out[..., 1:-1])
+    np.subtract(v[..., 1], v[..., -1], out=out[..., 0])
+    np.subtract(v[..., 0], v[..., -2], out=out[..., -1])
+    return np.moveaxis(out, -1, axis - grid.dim).reshape(u.shape)
 
 
 def centered_gradient(grid: Grid, u: NDArray) -> NDArray:
@@ -186,22 +208,54 @@ def centered_gradient(grid: Grid, u: NDArray) -> NDArray:
     leading row per grid axis: (cells,) -> (dim, cells), (J, cells) ->
     (dim, J, cells)."""
     u = np.asarray(u, float)
-    return np.stack([
-        (u[..., grid.shift_perm(axis, 1)] - u[..., grid.shift_perm(axis, -1)])
-        / (2 * grid.h)
-        for axis in range(grid.dim)
-    ])
+    return np.stack([_centered_difference(grid, u, axis) / (2 * grid.h)
+                     for axis in range(grid.dim)])
 
 
-def _grad_field(op: SpectralOperator, t: float | NDArray, u: NDArray, du_t: NDArray
-                ) -> GradField:
-    t_col = np.asarray(t, float)[..., None]
-    return GradField(spatial=t_col * centered_gradient(op.grid, u), time=du_t)
+def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray) -> NDArray:
+    """|t grad_y u|^2 by centered periodic differences, for u at one time
+    (cells,) or at J times t (J, cells): the squared differences summed
+    over the axes in one buffer, then scaled by (t / 2h)^2."""
+    u = np.asarray(u, float)
+    total = _centered_difference(grid, u, 0)
+    np.square(total, out=total)
+    for axis in range(1, grid.dim):
+        diff = _centered_difference(grid, u, axis)
+        total += np.square(diff, out=diff)
+    total *= np.square(np.asarray(t, float) / (2 * grid.h))[..., None]
+    return total
+
+
+@dataclass(frozen=True)
+class GradField:
+    """t grad_{y,t} of a semigroup image u at one time t (cells) or at J
+    times t (J, cells): the image itself and its time part t d_t u.  The
+    spatial part t grad_y u, by centered differences, is formed only when
+    read, of shape (dim, cells) or (dim, J, cells); the norms sum squares
+    in one buffer."""
+
+    grid: Grid
+    t: NDArray = field(repr=False)
+    image: NDArray = field(repr=False)
+    time: NDArray = field(repr=False)
+
+    @property
+    def spatial(self) -> NDArray:
+        return np.asarray(self.t, float)[..., None] * centered_gradient(self.grid, self.image)
+
+    def norm_sq(self) -> NDArray:
+        total = spatial_norm_sq(self.grid, self.t, self.image)
+        total += np.square(self.time)
+        return total
+
+    def norm(self) -> NDArray:
+        total = self.norm_sq()
+        return np.sqrt(total, out=total)
 
 
 def grad_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> GradField:
-    u, du_t = _multiplier_images(op, m, t, f, (heat_factor, heat_time_factor))
-    return _grad_field(op, t, u, du_t)
+    u, du_t = _images(op, m, t, f, _heat, _heat_rate)
+    return GradField(op.grid, np.asarray(t, float), u, du_t)
 
 
 class QuadratureError(RuntimeError):
@@ -247,14 +301,13 @@ def subordination_factors(
     raise QuadratureError(residual, "subordination interval growth did not converge")
 
 
-def _subordinated_factor(lam: NDArray, big_k: int, t: NDArray) -> NDArray:
-    """poisson_factor with e^{-t sqrt(lam)} from one quadrature per time;
-    t is (1,) or (J, 1) as the multiplier core passes it."""
-    semigroup = np.stack([subordination_factors(lam, s) for s in t.ravel()])
-    return ((t * t) * lam) ** big_k * semigroup.reshape(t.shape[:-1] + lam.shape)
+def _subordinated(lam: NDArray, t: NDArray) -> NDArray:
+    """e^{-t sqrt(lam)} from one quadrature per time."""
+    table = np.stack([subordination_factors(lam, s) for s in t.ravel()])
+    return table.reshape(t.shape + lam.shape)
 
 
-_POISSON_METHODS = {"spectral": poisson_factor, "subordination": _subordinated_factor}
+_POISSON_METHODS = {"spectral": _poisson, "subordination": _subordinated}
 
 
 def poisson_eval(
@@ -268,14 +321,14 @@ def poisson_eval(
     J times (J, M), by the closed-form spectrum or by subordination."""
     if method not in _POISSON_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return _multiplier_images(op, big_k, t, f, (_POISSON_METHODS[method],))[0]
+    return _images(op, big_k, t, f, _POISSON_METHODS[method])[0]
 
 
 def poisson_grad_eval(
     op: SpectralOperator, big_k: int, t: float | NDArray, f: NDArray
 ) -> GradField:
-    u, du_t = _multiplier_images(op, big_k, t, f, (poisson_factor, poisson_time_factor))
-    return _grad_field(op, t, u, du_t)
+    u, du_t = _images(op, big_k, t, f, _poisson, _poisson_rate)
+    return GradField(op.grid, np.asarray(t, float), u, du_t)
 
 
 def poisson_scalar(lam: float, t: float, tol: float = SUBORDINATION_TOL) -> float:

@@ -17,6 +17,11 @@ gradient kinds gain that decay from the factor t.
 
 Poisson kinds evaluate through the spectral path so their error budget
 is pure ladder quadrature, independent of subordination quadrature.
+
+A field reads only the semigroup images its magnitude needs, all ladder
+nodes at once: S kinds one image, G kinds the same one image and its
+centered periodic differences, Gcal kinds the image and its t d_t image.
+Squared parts are summed in one buffer and rooted in place.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .semigroup import (
     heat_eval,
     poisson_eval,
     poisson_grad_eval,
+    spatial_norm_sq,
 )
 from .tent import HalfSpaceField, cone_all
 
@@ -86,10 +92,6 @@ class SquareFunctionKind:
             )
 
 
-def _spatial_norm(g: GradField) -> NDArray:
-    return np.sqrt(np.sum(g.spatial**2, axis=0))
-
-
 def build_field(
     kind: SquareFunctionKind,
     op: SpectralOperator,
@@ -99,21 +101,28 @@ def build_field(
     """Sample the kind's integrand magnitude at every ladder node.
 
     The cone functional squares the field, so only magnitudes are kept:
-    the semigroup image itself for S kinds, the length of the spatial
-    part for G kinds, the full space-time length for Gcal kinds and the
-    vertical kind.
+    the semigroup image itself for S kinds, the length of t grad_y of
+    that image for G kinds, and the full space-time length for Gcal
+    kinds.
     """
     # looked up per call, so a rebinding of the module's evaluator names
     # is honoured
-    evaluator, magnitude = {
-        "S_H": (heat_eval, np.abs),
-        "G_H": (grad_eval, _spatial_norm),
-        "Gcal_H": (grad_eval, GradField.norm),
-        "S_P": (poisson_eval, np.abs),
-        "G_P": (poisson_grad_eval, _spatial_norm),
-        "Gcal_P": (poisson_grad_eval, GradField.norm),
+    evaluator = {
+        "S_H": heat_eval,
+        "G_H": heat_eval,
+        "Gcal_H": grad_eval,
+        "S_P": poisson_eval,
+        "G_P": poisson_eval,
+        "Gcal_P": poisson_grad_eval,
     }[kind.family]
-    rows = magnitude(evaluator(op, kind.order, ladder.nodes, f))
+    t = ladder.nodes
+    image = evaluator(op, kind.order, t, f)
+    if kind.family.startswith("S_"):
+        rows = np.abs(image, out=image)
+    else:
+        rows = image.norm_sq() if isinstance(image, GradField) \
+            else spatial_norm_sq(op.grid, t, image)
+        np.sqrt(rows, out=rows)
     return HalfSpaceField(op.grid, ladder, op.weight, rows)
 
 

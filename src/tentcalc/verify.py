@@ -95,6 +95,18 @@ FUBINI_TOL = 1e-12
 MODAL_RATIO_TOL = 1e-3
 MODAL_L2_TOL = 1e-4
 
+# each diagonal entry of A lies in [COEFF_MAX / COEFF_CONTRAST, COEFF_MAX].
+# Assembly's eigenvalue floor is absolute and its roundoff grows with the
+# largest entry: it first fails near 3e3 (dim 2, N = 64) and near 1e4
+# (dim 1, N = 128).  Below the range, or past the contrast, the weakest
+# axis's eigenvalues sink into the zero band and are taken for kernel.
+COEFF_MAX = 1e2
+COEFF_CONTRAST = 1e6
+# most bank functions a suite run takes: each adds about 0.16 s at the
+# default sizes (16, 32) and 1.1 s and 2.5 MB at sizes (32, 64) in dim 2,
+# so a run at the cap stays within about two minutes
+BANK_CAP = 100
+
 
 @dataclass(frozen=True)
 class Check:
@@ -170,19 +182,31 @@ def reports_to_csv(reports: list[SuiteReport]) -> str:
     return buf.getvalue()
 
 
-def _check_int(name: str, value, low: int):
-    """Reject a config field that is not an integer >= low (bools too)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_int(name: str, value, low: int, high: float = math.inf):
+    """Reject a config field that is not an integer in [low, high] (bools too)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or not low <= value <= high:
+        cap = f" and <= {high}" if high < math.inf else ""
+        raise ValueError(f"{name} must be an integer >= {low}{cap}, got {value!r}")
 
 
 def _check_real(name: str, value):
-    """Reject a config field that is not a real number (bools too), so
-    that the range checks after it compare numbers.  A bounded range
-    also rejects NaN and infinities; unbounded fields check finiteness
-    themselves."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    """Reject a config field that is not a real number a float can hold
+    (bools too), so that the range checks after it compare numbers.  A
+    bounded range also rejects NaN and infinities; unbounded fields check
+    finiteness themselves."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or isinstance(value, numbers.Integral) and abs(value) > 2**1023:
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _named(fields: str, build, *args):
+    """build(*args), with a ValueError prefixed by the config fields that
+    set its arguments."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{fields}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -191,8 +215,9 @@ class ProblemConfig:
     power weight |x|^weight_alpha, constant diagonal of A (identity when
     None), geometric time ladder and seed.
 
-    The weight is in A_2 exactly when -dim < weight_alpha < dim.  These
-    fields are checked here, each for its type (an int, or a finite real
+    The weight is in A_2 exactly when -dim < weight_alpha < dim, and
+    each coeff_entries value lies in [COEFF_MAX / COEFF_CONTRAST,
+    COEFF_MAX].  These fields are checked here, each for its type (an int, or a finite real
     that is not a bool) before its range.  Each extension checks its
     grid sizes (which also fixes dim in {1, 2}) before calling
     `__post_init__` here and its own fields after, so a bad config is
@@ -212,7 +237,7 @@ class ProblemConfig:
             _check_real(name, getattr(self, name))
         if not -self.dim < self.weight_alpha < self.dim:
             raise ValueError(
-                f"alpha outside (-n, n): weight power {self.weight_alpha} "
+                f"weight_alpha outside (-n, n): weight power {self.weight_alpha} "
                 f"not inside (-{self.dim}, {self.dim})"
             )
         if not 1.0 < self.ladder_ratio <= 2.0:
@@ -220,19 +245,19 @@ class ProblemConfig:
         if not 0.0 < self.ladder_t_max <= 8.0:
             raise ValueError(f"ladder_t_max must be in (0, 8], got {self.ladder_t_max}")
         entries = self.coeff_entries
-        if entries is not None and (
-            not isinstance(entries, tuple)
-            or len(entries) != self.dim
-            or not all(
-                isinstance(e, numbers.Real) and not isinstance(e, bool)
-                and math.isfinite(e) and e > 0
-                for e in entries
-            )
-        ):
-            raise ValueError(
-                f"coeff_entries must be a list of {self.dim} finite positive "
-                f"values, got {entries!r}"
-            )
+        if entries is not None:
+            if not isinstance(entries, tuple) or len(entries) != self.dim:
+                raise ValueError(
+                    f"coeff_entries must be a list of {self.dim} values, got {entries!r}"
+                )
+            for e in entries:
+                _check_real("coeff_entries", e)
+                if not COEFF_MAX / COEFF_CONTRAST <= e <= COEFF_MAX:
+                    raise ValueError(
+                        f"coeff_entries must lie in [{COEFF_MAX / COEFF_CONTRAST:g}, "
+                        f"{COEFF_MAX:g}] (contrast at most {COEFF_CONTRAST:g}), "
+                        f"got {entries!r}"
+                    )
         _check_int("seed", self.seed, 0)
 
     @classmethod
@@ -273,7 +298,8 @@ class SuiteConfig(ProblemConfig):
     """The problem plus the suite parameters; every suite is pure given one.
 
     The two sizes are the calibration grid and the revalidation grid,
-    each within the dense-operator budget of `check_dense_budget`.
+    each within the dense-operator budget of `check_dense_budget`, and
+    bank_size is at most BANK_CAP.
     drift_limit, the relative coarse-to-fine drift a stability check
     allows, lies in (0, 1].
     appendix_{r,s,q} are the finite class indices of the averaging
@@ -299,9 +325,9 @@ class SuiteConfig(ProblemConfig):
         if self.sizes[0] >= self.sizes[1]:
             raise ValueError(f"sizes must be (coarse, fine), got {self.sizes}")
         for n in self.sizes:
-            check_dense_budget(self.dim, n)
+            _named("dim, sizes", check_dense_budget, self.dim, n)
         super().__post_init__()
-        _check_int("bank_size", self.bank_size, 1)
+        _check_int("bank_size", self.bank_size, 1, BANK_CAP)
         _check_real("drift_limit", self.drift_limit)
         for name in ("appendix_r", "appendix_s", "appendix_q"):
             value = getattr(self, name)
@@ -317,7 +343,7 @@ class SuiteConfig(ProblemConfig):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.appendix_q > self.appendix_s:
             raise ValueError(
-                f"averaging inequality needs q <= s, got "
+                f"appendix_q: averaging inequality needs q <= s, got "
                 f"q={self.appendix_q}, s={self.appendix_s}"
             )
         alphas = self.appendix_alphas
@@ -332,8 +358,8 @@ class SuiteConfig(ProblemConfig):
             )
         # the finest grid carries the longest ladders
         fine = Grid(self.dim, self.sizes[1])
-        self.build_ladder(fine)
-        _modal_ladder(self, fine)
+        _named("ladder_ratio, ladder_t_max", self.build_ladder, fine)
+        _named("ladder_ratio", _modal_ladder, self, fine)
 
 
 def _modal_ladder(config: SuiteConfig, grid: Grid) -> TimeLadder:

@@ -2,13 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import tentcalc
 from tentcalc import verify
@@ -390,12 +393,17 @@ class TestVerifyCommand:
         ({"appendix_r": -5}, "appendix_r"),
         ({"appendix_r": 0.5}, "appendix_r"),
         ({"appendix_s": -1, "appendix_q": -2}, "appendix_s"),
+        ({"sizes": [8, 16], "bank_size": 100000}, "bank_size"),
+        ({"coeff_entries": [1e8, 1e-8]}, "coeff_entries"),
+        ({"coeff_entries": [1e3, 1e3]}, "coeff_entries"),
+        ({"appendix_r": 10**400}, "appendix_r"),
     ], ids=["alpha-high", "alpha-low", "ratio", "coeff", "alphas-empty",
             "alphas-one", "alphas-negative", "drift-negative", "drift-nan",
             "bank-bool", "bank-float", "seed-float", "coeff-scalar",
             "sizes-float", "sizes-scalar", "r-nan", "q-nan", "s-inf",
             "alpha-string", "drift-string", "alphas-string", "alphas-scalar",
-            "alphas-inf", "q-zero", "r-negative", "r-below-one", "s-negative"])
+            "alphas-inf", "q-zero", "r-negative", "r-below-one", "s-negative",
+            "bank-cap", "coeff-contrast", "coeff-max", "r-huge-int"])
     def test_bad_config_rejected_before_assembly(self, runner, monkeypatch, config,
                                                  field):
         def no_assembly(*args, **kwargs):
@@ -428,3 +436,44 @@ class TestVerifyCommand:
             assert lines[3] == b"suite,check,value,verdict"
             assert len(lines) > 4
             assert all(line.startswith(b"appendix_q,") for line in lines[4:])
+
+
+class Assembled(Exception):
+    """Raised in place of assembly: the config got past the reader."""
+
+
+def _reach_assembly(*args, **kwargs):
+    raise Assembled
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-3.0, 3.0),
+    st.text(max_size=3),
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+
+
+@pytest.mark.parametrize("command", [
+    ["sf", "--kind", "SH"],
+    ["verify"],
+], ids=["sf", "verify"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_config_reader_property(command, data):
+    # any JSON object over the schema keys is rejected when read, with a
+    # field named, or reaches assembly; never exit 3, never a traceback
+    config_cls = RunConfig if command[0] == "sf" else verify.SuiteConfig
+    keys = sorted(config_cls.__dataclass_fields__)
+    config = data.draw(st.dictionaries(st.sampled_from(keys), VALUES, max_size=5))
+    runner = CliRunner()
+    verify._assemble_cached.cache_clear()
+    with mock.patch.object(verify, "assemble", _reach_assembly), \
+            runner.isolated_filesystem():
+        _write_json("cfg.json", config)
+        result = runner.invoke(main, [*command, "--config", "cfg.json"])
+    if isinstance(result.exception, Assembled):
+        return
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1, result.output
+    assert re.match(rf"error: ({'|'.join(keys)})\b", result.output), result.output

@@ -423,3 +423,56 @@ class TestSwapSplit:
         op = assemble(g, CoefficientField.diagonal(g, coeff_entries), w)
         assert eigh_sizes == [16] * 4
         assert_matches_dense(op)
+
+
+BLOCK_CASES = [
+    # (dim, n, weight, entries): even and odd sides, the axis-swap split
+    # (A = a I in dim 2), four plain parity blocks, and the one-block case
+    (1, 8, PowerWeight(0.7), (1.0,)),
+    (1, 9, PowerWeight(-0.4), (2.0,)),
+    (2, 8, PowerWeight(1.0), (1.0, 1.0)),
+    (2, 9, PowerWeight(1.2), (1.5, 1.5)),
+    (2, 8, PowerWeight(-0.6), (1.0, 2.0)),
+    (2, 9, PowerWeight(0.5), (2.0, 1.0)),
+    (2, 8, None, (1.0, 2.0)),
+    (2, 9, None, (1.0, 1.0)),
+]
+
+
+class TestBlockCoordinates:
+    """`project`, `reconstruct` and `mode(k)` of the block-coordinate
+    store against one dense `eigh` of the same operator."""
+
+    @pytest.mark.parametrize("dim,n,weight,entries", BLOCK_CASES)
+    def test_match_dense(self, dim, n, weight, entries):
+        g = Grid(dim, n)
+        if weight is None:
+            w = np.random.default_rng(n).uniform(0.5, 2.0, size=g.n_cells)
+            weight = TabulatedWeight(tuple(w))
+        op = assemble(g, CoefficientField.diagonal(g, entries), weight)
+        assert len(op.block_vectors) == (1 if isinstance(weight, TabulatedWeight)
+                                         else 2**dim)
+        lam, phi = dense_spectrum(g, op.coeff, op.weight_values)
+        scale = lam.max()
+        dens = op.weight_values * g.cell_volume
+
+        # mode(k): w-orthonormal eigenpairs of the dense operator
+        ours = np.column_stack([op.mode(k) for k in range(g.n_cells)])
+        npt.assert_allclose(operator_matrix(op) @ ours, ours * op.eigenvalues,
+                            rtol=0, atol=1e-9 * scale)
+        npt.assert_allclose(ours.T @ (ours * dens[:, None]), np.eye(g.n_cells),
+                            rtol=0, atol=1e-12)
+
+        # project then reconstruct on each spectral group equals the dense
+        # spectral projector of that group applied to f
+        f = np.random.default_rng(7).normal(size=(2, g.n_cells))
+        coeffs = op.project(f)
+        npt.assert_allclose(coeffs, f * dens @ ours, rtol=0, atol=1e-12)
+        order = np.argsort(op.eigenvalues, kind="stable")
+        for start, stop in cluster_bounds(lam, 1e-6):
+            kept = np.zeros_like(coeffs)
+            kept[:, order[start:stop]] = coeffs[:, order[start:stop]]
+            group = phi[:, start:stop]
+            npt.assert_allclose(op.reconstruct(kept), (f * dens) @ group @ group.T,
+                                rtol=0, atol=1e-9)
+        npt.assert_allclose(op.reconstruct(coeffs), f, rtol=0, atol=1e-12)

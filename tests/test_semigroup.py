@@ -189,9 +189,12 @@ class TestGradEval:
         npt.assert_allclose(out.spatial[0], t * via_fft, atol=1e-8)
 
     def test_norm_sq_combines_parts(self):
-        gf = GradField(spatial=np.array([[3.0]]), time=np.array([4.0]))
-        assert gf.norm_sq()[0] == pytest.approx(25.0)
-        assert gf.norm()[0] == pytest.approx(5.0)
+        # centered differences of u over 2h = 1/2 are (4, 0, -4, 0); t = 3/4
+        u = np.array([0.0, 1.0, 0.0, -1.0])
+        gf = GradField(Grid(1, 4), np.array(0.75), u, np.array([4.0, 1.0, 4.0, 0.0]))
+        npt.assert_array_equal(gf.spatial, [[3.0, 0.0, -3.0, 0.0]])
+        npt.assert_array_equal(gf.norm_sq(), [25.0, 1.0, 25.0, 0.0])
+        npt.assert_array_equal(gf.norm(), [5.0, 1.0, 5.0, 0.0])
 
 
 class TestPoisson:

@@ -335,3 +335,45 @@ class TestFieldAndCsv:
     def test_result_csv_shape_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             result_to_csv(Grid(1, 4), np.zeros(5), str(tmp_path / "bad.csv"))
+
+
+class TestImagesRead:
+    """Each kind builds only the images it reads, and its magnitudes agree
+    with the length of the full gradient stack."""
+
+    @pytest.mark.parametrize("family,images", [
+        ("S_H", 1), ("G_H", 1), ("Gcal_H", 2), ("S_P", 1), ("G_P", 1), ("Gcal_P", 2),
+    ])
+    def test_reconstructions_per_field(self, op_modal, monkeypatch, family, images):
+        calls = []
+        real = type(op_modal).reconstruct_blocks
+
+        def counted(self, coeffs, out=None):
+            calls.append(np.shape(coeffs))
+            return real(self, coeffs, out)
+
+        monkeypatch.setattr(type(op_modal), "reconstruct_blocks", counted)
+        ladder = TimeLadder.default_for(op_modal.grid)
+        f = np.random.default_rng(419).standard_normal(op_modal.grid.n_cells)
+        build_field(SquareFunctionKind(family), op_modal, f, ladder)
+        assert calls == [(ladder.count, op_modal.grid.n_cells)] * images
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @pytest.mark.parametrize("family", ALL_CONE_KINDS)
+    @pytest.mark.parametrize("op_name", ["op_small", "op_modal"])
+    def test_matches_gradient_stack(self, family, order, op_name, request):
+        op = request.getfixturevalue(op_name)
+        ladder = TimeLadder.default_for(op.grid)
+        kind = SquareFunctionKind(family, order)
+        f = np.random.default_rng(420).standard_normal(op.grid.n_cells)
+        t = ladder.nodes
+        if family.startswith("S_"):
+            evaluator = poisson_eval if family.endswith("_P") else heat_eval
+            want = np.abs(evaluator(op, kind.order, t, f))
+        else:
+            evaluator = poisson_grad_eval if family.endswith("_P") else grad_eval
+            g = evaluator(op, kind.order, t, f)
+            spatial_sq = np.sum(g.spatial**2, axis=0)
+            want = np.sqrt(spatial_sq if family.startswith("G_") else spatial_sq + g.time**2)
+        got = build_field(kind, op, f, ladder).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
