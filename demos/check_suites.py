@@ -9,6 +9,16 @@ JSON and CSV; the full-size run uses the default SuiteConfig().
 
 from tentcalc import SuiteConfig, run_suites
 
+# pass/fail values below this are rounding, printed as the bound and not as
+# digits that any reordering of floating-point operations moves
+ROUNDOFF = 1e-12
+
+
+def shown(check, value):
+    if check.kind == "pass_fail" and abs(value) < ROUNDOFF:
+        return f"< {ROUNDOFF:g}"
+    return f"{value:.4g}"
+
 
 def main():
     config = SuiteConfig(sizes=(8, 16), bank_size=6)
@@ -18,7 +28,7 @@ def main():
           f"sizes = {report.environment['sizes']}, "
           f"weight = {report.environment['weight']}")
     for check in report.checks:
-        values = ", ".join(f"{v:.4g}" for v in check.values)
+        values = ", ".join(shown(check, v) for v in check.values)
         bound = "" if check.tolerance is None else f"  (tolerance {check.tolerance:g})"
         print(f"  [{check.verdict}] {check.id}: {values}{bound}")
 

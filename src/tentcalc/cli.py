@@ -31,7 +31,7 @@ from .exponents import (
     sobolev_exponent,
     surrogate_p_bounds,
 )
-from .mesh import PowerWeight, UNIT_WEIGHT, Grid, WeightModel, lp_norm
+from .mesh import PowerWeight, Grid, lp_norm
 from .operator import SpectralOperator, check_dense_budget
 from .semigroup import TimeLadder
 from .squarefn import SquareFunctionKind, evaluate, result_to_csv
@@ -194,36 +194,87 @@ def cmd_exponents(alpha, n, k, p0, q0, corollary, out):
         ) + "\n")
 
 
-def _materialize_f(spec: str, op: SpectralOperator) -> NDArray:
+# `sf` flag ranges.  A bump narrower than BUMP_SIGMA[0] reaches at most one
+# cell centre of any grid within the caps (h >= 1/128), and one wider than
+# BUMP_SIGMA[1] is constant on the unit torus to 1e-6.  Exponents in
+# NORM_P and density powers w^delta with |delta| <= DENSITY_POWER_CAP keep
+# |f|^p and the sampled density (d^(alpha delta), d >= 1/256) inside the
+# float range for fields of ordinary size; a norm that still leaves it is
+# rejected after the run.
+BUMP_SIGMA = (1e-3, 1e3)
+NORM_P = (0.1, 100.0)
+DENSITY_POWER_CAP = 10.0
+
+
+def _flag_int(name: str, text: str) -> int:
+    if text.isascii() and text.isdigit() and len(text) <= 18:
+        return int(text)
+    _fail(f"{name}: expected an integer in [0, 10^18), got {text!r}")
+
+
+def _flag_real(name: str, text: str, lo: float, hi: float) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not lo <= value <= hi:  # false for NaN
+        _fail(f"{name}: expected a real number in [{lo:g}, {hi:g}], got {text!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class FunctionSpec:
+    """A parsed `--f` value: the flag text as given (for the header), its
+    kind and its mode index, seed or bump width."""
+
+    text: str
+    kind: str
+    arg: int | float = 0
+
+
+def _parse_f(ctx, param, text: str) -> FunctionSpec:
+    kind, _, arg = text.partition(":")
+    if text == "constant":
+        return FunctionSpec(text, kind)
+    if kind == "eig":
+        return FunctionSpec(text, kind, _flag_int("--f eig:K", arg))
+    if kind == "random":
+        return FunctionSpec(text, kind, _flag_int("--f random:SEED", arg))
+    if kind == "bump":
+        return FunctionSpec(text, kind, _flag_real("--f bump:SIGMA", arg, *BUMP_SIGMA))
+    _fail(f"--f: unknown function spec {text!r}; use constant, eig:K, "
+          "random:SEED or bump:SIGMA")
+
+
+def _parse_p(ctx, param, texts: tuple[str, ...]) -> tuple[float, ...]:
+    return tuple(_flag_real("--p", text, *NORM_P) for text in texts)
+
+
+def _parse_v(ctx, param, texts: tuple[str, ...]) -> tuple[tuple[str, float], ...]:
+    """Each density as (flag text, delta) for v = w^delta; `one` is delta 0."""
+    specs = []
+    for text in texts:
+        kind, _, arg = text.partition(":")
+        if text == "one":
+            specs.append((text, 0.0))
+        elif kind == "w":
+            specs.append((text, _flag_real("--v w:DELTA", arg, -DENSITY_POWER_CAP,
+                                           DENSITY_POWER_CAP)))
+        else:
+            _fail(f"--v: unknown density spec {text!r}; use one or w:DELTA")
+    return tuple(specs)
+
+
+def _materialize_f(spec: FunctionSpec, op: SpectralOperator) -> NDArray:
     grid = op.grid
-    if spec == "constant":
+    if spec.kind == "constant":
         return np.ones(grid.n_cells)
-    if spec.startswith("eig:"):
-        index = int(spec.split(":", 1)[1])
-        if not 0 <= index < grid.n_cells:
-            raise ValueError(f"eigenmode index {index} outside [0, {grid.n_cells})")
-        return op.mode(index)
-    if spec.startswith("random:"):
-        seed = int(spec.split(":", 1)[1])
-        return np.random.default_rng(seed).standard_normal(grid.n_cells)
-    if spec.startswith("bump:"):
-        sigma = float(spec.split(":", 1)[1])
-        if sigma <= 0:
-            raise ValueError(f"bump width must be positive, got {sigma}")
-        # the bank's Gaussian bump, centered on the torus
-        return materialize(BankFunction("bump", (0.5,) * grid.dim + (sigma,)), op)
-    raise ValueError(
-        f"unknown function spec {spec!r}; use constant, eig:K, random:SEED or bump:SIGMA"
-    )
-
-
-def _density_model(spec: str, config: RunConfig) -> WeightModel:
-    if spec == "one":
-        return UNIT_WEIGHT
-    if spec.startswith("w:"):
-        delta = float(spec.split(":", 1)[1])
-        return PowerWeight(config.weight_alpha * delta)
-    raise ValueError(f"unknown density spec {spec!r}; use one or w:DELTA")
+    if spec.kind == "eig":
+        return op.mode(spec.arg)
+    if spec.kind == "random":
+        return np.random.default_rng(spec.arg).standard_normal(grid.n_cells)
+    # the bank's Gaussian bump, centered on the torus
+    return materialize(BankFunction("bump", (0.5,) * grid.dim + (spec.arg,)), op)
 
 
 @main.command("sf")
@@ -231,14 +282,18 @@ def _density_model(spec: str, config: RunConfig) -> WeightModel:
               help="square function family")
 @click.option("--m", "--K", "order", type=int, default=None,
               help="semigroup order (family minimum when omitted)")
-@click.option("--f", "f_spec", default="random:0", show_default=True,
-              help="input function: constant, eig:K, random:SEED, bump:SIGMA")
+@click.option("--f", "f_spec", default="random:0", show_default=True, callback=_parse_f,
+              help="input function: constant, eig:K, random:SEED, "
+                   f"bump:SIGMA (SIGMA in [{BUMP_SIGMA[0]:g}, {BUMP_SIGMA[1]:g}])")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON RunConfig file")
-@click.option("--p", "p_values", multiple=True, type=float, default=(2.0,),
-              show_default=True, help="exponents for the summary norms")
+@click.option("--p", "p_values", multiple=True, default=("2.0",), show_default=True,
+              callback=_parse_p,
+              help=f"exponents for the summary norms, in [{NORM_P[0]:g}, {NORM_P[1]:g}]")
 @click.option("--v", "v_specs", multiple=True, default=("one",), show_default=True,
-              help="density for the summary norms: one or w:DELTA")
+              callback=_parse_v,
+              help="density for the summary norms: one or w:DELTA "
+                   f"(|DELTA| <= {DENSITY_POWER_CAP:g})")
 @click.option("--out-field", type=click.Path(dir_okay=False), default="sf_field.csv",
               show_default=True, help="per-cell values CSV")
 @click.option("--out-summary", type=click.Path(dir_okay=False),
@@ -249,22 +304,29 @@ def cmd_sf(kind, order, f_spec, config_path, p_values, v_specs, out_field,
     try:
         config = RunConfig.from_dict(_load_json(config_path)) if config_path \
             else RunConfig()
+        if f_spec.kind == "eig" and f_spec.arg >= config.n**config.dim:
+            _fail(f"--f eig:K: eigenmode index {f_spec.arg} outside "
+                  f"[0, {config.n**config.dim})")
         sf_kind = SquareFunctionKind(KIND_TOKENS[kind], order)
         op = config.build_operator(config.n)
         ladder = config.build_ladder(op.grid)
         f = _materialize_f(f_spec, op)
         values = evaluate(sf_kind, op, f, ladder)
-        norms = [
-            {"p": p, "v": v_spec,
-             "norm": lp_norm(values, p, _density_model(v_spec, config),
-                             op.weight, op.grid)}
-            for p in p_values for v_spec in v_specs
-        ]
+        with np.errstate(over="ignore"):
+            norms = [
+                {"p": p, "v": v_text,
+                 "norm": lp_norm(values, p, PowerWeight(config.weight_alpha * delta),
+                                 op.weight, op.grid)}
+                for p in p_values for v_text, delta in v_specs
+            ]
     except (TypeError, ValueError) as exc:
         _fail(str(exc))
+    for entry in norms:
+        if not np.isfinite(entry["norm"]):
+            _fail(f"--p {entry['p']:g}, --v {entry['v']}: the norm overflows")
 
     payload = {**asdict(config), "kind": kind, "order": sf_kind.order,
-               "f": f_spec}
+               "f": f_spec.text}
     header = _header(payload, config.seed)
     result_to_csv(op.grid, values, out_field, _comment_lines(header))
     _write_text(out_summary, json.dumps({
@@ -272,10 +334,10 @@ def cmd_sf(kind, order, f_spec, config_path, p_values, v_specs, out_field,
         "kind": kind,
         "family": sf_kind.family,
         "order": sf_kind.order,
-        "f": f_spec,
+        "f": f_spec.text,
         "config": asdict(config),
         "norms": norms,
-    }, indent=2) + "\n")
+    }, indent=2, allow_nan=False) + "\n")
     click.echo(f"wrote {out_field} and {out_summary}")
 
 

@@ -53,7 +53,7 @@ stay per parity block.  The sign rule runs once per parity block in its
 coordinates, so a simple mode keeps its sign whichever way its block was
 solved.  At N = 64 that is one 1024^2 and four ~512^2 `eigh`s instead of
 four 1024^2.  Every `eigh` is numpy's, LAPACK's divide-and-conquer
-driver, so assembly loads no scipy.
+driver.
 
 Global modes are ordered by eigenvalue.  Eigenvalues whose adjacent gaps
 stay within CLUSTER_RTOL * lambda_max form a cluster, and inside a cluster

@@ -1,10 +1,12 @@
 """CLI tests: flag parsing, exit codes, output files, determinism."""
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -144,8 +146,8 @@ class TestExponents:
         assert json.loads(result.output)["range_W"] == ["9/4", "4"]
 
     def test_loads_no_scipy(self):
-        # scipy is imported only for subordination quadrature, so neither
-        # importing the CLI nor an exponent query loads it
+        # scipy is a test dependency only: neither importing the CLI nor an
+        # exponent query loads it
         code = (
             "import sys\n"
             "import tentcalc.cli\n"
@@ -176,7 +178,7 @@ class TestExponents:
 
 def test_sf_and_verify_load_no_scipy(tmp_path):
     # assembly diagonalises with numpy's eigh, so a field and a verify run
-    # without subordination load no scipy either
+    # load no scipy either
     _write_json(tmp_path / "sf.json", {"dim": 2, "n": 8})
     _write_json(tmp_path / "suite.json", {"sizes": [8, 16], "bank_size": 2})
     code = (
@@ -197,6 +199,49 @@ def test_sf_and_verify_load_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "sf_field.csv").exists()
     assert (tmp_path / "verify_report.json").exists()
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import failing,
+    # the commands and the six demos (subordination included) still run
+    _write_json(tmp_path / "sf.json", {"dim": 2, "n": 8})
+    _write_json(tmp_path / "suite.json", {"sizes": [8, 16], "bank_size": 2})
+    demos = sorted(str(p) for p in
+                   (Path(tentcalc.__file__).resolve().parents[2] / "demos").glob("*.py"))
+    assert len(demos) == 6, demos
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import tentcalc.cli\n"
+        "for args in (['exponents', '--alpha', '1', '--n', '2'],\n"
+        "             ['sf', '--kind', 'SH', '--config', 'sf.json'],\n"
+        "             ['verify', '--suite', 'all', '--config', 'suite.json']):\n"
+        "    try:\n"
+        "        tentcalc.cli.main.main(args=args, prog_name='tentcalc')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (args, exc.code)\n"
+        f"for demo in {demos!r}:\n"
+        "    runpy.run_path(demo, run_name='__main__')\n"
+    )
+    result = _run_python(code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "sf_summary.json").exists()
+    assert (tmp_path / "verify_report.json").exists()
+
+
+def test_package_imports_no_scipy():
+    package = Path(tentcalc.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 class TestSf:
@@ -286,6 +331,31 @@ class TestSf:
                                           "--f", "spline:3", "--config", "cfg.json"])
             assert result.exit_code == 1
             assert "unknown function spec" in result.output
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--p", "nan"], "--p"),
+        (["--p", "inf"], "--p"),
+        (["--p", "-1"], "--p"),
+        (["--v", "w:nan"], "--v w:DELTA"),
+        (["--v", "w:inf"], "--v w:DELTA"),
+        (["--f", "bump:nan"], "--f bump:SIGMA"),
+        (["--f", "bump:1e-300"], "--f bump:SIGMA"),
+        (["--f", "random:-1"], "--f random:SEED"),
+        (["--f", "eig:x"], "--f eig:K"),
+        (["--f", "eig:256"], "--f eig:K"),
+    ], ids=["p-nan", "p-inf", "p-negative", "v-nan", "v-inf", "bump-nan",
+            "bump-tiny", "random-negative", "eig-string", "eig-past-cells"])
+    def test_bad_flag_rejected_before_assembly(self, runner, monkeypatch, flags, flag):
+        def no_assembly(*args, **kwargs):
+            pytest.fail("operator assembled for a flag that must be rejected")
+
+        verify._assemble_cached.cache_clear()
+        monkeypatch.setattr(verify, "assemble", no_assembly)
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["sf", "--kind", "SH", *flags])
+            assert result.exit_code == 1, result.output
+            assert result.output.startswith(f"error: {flag}: "), result.output
+            assert not os.path.exists("sf_summary.json")
 
     def test_density_options(self, runner):
         with runner.isolated_filesystem():
@@ -454,6 +524,24 @@ SCALARS = st.one_of(
 VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
 
 
+# drawn --f, --p and --v values: well-formed and in range, or not
+FLAG_ARGS = st.one_of(
+    st.text(max_size=4), st.integers(-3, 10**20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.1, 100.0).map(repr),
+)
+FLAGS = st.lists(st.one_of(
+    st.sampled_from(["--f=constant", "--v=one"]),
+    st.tuples(st.sampled_from(["eig", "random", "bump", "spline"]), FLAG_ARGS)
+    .map(lambda kind_arg: "--f=" + ":".join(kind_arg)),
+    FLAG_ARGS.map("--p={}".format),
+    FLAG_ARGS.map("--v=w:{}".format),
+    st.sampled_from(["--f", "--p", "--v"]).flatmap(
+        lambda flag: st.text(max_size=4).map(f"{flag}={{}}".format)),
+), max_size=3)
+FLAG_ERROR = r"error: (--f|--p|--v)\b"
+
+
 @pytest.mark.parametrize("command", [
     ["sf", "--kind", "SH"],
     ["verify"],
@@ -461,19 +549,46 @@ VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_config_reader_property(command, data):
-    # any JSON object over the schema keys is rejected when read, with a
-    # field named, or reaches assembly; never exit 3, never a traceback
+    # any JSON object over the schema keys, and for sf any flag values, is
+    # rejected when read, with a field or flag named, or reaches assembly;
+    # never exit 3, never a traceback
     config_cls = RunConfig if command[0] == "sf" else verify.SuiteConfig
     keys = sorted(config_cls.__dataclass_fields__)
     config = data.draw(st.dictionaries(st.sampled_from(keys), VALUES, max_size=5))
+    flags = data.draw(FLAGS) if command[0] == "sf" else []
     runner = CliRunner()
     verify._assemble_cached.cache_clear()
     with mock.patch.object(verify, "assemble", _reach_assembly), \
             runner.isolated_filesystem():
         _write_json("cfg.json", config)
-        result = runner.invoke(main, [*command, "--config", "cfg.json"])
+        result = runner.invoke(main, [*command, *flags, "--config", "cfg.json"])
     if isinstance(result.exception, Assembled):
         return
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code == 1, result.output
-    assert re.match(rf"error: ({'|'.join(keys)})\b", result.output), result.output
+    assert re.match(rf"error: ({'|'.join(keys)})\b|{FLAG_ERROR}", result.output), \
+        result.output
+
+
+@given(flags=FLAGS)
+@settings(max_examples=100, deadline=None)
+def test_sf_flag_property(flags):
+    # any flag values on a valid config: exit 0 with a summary that is
+    # strict JSON (no NaN or Infinity), or exit 1 naming the flag; never
+    # exit 3, a traceback or a warning
+    def no_constant(name):
+        raise ValueError(f"summary holds {name}")
+
+    runner = CliRunner()
+    with warnings.catch_warnings(), runner.isolated_filesystem():
+        warnings.simplefilter("error")
+        _write_json("cfg.json", {"dim": 1, "n": 16, "weight_alpha": 0.5})
+        result = runner.invoke(main, ["sf", "--kind", "SH", *flags,
+                                      "--config", "cfg.json"])
+        if result.exit_code == 0:
+            with open("sf_summary.json") as fh:
+                json.loads(fh.read(), parse_constant=no_constant)
+            return
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1, result.output
+    assert re.match(FLAG_ERROR, result.output), result.output

@@ -211,6 +211,29 @@ class TestPoisson:
             got = subordination_factors(lam, t)
             npt.assert_allclose(got, np.exp(-t * np.sqrt(lam)), atol=1e-9)
 
+    def test_subordination_sweep(self):
+        # the largest eigenvalue within the config caps: dim 1, 128 cells,
+        # A = 100 and a weight power next to 1 (7.6e6; dim 2 at 64 cells
+        # reaches 4.4e6)
+        g = Grid(1, 128)
+        top = assemble(g, CoefficientField.diagonal(g, [100.0]),
+                       PowerWeight(1 - 1e-9)).eigenvalues.max()
+        lam = np.concatenate([[0.0, top], np.geomspace(1e-3, 1e7, 400)])
+        worst = max(
+            np.max(np.abs(subordination_factors(lam, t) - np.exp(-t * np.sqrt(lam))))
+            for t in np.geomspace(1e-3, 8.0, 60)
+        )
+        assert worst <= 1e-12
+        # at M = 4096 no call holds a (nodes x M) table (15.8 MB)
+        lam = np.linspace(0.0, top, 4096)
+        tracemalloc.start()
+        try:
+            subordination_factors(lam, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_methods_agree(self, op_weighted16):
         rng = np.random.default_rng(4)
         f = rng.normal(size=16)
