@@ -139,10 +139,39 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# size both are set to.  A command's numpy temporaries (up to a few MB)
+# then stay in the heap when freed, instead of going back to the OS and
+# being faulted in afresh by the next allocation.  Both are set because
+# any mallopt call freezes glibc's dynamic mmap threshold where it is.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_THRESHOLD = 64 << 20
+
+
+def _tune_heap():
+    """Raise the heap's trim and mmap thresholds to HEAP_THRESHOLD; a no-op
+    where the C library has no mallopt.  Called by the command line only,
+    so importing the library leaves its process's allocator as it is."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    # no mallopt in the C library, or no handle on the process's own
+    # symbols (Windows)
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_THRESHOLD)
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
     """Exact exponent calculus, square-function fields, check suites."""
+    _tune_heap()
 
 
 @main.command("exponents")
@@ -190,7 +219,7 @@ def cmd_exponents(alpha, n, k, p0, q0, corollary, out):
     click.echo(json.dumps(result))
     if out is not None:
         _write_text(out, json.dumps(
-            {"header": _header(config, None), **result}, indent=2
+            {"header": _header(config, None), **result}, indent=2, allow_nan=False
         ) + "\n")
 
 
@@ -246,6 +275,10 @@ def _parse_f(ctx, param, text: str) -> FunctionSpec:
           "random:SEED or bump:SIGMA")
 
 
+def _parse_order(ctx, param, text: str | None) -> int | None:
+    return None if text is None else _flag_int("--m", text)
+
+
 def _parse_p(ctx, param, texts: tuple[str, ...]) -> tuple[float, ...]:
     return tuple(_flag_real("--p", text, *NORM_P) for text in texts)
 
@@ -280,7 +313,8 @@ def _materialize_f(spec: FunctionSpec, op: SpectralOperator) -> NDArray:
 @main.command("sf")
 @click.option("--kind", type=click.Choice(sorted(KIND_TOKENS)), required=True,
               help="square function family")
-@click.option("--m", "--K", "order", type=int, default=None,
+@click.option("--m", "--K", "order", default=None, callback=_parse_order,
+              metavar="INTEGER",
               help="semigroup order (family minimum when omitted)")
 @click.option("--f", "f_spec", default="random:0", show_default=True, callback=_parse_f,
               help="input function: constant, eig:K, random:SEED, "
@@ -302,12 +336,15 @@ def cmd_sf(kind, order, f_spec, config_path, p_values, v_specs, out_field,
            out_summary):
     """Evaluate one square function on a configured grid."""
     try:
+        sf_kind = SquareFunctionKind(KIND_TOKENS[kind], order)
+    except ValueError as exc:
+        _fail(f"--m: {exc}")
+    try:
         config = RunConfig.from_dict(_load_json(config_path)) if config_path \
             else RunConfig()
         if f_spec.kind == "eig" and f_spec.arg >= config.n**config.dim:
             _fail(f"--f eig:K: eigenmode index {f_spec.arg} outside "
                   f"[0, {config.n**config.dim})")
-        sf_kind = SquareFunctionKind(KIND_TOKENS[kind], order)
         op = config.build_operator(config.n)
         ladder = config.build_ladder(op.grid)
         f = _materialize_f(f_spec, op)
@@ -367,7 +404,7 @@ def cmd_verify(suite, seed, config_path, out_json, out_csv):
     json_text = json.dumps({
         "header": header,
         "reports": [r.to_json_dict() for r in reports],
-    }, indent=2) + "\n"
+    }, indent=2, allow_nan=False) + "\n"
     _write_text(out_json, json_text)
     csv_body = reports_to_csv(reports)
     _write_text(out_csv, _comment_lines(header) + csv_body)

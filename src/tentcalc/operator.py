@@ -80,10 +80,15 @@ __all__ = [
     "check_dense_budget",
 ]
 
-# eigenvalues below this are an assembly bug, between this and zero they
-# are roundoff in the kernel and get clamped to 0
-EIG_ERROR_FLOOR = -1e-8
-EIG_ZERO_BAND = 1e-9
+# floors relative to the largest eigenvalue of the block solved, so that
+# assembly does not depend on the scale of A: eigenvalues below
+# EIG_ERROR_FLOOR times it are an assembly bug, and those of magnitude
+# below EIG_ZERO_BAND times it are roundoff in the kernel and get clamped
+# to 0.  Over the grids, powers and coefficients that configs admit, the
+# kernel's roundoff stays below 3.2e-16 of the largest eigenvalue and
+# every other eigenvalue above 1.7e-9 of it
+EIG_ERROR_FLOOR = -1e-11
+EIG_ZERO_BAND = 1e-12
 
 ORTHO_TOL = 1e-10
 
@@ -276,14 +281,17 @@ def _block_matrix(stencil, coef: NDArray, local: NDArray, m: int) -> NDArray:
 
 def _block_eigh(block: NDArray) -> tuple[NDArray, NDArray]:
     """Eigenpairs of one symmetric block with every assembly check: the
-    error floor, the zero band clamp and orthonormality.  numpy's `eigh`
-    is LAPACK's divide-and-conquer ?syevd."""
+    error floor, the zero band clamp (both relative to the block's largest
+    eigenvalue) and orthonormality.  numpy's `eigh` is LAPACK's
+    divide-and-conquer ?syevd."""
     eigvals, psi = np.linalg.eigh(block)
-    if eigvals.min() < EIG_ERROR_FLOOR:
+    top = eigvals[-1]
+    if eigvals[0] < EIG_ERROR_FLOOR * top:
         raise ValueError(
-            f"assembly produced eigenvalue {eigvals.min()} < {EIG_ERROR_FLOOR}"
+            f"assembly produced eigenvalue {eigvals[0]} < {EIG_ERROR_FLOOR} "
+            f"times the largest, {top}"
         )
-    eigvals[np.abs(eigvals) < EIG_ZERO_BAND] = 0.0
+    eigvals[np.abs(eigvals) < EIG_ZERO_BAND * top] = 0.0
 
     # psi is orthonormal exactly when the modes it gives are w-orthonormal
     resid = np.max(np.abs(psi.T @ psi - np.eye(psi.shape[1])))

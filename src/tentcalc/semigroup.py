@@ -24,7 +24,8 @@ all ladder nodes ((J, M)), in one buffer and in place: -t^2 lam (or
 lam^m per column, then the coefficients.  A time table is the image
 table times its bracket above.  Each image is one reconstruction, one
 product per parity block, written over its table; no table or image
-outlives its call.
+outlives its call.  `multiplier_tables` returns the tables themselves,
+for norms that Parseval takes without a reconstruction.
 
 The Poisson semigroup also has a quadrature path through the subordination
 formula
@@ -59,6 +60,7 @@ __all__ = [
     "grad_eval",
     "poisson_eval",
     "poisson_grad_eval",
+    "multiplier_tables",
     "poisson_scalar",
     "subordination_factors",
     "centered_gradient",
@@ -164,17 +166,15 @@ def _poisson_rate(lam: NDArray, t: NDArray) -> NDArray:
     return np.multiply.outer(-t, np.sqrt(lam))
 
 
-def _images(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
+def _tables(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
             semigroup, rate=None) -> list[NDArray]:
-    """The image sum_k (t^2 lam_k)^order S_k(t) c_k phi_k of f, with S the
+    """The coefficient table (t^2 lam_k)^order S_k(t) c_k of f, with S the
     `semigroup` factor and c = project(f), and given the `rate` t d_t log S
-    also its t d_t image, whose table is the image table times
-    2 order + rate.
+    also its t d_t table, the image table times 2 order + rate.
 
-    t is one time or a 1-D array of J times, so each image has shape (M,)
+    t is one time or a 1-D array of J times, so each table has shape (M,)
     or (J, M).  f is projected once; the tables and the coefficients stay
-    in the operator's block order, and each image is one reconstruction
-    written over its own table."""
+    in the operator's block order."""
     if not (0 <= int(order) == order and order <= ORDER_CAP):
         raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
     t = np.asarray(t, float)
@@ -195,7 +195,26 @@ def _images(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
         time += 2 * order
         time *= table
         tables.append(time)
-    return [op.reconstruct_blocks(x, out=x) for x in tables]
+    return tables
+
+
+def _images(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
+            semigroup, rate=None) -> list[NDArray]:
+    """The images of the `_tables` of f, each one reconstruction written
+    over its own table."""
+    return [op.reconstruct_blocks(x, out=x)
+            for x in _tables(op, order, t, f, semigroup, rate)]
+
+
+def multiplier_tables(op: SpectralOperator, semigroup: str, order: int,
+                      t: float | NDArray, f: NDArray, time: bool = False) -> list[NDArray]:
+    """The coefficient table of the "heat" or "poisson" power of order
+    `order` applied to f, in block order, and with `time` also its t d_t
+    table: reconstructed, they are the image and time parts of
+    `grad_eval` or `poisson_grad_eval`.  By w-orthonormality a table's sum
+    of squares at a node is its image's squared L^2(w) norm there."""
+    factor, rate = {"heat": (_heat, _heat_rate), "poisson": (_poisson, _poisson_rate)}[semigroup]
+    return _tables(op, order, t, f, factor, rate if time else None)
 
 
 def heat_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> NDArray:

@@ -22,6 +22,10 @@ A field reads only the semigroup images its magnitude needs, all ladder
 nodes at once: S kinds one image, G kinds the same one image and its
 centered periodic differences, Gcal kinds the image and its t d_t image.
 Squared parts are summed in one buffer and rooted in place.
+
+`l2_norm_sq` gives the squared L^2(w) norm of any kind with no field and
+no cone, from the Fubini identity and Parseval's identity in the
+eigenbasis.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .semigroup import (
     TimeLadder,
     grad_eval,
     heat_eval,
+    multiplier_tables,
     poisson_eval,
     poisson_grad_eval,
     spatial_norm_sq,
@@ -51,7 +56,7 @@ __all__ = [
     "build_field",
     "evaluate",
     "vertical_g",
-    "spectral_heat_norm_sq",
+    "l2_norm_sq",
     "result_to_csv",
 ]
 
@@ -145,22 +150,40 @@ def vertical_g(op: SpectralOperator, f: NDArray, ladder: TimeLadder) -> NDArray:
     return np.sqrt(total * ladder.node_weight)
 
 
-def spectral_heat_norm_sq(
-    op: SpectralOperator, f: NDArray, m: int, ladder: TimeLadder
+def l2_norm_sq(
+    kind: SquareFunctionKind,
+    op: SpectralOperator,
+    f: NDArray,
+    ladder: TimeLadder,
 ) -> float:
-    """||S_{m,H} f||^2 in L^2(w) from eigenvalues and projections alone.
+    """||kind(f)||^2 in L^2(w), with no cone.
 
-    w-orthonormality collapses the cell sum, leaving
-    sum_k <f, phi_k>_w^2 Q_m(lambda_k) with
-    Q_m(lam) = sum_j (t_j^2 lam)^{2m} e^{-2 t_j^2 lam} ln(rho); an
-    independent check on the half-space route.
+    The Fubini identity of the tent space turns the squared norm of a
+    cone into sum_{j,y} |F(y, t_j)|^2 w(y) h^dim ln(rho), and the same
+    sum is the squared norm of the vertical kind.  Parseval in the
+    w-orthonormal eigenbasis takes each semigroup part straight from its
+    multiplier table, ln(rho) sum_{j,k} (T_jk c_k)^2, with no
+    reconstruction: the whole norm for S kinds, the t d_t part for Gcal
+    kinds.  The spatial gradient is not diagonal in the eigenbasis, so G
+    and Gcal kinds reconstruct their one image and sum |t grad_y u|^2
+    against w h^dim.
     """
-    if not 1 <= m <= ORDER_CAP:
-        raise ValueError(f"heat order must lie in [1, {ORDER_CAP}], got {m}")
-    coeffs = op.project(np.asarray(f, float))
-    x = ladder.nodes[:, None] ** 2 * op.eigenvalues[None, :]
-    q = np.sum(x ** (2 * m) * np.exp(-2 * x), axis=0) * ladder.node_weight
-    return float(np.sum(coeffs**2 * q))
+    family = kind.family
+    t = ladder.nodes
+    tables = multiplier_tables(
+        op, "poisson" if family.endswith("_P") else "heat", kind.order, t, f,
+        time=family.startswith("Gcal") or family == "vertical_g_H",
+    )
+    total = 0.0
+    if not family.startswith("S_"):
+        image = tables.pop(0)
+        op.reconstruct_blocks(image, out=image)
+        spatial = spatial_norm_sq(op.grid, t, image)
+        spatial *= op.weight_values * op.grid.cell_volume
+        total += float(np.sum(spatial))
+    for table in tables:
+        total += float(np.sum(np.square(table, out=table)))
+    return total * ladder.node_weight
 
 
 def result_to_csv(grid: Grid, values: NDArray, path: str, preamble: str = ""):

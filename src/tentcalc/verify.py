@@ -60,7 +60,7 @@ from .mesh import (
 )
 from .operator import CoefficientField, SpectralOperator, assemble, check_dense_budget
 from .semigroup import LADDER_START_DIVISOR, TimeLadder
-from .squarefn import SquareFunctionKind, build_field, evaluate
+from .squarefn import SquareFunctionKind, build_field, evaluate, l2_norm_sq
 from .tent import (
     HalfSpaceField,
     carleson_p_all,
@@ -96,10 +96,10 @@ MODAL_RATIO_TOL = 1e-3
 MODAL_L2_TOL = 1e-4
 
 # each diagonal entry of A lies in [COEFF_MAX / COEFF_CONTRAST, COEFF_MAX].
-# Assembly's eigenvalue floor is absolute and its roundoff grows with the
-# largest entry: it first fails near 3e3 (dim 2, N = 64) and near 1e4
-# (dim 1, N = 128).  Below the range, or past the contrast, the weakest
-# axis's eigenvalues sink into the zero band and are taken for kernel.
+# Assembly's eigenvalue floors scale with the largest eigenvalue, so the
+# range itself is not needed for assembly; the contrast keeps the weakest
+# axis's eigenvalues at least 1.7e-9 of the largest, far above the zero
+# band, so none of them is taken for kernel.
 COEFF_MAX = 1e2
 COEFF_CONTRAST = 1e6
 # most bank functions a suite run takes: each adds about 0.16 s at the
@@ -145,7 +145,8 @@ class SuiteReport:
         return all(c.verdict == "pass" for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report as JSON data, with non-finite numbers as strings."""
+        return _json_safe({
             "suite": self.suite,
             "passed": self.passed,
             "environment": self.environment,
@@ -160,11 +161,24 @@ class SuiteReport:
                 }
                 for c in self.checks
             ],
-        }
+        })
+
+
+def _json_safe(data):
+    """data with every non-finite float, in any nested dict, list or tuple,
+    replaced by the string "inf", "-inf" or "nan", as `ext_to_json` writes
+    infinity; finite numbers are kept as they are."""
+    if isinstance(data, float) and not math.isfinite(data):
+        return repr(float(data))
+    if isinstance(data, dict):
+        return {key: _json_safe(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_json_safe(value) for value in data]
+    return data
 
 
 def reports_to_json(reports: list[SuiteReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)
+    return json.dumps([r.to_json_dict() for r in reports], indent=2, allow_nan=False)
 
 
 def reports_to_csv(reports: list[SuiteReport]) -> str:
@@ -423,7 +437,7 @@ def _sqf(kind: str) -> SquareFunctionKind:
 
 class SuiteContext:
     """One grid size of one suite run: the operator, its two ladders, the
-    materialized bank and a memo of square-function values.
+    materialized bank and memos of square-function values and norms.
 
     Every member is built on first use, so a run that reads only the
     coarse grid never assembles the fine one.  A source is a bank index,
@@ -433,7 +447,9 @@ class SuiteContext:
     each half-space field it builds.  The angles suite reads the fields
     in KEPT_FIELDS whole, so their values are taken from those kept
     fields and each is built once; every other field is dropped after
-    its cone.
+    its cone.  A cone is built only where a pointwise value or a
+    weighted norm is read: `norm` takes every unweighted L^2 norm from
+    `l2_norm_sq`.
     """
 
     KEPT_FIELDS = frozenset(("S_H1", i) for i in range(ANGLE_SAMPLE))
@@ -442,6 +458,7 @@ class SuiteContext:
         self.config = config
         self.n = n
         self._memo: dict[tuple[str, int | str, bool], NDArray] = {}
+        self._l2: dict[tuple[str, int | str, bool], float] = {}
         self._fields: dict[tuple[str, int | str], HalfSpaceField] = {}
 
     @cached_property
@@ -502,7 +519,18 @@ class SuiteContext:
     def norm(self, kind: str | None, source: int | str, p: float = 2.0,
              v: WeightModel = UNIT_WEIGHT, wide: bool = False) -> float:
         """||values(kind, source, wide)||_{L^p(v dw)}, or the norm of the
-        source itself when kind is None."""
+        source itself when kind is None.
+
+        At p = 2 and v = 1 a kind's norm always comes from `l2_norm_sq`,
+        whatever values are memoized, so a suite reads the same figure
+        in any run; it is evaluated once per run."""
+        if kind is not None and p == 2.0 and v == UNIT_WEIGHT:
+            key = (kind, source, wide)
+            if key not in self._l2:
+                ladder = self.wide_ladder if wide else self.ladder
+                self._l2[key] = math.sqrt(
+                    l2_norm_sq(_sqf(kind), self.op, self.source(source), ladder))
+            return self._l2[key]
         f = self.source(source) if kind is None else self.values(kind, source, wide)
         return lp_norm(f, p, v, self.op.weight, self.op.grid)
 

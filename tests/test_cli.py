@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import tentcalc
-from tentcalc import verify
+from tentcalc import cli, verify
 from tentcalc.cli import RunConfig, main
 
 SMALL_SUITE = {"sizes": [8, 16], "bank_size": 6}
@@ -30,6 +31,10 @@ def runner():
 def _write_json(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh)
+
+
+def _no_constant(name):
+    raise ValueError(f"output holds the non-JSON constant {name}")
 
 
 def _run_python(code, cwd=None):
@@ -170,7 +175,7 @@ class TestExponents:
             result = runner.invoke(main, ["exponents", "--alpha", "1", "--n", "2",
                                           "-o", "exp.json"])
             assert result.exit_code == 0
-            data = json.load(open("exp.json"))
+            data = json.loads(open("exp.json").read(), parse_constant=_no_constant)
             assert data["header"]["version"]
             assert len(data["header"]["config_hash"]) == 12
             assert data["r_w"] == "3/2"
@@ -343,8 +348,11 @@ class TestSf:
         (["--f", "random:-1"], "--f random:SEED"),
         (["--f", "eig:x"], "--f eig:K"),
         (["--f", "eig:256"], "--f eig:K"),
+        (["--m", "9"], "--m"),
+        (["--m", "x"], "--m"),
     ], ids=["p-nan", "p-inf", "p-negative", "v-nan", "v-inf", "bump-nan",
-            "bump-tiny", "random-negative", "eig-string", "eig-past-cells"])
+            "bump-tiny", "random-negative", "eig-string", "eig-past-cells",
+            "m-past-cap", "m-string"])
     def test_bad_flag_rejected_before_assembly(self, runner, monkeypatch, flags, flag):
         def no_assembly(*args, **kwargs):
             pytest.fail("operator assembled for a flag that must be rejected")
@@ -506,6 +514,101 @@ class TestVerifyCommand:
             assert lines[3] == b"suite,check,value,verdict"
             assert len(lines) > 4
             assert all(line.startswith(b"appendix_q,") for line in lines[4:])
+
+    def test_non_finite_values_written_as_strings(self, runner, monkeypatch):
+        # an infinite drift and a nan sup ratio are legitimate values; the
+        # report writes them as strings and stays strict JSON
+        report = verify.SuiteReport("heat_control", (
+            verify.Check(id="drift", kind="report_only",
+                         values=(1.0, math.inf, -math.inf), verdict="fail",
+                         tolerance=0.15, predicted_form="bounded"),
+            verify.Check(id="ratio", kind="pass_fail", values=(math.nan,),
+                         verdict="fail", tolerance=math.inf),
+        ), {"class_constants_A2_of_w": {"one": math.inf}})
+        monkeypatch.setattr(cli, "run_suites", lambda config, names: [report])
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["verify"])
+            assert result.exit_code == 3, result.output
+            data = json.loads(open("verify_report.json").read(),
+                              parse_constant=_no_constant)
+            csv_rows = open("verify_report.csv").read().splitlines()[4:]
+        checks = data["reports"][0]["checks"]
+        assert checks[0]["values"] == [1.0, "inf", "-inf"]
+        assert checks[1]["values"] == ["nan"] and checks[1]["tolerance"] == "inf"
+        assert data["reports"][0]["environment"]["class_constants_A2_of_w"] == {
+            "one": "inf"}
+        assert json.loads(verify.reports_to_json([report]),
+                          parse_constant=_no_constant)[0] == data["reports"][0]
+        assert csv_rows[1:3] == ["heat_control,drift,inf,fail",
+                                 "heat_control,drift,-inf,fail"]
+
+    def test_bytes_without_heap_setting(self, tmp_path):
+        # the allocator setting changes no output byte; each run is a fresh
+        # process, so the one without it has the allocator's defaults
+        outputs = []
+        for patch in ("tentcalc.cli._tune_heap = lambda: None", ""):
+            cwd = tmp_path / f"run{len(outputs)}"
+            cwd.mkdir()
+            _write_json(cwd / "cfg.json", {"sizes": [8, 16], "bank_size": 2})
+            code = (
+                "import tentcalc.cli\n"
+                f"{patch}\n"
+                "tentcalc.cli.main.main(args=['verify', '--config', 'cfg.json'],\n"
+                "                       prog_name='tentcalc')\n"
+            )
+            result = _run_python(code, cwd=cwd)
+            assert result.returncode == 0, result.stderr
+            outputs.append((result.stdout, (cwd / "verify_report.json").read_bytes(),
+                            (cwd / "verify_report.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+def test_heap_setting_only_from_the_command_line(tmp_path):
+    # importing the library and running the suites leave the allocator
+    # alone; a command sets it once
+    code = (
+        "import ctypes, sys\n"
+        "calls = []\n"
+        "class Recorder:\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        self.mallopt = lambda *a: calls.append(a) or 1\n"
+        "ctypes.CDLL = Recorder\n"
+        "import tentcalc\n"
+        "from tentcalc.verify import SuiteConfig, run_suites\n"
+        "run_suites(SuiteConfig(sizes=(8, 16), bank_size=1))\n"
+        "assert calls == [] and 'tentcalc.cli' not in sys.modules, calls\n"
+        "import tentcalc.cli\n"
+        "assert calls == []\n"
+        "try:\n"
+        "    tentcalc.cli.main.main(args=['exponents', '--alpha', '1', '--n', '2'],\n"
+        "                           prog_name='tentcalc')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(calls)\n"
+    )
+    result = _run_python(code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[(-3, 67108864), (-1, 67108864)]"
+
+
+@given(dim=st.sampled_from([1, 2]), alpha=st.floats(-0.9, 0.9),
+       bank=st.integers(1, 3), seed=st.integers(0, 2**31),
+       drift=st.floats(1e-6, 1.0))
+@settings(max_examples=6, deadline=None)
+def test_verify_report_is_strict_json(dim, alpha, bank, seed, drift):
+    # whatever the config, a report parses without NaN or Infinity; a
+    # weight that puts p = 2 outside a suite's range is a domain error
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        _write_json("cfg.json", {"dim": dim, "weight_alpha": alpha * dim,
+                                 "sizes": [8, 16], "bank_size": bank,
+                                 "seed": seed, "drift_limit": drift})
+        result = runner.invoke(main, ["verify", "--config", "cfg.json"])
+        if result.exit_code == 1:
+            assert result.output.startswith("error: p=2 outside"), result.output
+            return
+        assert result.exit_code in (0, 3), result.output
+        json.loads(open("verify_report.json").read(), parse_constant=_no_constant)
 
 
 class Assembled(Exception):

@@ -336,6 +336,29 @@ class TestParityBlocks:
         assert op.split == (True,) * dim
         assert_matches_dense(op)
 
+    @given(
+        dim=st.sampled_from([1, 2]),
+        n=st.sampled_from([4, 7, 8, 16]),
+        alpha_frac=st.floats(-0.95, 0.95),
+        entries=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        log_scale=st.floats(-4.0, 3.5),
+    )
+    @settings(max_examples=30, deadline=None)
+    # absolute floors failed here: eigenvalue -1.2e-8 < -1e-8 at 10^3.5 I
+    @example(dim=2, n=64, alpha_frac=0.0, entries=(1.0, 1.0), log_scale=3.5)
+    def test_floors_scale_with_the_operator(self, dim, n, alpha_frac, entries,
+                                            log_scale):
+        # A s has the eigenvalues s lam and clamps the same ones to 0
+        g = Grid(dim, n)
+        w = PowerWeight(alpha_frac * dim)
+        s = 10.0**log_scale
+        base = assemble(g, CoefficientField.diagonal(g, entries[:dim]), w)
+        scaled = assemble(g, CoefficientField.diagonal(
+            g, [e * s for e in entries[:dim]]), w)
+        lam, lam_s = np.sort(base.eigenvalues), np.sort(scaled.eigenvalues)
+        assert np.max(np.abs(lam_s - s * lam)) <= 1e-12 * lam_s[-1]
+        assert np.sum(lam_s == 0) == np.sum(lam == 0) == 1
+
     def test_assembly_allocates_no_m_by_m_array(self):
         # one float64 M x M array at M = 4096 takes 128 MiB
         g = Grid(2, 64)

@@ -1,13 +1,14 @@
 """Square functions: modal constants, dominations, Fubini identities."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentcalc.mesh import Grid, PowerWeight
+from tentcalc.mesh import UNIT_WEIGHT, Grid, PowerWeight, lp_norm
 from tentcalc.operator import CoefficientField, assemble
 from tentcalc.semigroup import (
     TimeLadder,
@@ -20,10 +21,12 @@ from tentcalc.squarefn import (
     SquareFunctionKind,
     build_field,
     evaluate,
+    l2_norm_sq,
     result_to_csv,
-    spectral_heat_norm_sq,
     vertical_g,
 )
+from tentcalc.tent import cone_all
+from tentcalc.verify import BankFunction, materialize
 
 # notes/oracles/modal_ladder.py: dim 2, N = 16, w = distance^1,
 # A = diag(1, 2), ladder t in [h/16, 4] at ratio 2^(1/16).
@@ -167,7 +170,7 @@ class TestSpectralIdentity:
         via_cone = norm_sq_w(
             op_small, evaluate(SquareFunctionKind("S_H", m), op_small, f, small_ladder)
         )
-        via_spectrum = spectral_heat_norm_sq(op_small, f, m, small_ladder)
+        via_spectrum = l2_norm_sq(SquareFunctionKind("S_H", m), op_small, f, small_ladder)
         assert via_cone == pytest.approx(via_spectrum, rel=1e-10)
 
     def test_two_paths_agree_dim2(self, op_modal):
@@ -177,13 +180,55 @@ class TestSpectralIdentity:
             op_modal, evaluate(SquareFunctionKind("S_H", 1), op_modal, f, ladder)
         )
         assert via_cone == pytest.approx(
-            spectral_heat_norm_sq(op_modal, f, 1, ladder), rel=1e-10
+            l2_norm_sq(SquareFunctionKind("S_H", 1), op_modal, f, ladder), rel=1e-10
         )
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_rejects_bad_order(self, op_small, small_ladder, m):
         with pytest.raises(ValueError):
-            spectral_heat_norm_sq(op_small, np.ones(op_small.grid.n_cells), m, small_ladder)
+            l2_norm_sq(SquareFunctionKind("S_H", m), op_small,
+                       np.ones(op_small.grid.n_cells), small_ladder)
+
+
+@given(
+    family=st.sampled_from(ALL_CONE_KINDS), order=st.integers(0, 4),
+    source=st.sampled_from(["random", "bump", "modes", "constant"]),
+    dim=st.sampled_from([1, 2]), side=st.integers(4, 9), alpha=st.floats(-0.9, 0.9),
+    entries=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2), seed=st.integers(0, 999),
+)
+@settings(max_examples=60, deadline=None)
+def test_l2_norm_sq_equals_cone_norm(family, order, source, dim, side, alpha, entries,
+                                     seed):
+    # the Fubini and Parseval route gives the squared L^2(w) norm of the
+    # cone, for every family and order, even and odd sides (the one-block
+    # operator at odd sides) and the bank's kinds of source
+    kind = SquareFunctionKind(family, max(order, 1) if family.startswith("S_") else order)
+    grid = Grid(dim, side + 8 if dim == 1 else side)
+    op = assemble(grid, CoefficientField.diagonal(grid, entries[:dim]),
+                  PowerWeight(alpha * dim))
+    ladder = TimeLadder.default_for(grid, 2 ** 0.25)
+    rng = np.random.default_rng(seed)
+    f = {
+        "random": lambda: rng.standard_normal(grid.n_cells),
+        "bump": lambda: materialize(
+            BankFunction("bump", (*rng.uniform(0, 1, dim), rng.uniform(0.08, 0.2))), op),
+        "modes": lambda: materialize(BankFunction("modes", tuple(rng.standard_normal(3))), op),
+        "constant": lambda: np.ones(grid.n_cells),
+    }[source]()
+    cone = lp_norm(cone_all(build_field(kind, op, f, ladder)), 2.0, UNIT_WEIGHT,
+                   op.weight, grid) ** 2
+    # the constant's exact norm is 0 and both routes give pure roundoff
+    floor = 1e-18 * lp_norm(f, 2.0, UNIT_WEIGHT, op.weight, grid) ** 2
+    assert math.isclose(l2_norm_sq(kind, op, f, ladder), cone, rel_tol=1e-12,
+                        abs_tol=floor)
+
+
+def test_l2_norm_sq_of_vertical_kind(op_small, small_ladder):
+    # the vertical kind has the Fubini sum of Gcal_{0,H} as its norm
+    f = np.random.default_rng(421).standard_normal(op_small.grid.n_cells)
+    got = l2_norm_sq(SquareFunctionKind("vertical_g_H"), op_small, f, small_ladder)
+    assert got == pytest.approx(norm_sq_w(op_small, vertical_g(op_small, f, small_ladder)),
+                                rel=1e-12)
 
 
 class TestAlgebraicProperties:

@@ -236,18 +236,29 @@ class TestRunMemo:
             assert all(r == reports[0] for r in reports), name
 
     def test_build_field_calls_reused(self, monkeypatch):
-        calls = []
-        original = squarefn.build_field
+        counts = {"build_field": 0, "cone_all": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
 
-        # every binding the suites reach build_field through
-        monkeypatch.setattr(squarefn, "build_field", counted)
-        monkeypatch.setattr(verify, "build_field", counted)
+        # every binding the suites reach each function through
+        for name, module in (("build_field", squarefn), ("cone_all", tent)):
+            wrapper = counting(name, getattr(module, name))
+            for binding in (module, squarefn, verify):
+                if hasattr(binding, name):
+                    monkeypatch.setattr(binding, name, wrapper)
         run_suites(SMALL)
-        assert 0 < len(calls) <= 114
+        # fields and cones only where a pointwise value or a weighted norm
+        # is read.  Coarse grid: the pointwise checks' 5 heat and 2 Poisson
+        # kinds of 6 bank functions and 2 kinds each of the constant, the
+        # S_{1,P} fields of the weighted norms; fine grid: the S_{1,H} and
+        # S_{1,P} fields of the weighted norms.  The angles suite adds 22
+        # cones of its own (3 random areas, apertures 1/2 and 2 of 7 coarse
+        # fields, 4 fine aperture-2 cones, the zero field)
+        assert counts == {"build_field": 64, "cone_all": 64 + 22}
 
     def test_angles_suite_computes_each_functional_once(self, monkeypatch):
         counts = {"build_field": 0, "cone_all": 0, "carleson_p_all": 0}
