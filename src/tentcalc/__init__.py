@@ -26,7 +26,6 @@ from .exponents import (
 from .mesh import (
     Grid,
     PowerWeight,
-    TabulatedWeight,
     UNIT_WEIGHT,
     WeightModel,
     lp_norm,
@@ -80,7 +79,6 @@ __all__ = [
     "surrogate_p_bounds",
     "Grid",
     "PowerWeight",
-    "TabulatedWeight",
     "UNIT_WEIGHT",
     "WeightModel",
     "lp_norm",

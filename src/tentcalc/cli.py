@@ -70,8 +70,7 @@ SUITE_TOKENS = {
 class RunConfig(ProblemConfig):
     """The problem on one grid of n cells per side, for one field run.
 
-    Caps keep runs inside the budget of the eigendecomposition (an M x M
-    `eigh` when the weight has no mirror symmetry): dim in {1, 2}, at
+    Caps keep runs inside the documented grid budget: dim in {1, 2}, at
     most 128 cells per side and 4096 cells.  The ladder starts at
     ladder_t_min when given, else at the default start, and has at most
     LADDER_CAP nodes.  All of it is checked here, before anything is

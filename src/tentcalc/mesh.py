@@ -46,7 +46,6 @@ __all__ = [
     "BallStencil",
     "WeightModel",
     "PowerWeight",
-    "TabulatedWeight",
     "UNIT_WEIGHT",
     "lp_norm",
     "maximal",
@@ -355,26 +354,6 @@ class PowerWeight(WeightModel):
 
     def sample(self, grid: Grid) -> NDArray:
         return grid.origin_distances ** float(self.alpha)
-
-
-@dataclass(frozen=True)
-class TabulatedWeight(WeightModel):
-    """Per-cell positive samples, tied to a grid size."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, float)
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ValueError("tabulated weight values must be finite and positive")
-
-    def sample(self, grid: Grid) -> NDArray:
-        v = np.asarray(self.values, float)
-        if v.size != grid.n_cells:
-            raise ValueError(
-                f"tabulated weight has {v.size} values, grid has {grid.n_cells} cells"
-            )
-        return v.copy()
 
 
 UNIT_WEIGHT = PowerWeight(0.0)

@@ -17,17 +17,17 @@ K phi = lambda W phi into a standard symmetric one,
 
 and phi_k = psi_k / (sqrt(w) h^{dim/2}) is then exactly w-orthonormal.
 
-Reflection-parity blocks.  When the sampled weight equals its mirror
-image i -> N-1-i along every axis, exactly, S commutes with each of
-those reflections (A is a constant diagonal, so only w can break the
-symmetry).  Each axis then gets the orthogonal parity transform: even
-part (u_i + u_{N-1-i})/sqrt(2), odd part (u_i - u_{N-1-i})/sqrt(2), for
+Reflection-parity blocks.  The sampled weight must equal its mirror
+image i -> N-1-i along every axis, exactly, and `assemble` rejects any
+other; every `PowerWeight` does, since `Grid.origin_distances` is taken
+from integer indices.  S then commutes with each of those reflections
+(A is a constant diagonal, so only w could break the symmetry).  Each
+axis gets the orthogonal parity transform: even part
+(u_i + u_{N-1-i})/sqrt(2), odd part (u_i - u_{N-1-i})/sqrt(2), for
 i < N/2; for odd N the middle cell joins the even part unscaled.  Their
 Kronecker product splits S into 2^dim blocks, each assembled straight
 from the stencil's O(M) nonzeros and decomposed by its own `eigh`; no
-M x M array is formed.  Any other weight, such as a general
-`TabulatedWeight`, is the one-block case of the same structure: every
-axis keeps the identity, and the one block is the full S.
+M x M array is formed.
 
 Block coordinates.  sqrt(w) is one value on each mirror orbit, so the
 1/sqrt(w h^dim) of phi and the fold factors (1/sqrt(2), or 1 for the
@@ -98,7 +98,7 @@ CLUSTER_RTOL = 1e-10
 # its largest magnitude positive, so rounding cannot pick another entry
 SIGN_RTOL = 1e-8
 
-# budget of the eigendecomposition: the one-block case is M x M, M <= 4096
+# the grid budget that configs document; no parity block has more than 1024 rows
 MAX_SIDE = 128
 MAX_CELLS = 4096
 
@@ -165,17 +165,14 @@ def _fold(x: NDArray, axis: int) -> tuple[NDArray, NDArray]:
     return even, lo - hi
 
 
-def _to_blocks(values: NDArray, n: int, split: tuple[bool, ...]) -> list[NDArray]:
-    """The unscaled parity fold of a (..., M) stack: one (..., m_b) array
-    per block.  Blocks run over the parities of the split axes, even
-    first, axis 0 major; each is flattened row-major from its grid shape."""
-    dim = len(split)
-    lead = values.shape[:-1]
-    parts = [values.reshape(lead + (n,) * dim)]
-    for axis, s in enumerate(split):
-        if s:
-            parts = [half for p in parts for half in _fold(p, axis - dim)]
-    return [p.reshape(lead + (-1,)) for p in parts]
+def _to_blocks(values: NDArray, n: int, dim: int) -> list[NDArray]:
+    """The unscaled parity fold of a (..., M) stack: one array per block,
+    a stack of grids in the block's local coordinates.  Blocks run over
+    the parities of the axes, even first, axis 0 major."""
+    parts = [values.reshape(values.shape[:-1] + (n,) * dim)]
+    for axis in range(-dim, 0):
+        parts = [half for p in parts for half in _fold(p, axis)]
+    return parts
 
 
 def _unfold_into(parts: list[NDArray], n: int, out: NDArray, scratch: NDArray):
@@ -207,24 +204,20 @@ def _unfold_into(parts: list[NDArray], n: int, out: NDArray, scratch: NDArray):
         y[...] = diff
 
 
-def _block_maps(n: int, split: tuple[bool, ...]) -> list[tuple[NDArray, NDArray, int]]:
+def _block_maps(n: int, dim: int) -> list[tuple[NDArray, NDArray, int]]:
     """(coefficient, block-local index) of every cell in each block, and
     the block size: row r of block b is the sum over cells x with
     local[x] = r of coefficient[x] u(x), the orthonormal parity transform.
     Read off `_fold` applied to the 1-D identity, each local index scaled
     by its fold factor (1/sqrt(2), or 1 for the middle cell), so the
     assembly and the transform share one definition."""
-    axes = []
-    for s in split:
-        parts = _fold(np.eye(n), -1) if s else (np.eye(n),)
-        maps = []
-        for part in parts:  # part[i, q]: weight of cell i in local index q
-            part = part / np.linalg.norm(part, axis=0)
-            local = np.argmax(np.abs(part), axis=1)
-            maps.append((part[np.arange(n), local], local, part.shape[1]))
-        axes.append(maps)
+    maps = []
+    for part in _fold(np.eye(n), -1):  # part[i, q]: weight of cell i in local index q
+        part = part / np.linalg.norm(part, axis=0)
+        local = np.argmax(np.abs(part), axis=1)
+        maps.append((part[np.arange(n), local], local, part.shape[1]))
     out = []
-    for combo in itertools.product(*axes):
+    for combo in itertools.product(maps, repeat=dim):
         coef, local, size = np.ones(1), np.zeros(1, dtype=int), 1
         for c, q, m in combo:
             coef = np.multiply.outer(coef, c).ravel()
@@ -332,24 +325,22 @@ class SpectralOperator:
     block coordinates, `block_vectors[b]`, one column per mode: the
     orthonormal eigenbasis psi_b of its block of S with each row r scaled
     by fold_r / sqrt(w_r h^dim), where fold_r is the product of the fold
-    factors of the split axes (1/sqrt(2), or 1 for the middle cell at odd
-    N).  A split needs an exactly mirror-symmetric w, so w is one value
-    on each mirror orbit, and the unscaled fold maps a field to these
-    coordinates.  `block_eigenvalues` holds the blocks' eigenvalues one
-    block after the other, each in its block's column order, and
-    `block_modes[b]` gives the global index of each mode of block b.
-    `split` marks the axes that carry the parity transform.  With the
-    axis-swap split (`swap`), the (odd, even) block holds the (even, odd)
-    basis itself, read in transposed local coordinates, and its modes
-    differ from that basis by `mode_signs` (+-1 per mode in block order,
-    1 outside that block), which only the global-order methods apply."""
+    factors (1/sqrt(2), or 1 for the middle cell at odd N).  w is exactly
+    mirror-symmetric, so it is one value on each mirror orbit, and the
+    unscaled fold maps a field to these coordinates.  `block_eigenvalues`
+    holds the blocks' eigenvalues one block after the other, each in its
+    block's column order, and `block_modes[b]` gives the global index of
+    each mode of block b.  With the axis-swap split (`swap`), the
+    (odd, even) block holds the (even, odd) basis itself, read in
+    transposed local coordinates, and its modes differ from that basis
+    by `mode_signs` (+-1 per mode in block order, 1 outside that block),
+    which only the global-order methods apply."""
 
     grid: Grid
     weight: WeightModel
     coeff: CoefficientField
     eigenvalues: NDArray = field(repr=False)  # >= 0, ascending up to clusters
     weight_values: NDArray = field(repr=False)
-    split: tuple[bool, ...]
     swap: bool
     block_vectors: tuple[NDArray, ...] = field(repr=False)
     block_eigenvalues: NDArray = field(repr=False)
@@ -361,9 +352,8 @@ class SpectralOperator:
         coordinates; the (odd, even) part of a swap split is transposed
         from the (even, odd) layout."""
         n, h = self.grid.n_side, self.grid.n_side // 2
-        sides = [(n - h, h) if s else (n,) for s in self.split]
-        grids = [p.reshape(p.shape[:-1] + shape)
-                 for p, shape in zip(parts, itertools.product(*sides))]
+        shapes = itertools.product((n - h, h), repeat=self.grid.dim)
+        grids = [p.reshape(p.shape[:-1] + shape) for p, shape in zip(parts, shapes)]
         if self.swap:
             grids[2] = parts[2].reshape(parts[2].shape[:-1] + (n - h, h)).swapaxes(-1, -2)
         return grids
@@ -373,14 +363,12 @@ class SpectralOperator:
         as `block_eigenvalues`: the unscaled fold of f w h^dim, then one
         product per block."""
         f = np.asarray(f, float)
-        n = self.grid.n_side
-        parts = _to_blocks(f * (self.weight_values * self.grid.cell_volume), n, self.split)
+        grids = _to_blocks(f * (self.weight_values * self.grid.cell_volume),
+                           self.grid.n_side, self.grid.dim)
         if self.swap:
-            p = parts[2]
-            parts[2] = p.reshape(p.shape[:-1] + (n // 2, n - n // 2)).swapaxes(-1, -2) \
-                .reshape(p.shape)
-        return np.concatenate([part @ phi for part, phi in zip(parts, self.block_vectors)],
-                              axis=-1)
+            grids[2] = grids[2].swapaxes(-1, -2)
+        return np.concatenate([g.reshape(f.shape[:-1] + (-1,)) @ phi
+                               for g, phi in zip(grids, self.block_vectors)], axis=-1)
 
     def reconstruct_blocks(self, coeffs: NDArray, out: NDArray | None = None) -> NDArray:
         """sum_k c_k phi_k of a (..., M) stack of coefficients in block
@@ -394,13 +382,9 @@ class SpectralOperator:
             np.split(coeffs, cuts, axis=-1), np.split(values, cuts, axis=-1),
             self.block_vectors)]
         out = np.empty(coeffs.shape) if out is None else out
-        if len(parts) == 1:
-            out[...] = values
-        else:
-            n = self.grid.n_side
-            _unfold_into(self._grids(parts), n,
-                         out.reshape(out.shape[:-1] + (n,) * self.grid.dim),
-                         values.reshape(-1))
+        n = self.grid.n_side
+        _unfold_into(self._grids(parts), n, out.reshape(out.shape[:-1] + (n,) * self.grid.dim),
+                     values.reshape(-1))
         return out
 
     def project(self, f: NDArray) -> NDArray:
@@ -433,16 +417,15 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
     n = grid.n_side
     wv = w.sample(grid)
     w_grid = wv.reshape((n,) * grid.dim)
-    mirrored = all(np.array_equal(w_grid, np.flip(w_grid, axis=a))
-                   for a in range(grid.dim))
-    split = (mirrored,) * grid.dim
+    if not all(np.array_equal(w_grid, np.flip(w_grid, axis=a)) for a in range(grid.dim)):
+        raise ValueError("weight samples must be mirror-symmetric along every axis")
 
     # A = a I and w(x, y) = w(y, x) make S commute with the axis swap too
-    swap = (grid.dim == 2 and mirrored and len(set(coeff.entries)) == 1
+    swap = (grid.dim == 2 and len(set(coeff.entries)) == 1
             and np.array_equal(w_grid, w_grid.T))
     stencil = _scaled_stencil(grid, coeff, wv)
     h = n // 2
-    maps = _block_maps(n, split)
+    maps = _block_maps(n, grid.dim)
     eigs, vectors, signs = [], [], []
     for b, (coef, local, m) in enumerate(maps):
         if swap and b == 2:
@@ -487,7 +470,6 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
         coeff=coeff,
         eigenvalues=lam[order],
         weight_values=wv,
-        split=split,
         swap=swap,
         block_vectors=tuple(vectors),
         block_eigenvalues=lam,

@@ -63,7 +63,6 @@ __all__ = [
     "multiplier_tables",
     "poisson_scalar",
     "subordination_factors",
-    "centered_gradient",
     "spatial_norm_sq",
 ]
 
@@ -233,15 +232,6 @@ def _centered_difference(grid: Grid, u: NDArray, axis: int) -> NDArray:
     return np.moveaxis(out, -1, axis - grid.dim).reshape(u.shape)
 
 
-def centered_gradient(grid: Grid, u: NDArray) -> NDArray:
-    """Centered periodic differences along the last (cell) axis, one
-    leading row per grid axis: (cells,) -> (dim, cells), (J, cells) ->
-    (dim, J, cells)."""
-    u = np.asarray(u, float)
-    return np.stack([_centered_difference(grid, u, axis) / (2 * grid.h)
-                     for axis in range(grid.dim)])
-
-
 def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray) -> NDArray:
     """|t grad_y u|^2 by centered periodic differences, for u at one time
     (cells,) or at J times t (J, cells): the squared differences summed
@@ -260,18 +250,14 @@ def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray) -> NDArray:
 class GradField:
     """t grad_{y,t} of a semigroup image u at one time t (cells) or at J
     times t (J, cells): the image itself and its time part t d_t u.  The
-    spatial part t grad_y u, by centered differences, is formed only when
-    read, of shape (dim, cells) or (dim, J, cells); the norms sum squares
-    in one buffer."""
+    spatial part t grad_y u, by centered differences, is never stored:
+    the norms take its squares from `spatial_norm_sq` and sum them with
+    the time part's in one buffer."""
 
     grid: Grid
     t: NDArray = field(repr=False)
     image: NDArray = field(repr=False)
     time: NDArray = field(repr=False)
-
-    @property
-    def spatial(self) -> NDArray:
-        return np.asarray(self.t, float)[..., None] * centered_gradient(self.grid, self.image)
 
     def norm_sq(self) -> NDArray:
         total = spatial_norm_sq(self.grid, self.t, self.image)

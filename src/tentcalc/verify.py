@@ -31,7 +31,7 @@ import json
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -41,7 +41,7 @@ from numpy.typing import NDArray
 from .exponents import (
     INF,
     CriticalPair,
-    ExtReal,
+    ExponentRange,
     ext,
     ext_to_json,
     poisson_upper,
@@ -660,18 +660,24 @@ def suite_heat_control(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     return SuiteReport("heat_control", tuple(checks), _environment(config))
 
 
-def suite_poisson_control(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
-    """Poisson-vs-heat dominations, ratio stability, the modal oracle."""
+def _poisson_control_ranges(config: SuiteConfig) -> tuple[dict[str, ExponentRange], dict]:
+    """The exact range that poisson_control's p must lie in, by name,
+    and the exponents it is built from as the report records them."""
     n_dim = config.dim
-    alpha = _exact_alpha(config)
-    crit_w = power_weight_criticals(alpha, n_dim)
+    crit_w = power_weight_criticals(_exact_alpha(config), n_dim)
     p_minus, p_plus = surrogate_p_bounds(crit_w, n_dim)
     upper = poisson_upper(p_plus, 1, crit_w.r_w, n_dim)
-    admissible = range_W(p_minus, upper if upper > p_minus else INF, crit_w)
-    p = 2.0
-    if not (admissible.lower < ext(2) < admissible.upper):
-        raise ValueError(f"p=2 outside admissible range {admissible}")
+    ranges = {"admissible": range_W(p_minus, upper if upper > p_minus else INF, crit_w)}
+    return ranges, {
+        "surrogate": {"p_minus": ext_to_json(p_minus), "p_plus": ext_to_json(p_plus)},
+        "poisson_upper": ext_to_json(upper),
+    }
 
+
+def suite_poisson_control(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
+    """Poisson-vs-heat dominations, ratio stability, the modal oracle."""
+    _, exponents = _poisson_control_ranges(config)
+    p = 2.0
     coarse = contexts[0]
     worst = _worst_excess(coarse, [("G_P1", "Gcal_P1")])
     checks = [_pass_fail("pointwise-grad-domination-poisson", worst, POINTWISE_TOL)]
@@ -696,52 +702,51 @@ def suite_poisson_control(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
     checks.append(_pass_fail("eigenmode-ratio-three", worst, MODAL_RATIO_TOL))
     checks += _constant_checks(coarse, ("S_P1", "Gcal_P0"))
 
-    env = _environment(config, {
-        "p": p,
-        "surrogate": {"p_minus": ext_to_json(p_minus), "p_plus": ext_to_json(p_plus)},
-        "poisson_upper": ext_to_json(upper),
-    })
+    env = _environment(config, {"p": p, **exponents})
     return SuiteReport("poisson_control", tuple(checks), env)
 
 
-def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
-    """Operator-norm ratios in L^p(v dw) inside the admissible ranges."""
+def _boundedness_ranges(config: SuiteConfig) -> tuple[dict[str, ExponentRange], dict]:
+    """The exact heat and Poisson ranges that boundedness's p must lie
+    in for each v = w^gamma (1, 1/w, sqrt(w)), keyed "<v>-<family>", and
+    their ends as the report records them."""
     n_dim = config.dim
     alpha = _exact_alpha(config)
     crit_w = power_weight_criticals(alpha, n_dim)
     p_minus, p_plus = surrogate_p_bounds(crit_w, n_dim)
-    heat_upper = INF
     poisson_up = poisson_upper(p_plus, 1, crit_w.r_w, n_dim)
+    poisson_q0 = poisson_up if poisson_up > p_minus else INF
+    ranges = {}
+    for label, gamma in (("one", Fraction(0)), ("w-inv", -alpha), ("w-half", alpha / 2)):
+        crit_v = _weighted_power_criticals(gamma, alpha, n_dim)
+        ranges[f"{label}-heat"] = range_W(p_minus, INF, crit_v)
+        ranges[f"{label}-poisson"] = range_W(p_minus, poisson_q0, crit_v)
+    ends = {key: {"lo": ext_to_json(r.lower), "hi": ext_to_json(r.upper)}
+            for key, r in ranges.items()}
+    return ranges, {"ranges": ends}
 
+
+def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
+    """Operator-norm ratios in L^p(v dw) inside the admissible ranges."""
+    _, exponents = _boundedness_ranges(config)
+    alpha = _exact_alpha(config)
     v_cases = [
-        ("one", UNIT_WEIGHT, Fraction(0)),
-        ("w-inv", PowerWeight(float(-alpha)), -alpha),
-        ("w-half", PowerWeight(float(alpha) / 2), alpha / 2),
+        ("one", UNIT_WEIGHT),
+        ("w-inv", PowerWeight(float(-alpha))),
+        ("w-half", PowerWeight(float(alpha) / 2)),
     ]
     p = 2.0
-    env_ranges = {}
-    env_classes = {}
     coarse = contexts[0]
-    for label, v_model, gamma in v_cases:
-        crit_v = _weighted_power_criticals(gamma, alpha, n_dim)
-        heat_range = range_W(p_minus, heat_upper, crit_v)
-        poisson_range = range_W(
-            p_minus, poisson_up if poisson_up > p_minus else INF, crit_v
-        )
-        for name, rng_ in (("heat", heat_range), ("poisson", poisson_range)):
-            if not (rng_.lower < ext(2) < rng_.upper):
-                raise ValueError(f"p=2 outside {name} range for v={label}")
-            env_ranges[f"{label}-{name}"] = {
-                "lo": ext_to_json(rng_.lower), "hi": ext_to_json(rng_.upper),
-            }
-        est = weighted_class_constant(
+    env_classes = {
+        label: weighted_class_constant(
             v_model, coarse.op.weight, ClassKind("Ap_of_w", 2.0), coarse.op.grid
-        )
-        env_classes[label] = est.constant_estimate
+        ).constant_estimate
+        for label, v_model in v_cases
+    }
 
     def ratios(ctx: SuiteContext) -> dict[str, float]:
         out = {}
-        for label, v_model, _ in v_cases:
+        for label, v_model in v_cases:
             nf = ctx.norms(None, p, v_model)
             for family, kind in (("heat", "S_H1"), ("poisson", "S_P1")):
                 out[f"operator-ratio-{family}-v-{label}"] = _sup_ratio(
@@ -762,11 +767,7 @@ def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
         verdict="pass" if min_norm > 0 else "fail", tolerance=0.0,
     ))
 
-    env = _environment(config, {
-        "p": p,
-        "ranges": env_ranges,
-        "class_constants_A2_of_w": env_classes,
-    })
+    env = _environment(config, {"p": p, **exponents, "class_constants_A2_of_w": env_classes})
     return SuiteReport("boundedness", tuple(checks), env)
 
 
@@ -938,6 +939,30 @@ SUITES = {
     "appendix_q": suite_appendix_q,
 }
 
+# the suites whose p = 2 must lie inside exact ranges that the config
+# alone fixes, each with the helper that gives those ranges
+_P_RANGES = {
+    "poisson_control": _poisson_control_ranges,
+    "boundedness": _boundedness_ranges,
+}
+
+
+def _check_weight_alpha(config: SuiteConfig, names: list[str]):
+    """Reject a weight_alpha at which a named suite's exact ranges exclude
+    p = 2, before anything is assembled.  The ranges read weight_alpha
+    as the nearest fraction with denominator at most 64."""
+    for name in [n for n in names if n in _P_RANGES]:
+        try:
+            ranges, _ = _P_RANGES[name](config)
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            reason = next((f"p=2 outside its {label} range {rng}"
+                           for label, rng in ranges.items() if not rng.contains(2)), None)
+        if reason:
+            raise ValueError(f"weight_alpha: suite {name} cannot run at weight power "
+                             f"{config.weight_alpha}: {reason}")
+
 
 def run_suites(
     config: SuiteConfig, names: list[str] | None = None
@@ -949,5 +974,6 @@ def run_suites(
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    _check_weight_alpha(config, names)
     contexts = tuple(SuiteContext(config, n) for n in config.sizes)
     return [SUITES[n](config, contexts) for n in names]

@@ -5,8 +5,10 @@ Independent of the ball stencil: every ball is a boolean row of the full
 pairwise periodic distance matrix, and every ball sum is a matrix-vector
 product.  Independent of the parity blocks: the operator is the dense
 stiffness matrix K and its spectrum one dense `eigh` of
-W^{-1/2} K W^{-1/2}.  Tests compare the library functions against these.
-Only for small grids: the matrices have M^2 entries.
+W^{-1/2} K W^{-1/2}.  Independent of the library's slice differences:
+centered gradients are taken with `np.roll`.  Tests compare the library
+functions against these.  Only for small grids: the matrices have M^2
+entries.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+from tentcalc.mesh import WeightModel
 
 SLACK = 1e-9
 LOG_SAFE = 700.0
@@ -59,6 +63,33 @@ def dense_spectrum(grid, coeff, wv) -> tuple[np.ndarray, np.ndarray]:
     m_std = inv_sqrt_w[:, None] * stiffness(grid, coeff, wv) * inv_sqrt_w[None, :]
     lam, psi = scipy.linalg.eigh(0.5 * (m_std + m_std.T))
     return lam, psi * inv_sqrt_w[:, None] / grid.cell_volume**0.5
+
+
+class TabulatedWeight(WeightModel):
+    """A weight given by its samples on one grid size, for tests that need
+    weights that are not powers."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, float)
+
+    def sample(self, grid) -> np.ndarray:
+        return self.values.copy()
+
+
+def centered_gradient(grid, u) -> np.ndarray:
+    """(u(x + h e_d) - u(x - h e_d)) / 2h of a (..., M) stack along each
+    grid axis d, periodic by `np.roll`, (dim, ..., M)."""
+    u = np.asarray(u, float)
+    v = u.reshape(u.shape[:-1] + (grid.n_side,) * grid.dim)
+    return np.stack([
+        ((np.roll(v, -1, axis=a) - np.roll(v, 1, axis=a)) / (2 * grid.h)).reshape(u.shape)
+        for a in range(-grid.dim, 0)
+    ])
+
+
+def spatial_part(g) -> np.ndarray:
+    """t grad_y u of a GradField g, (dim, ..., M)."""
+    return np.asarray(g.t, float)[..., None] * centered_gradient(g.grid, g.image)
 
 
 def inner_w(op, f, g) -> float:

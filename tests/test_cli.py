@@ -497,6 +497,27 @@ class TestVerifyCommand:
             assert field in result.output
             assert not os.path.exists("verify_report.json")
 
+    @pytest.mark.parametrize("alpha, suite", [(1.25, "poisson_control"),
+                                              (-1.5, "boundedness")])
+    def test_inadmissible_weight_alpha_rejected_before_assembly(self, runner, monkeypatch,
+                                                                alpha, suite):
+        # p = 2 outside an exact range of the suite: exit 1 naming the
+        # field and the suite before any suite runs
+        def no_assembly(*args, **kwargs):
+            pytest.fail("operator assembled for a weight power that must be rejected")
+
+        verify._assemble_cached.cache_clear()
+        monkeypatch.setattr(verify, "assemble", no_assembly)
+        with runner.isolated_filesystem():
+            _write_json("cfg.json", {"weight_alpha": alpha, "sizes": [8, 16]})
+            result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "7",
+                                          "--config", "cfg.json"])
+            assert result.exit_code == 1, result.output
+            assert result.stderr.startswith("error: weight_alpha:"), result.stderr
+            assert suite in result.stderr
+            assert not os.path.exists("verify_report.json")
+            assert not os.path.exists("verify_report.csv")
+
     def test_report_csv_bytes(self, runner):
         with runner.isolated_filesystem():
             _write_json("cfg.json", SMALL_SUITE)
@@ -598,6 +619,7 @@ def test_heap_setting_only_from_the_command_line(tmp_path):
 def test_verify_report_is_strict_json(dim, alpha, bank, seed, drift):
     # whatever the config, a report parses without NaN or Infinity; a
     # weight that puts p = 2 outside a suite's range is a domain error
+    # that names weight_alpha
     runner = CliRunner()
     with runner.isolated_filesystem():
         _write_json("cfg.json", {"dim": dim, "weight_alpha": alpha * dim,
@@ -605,7 +627,7 @@ def test_verify_report_is_strict_json(dim, alpha, bank, seed, drift):
                                  "seed": seed, "drift_limit": drift})
         result = runner.invoke(main, ["verify", "--config", "cfg.json"])
         if result.exit_code == 1:
-            assert result.output.startswith("error: p=2 outside"), result.output
+            assert result.output.startswith("error: weight_alpha:"), result.output
             return
         assert result.exit_code in (0, 3), result.output
         json.loads(open("verify_report.json").read(), parse_constant=_no_constant)

@@ -12,7 +12,6 @@ from tentcalc.mesh import (
     UNIT_WEIGHT,
     Grid,
     PowerWeight,
-    TabulatedWeight,
     lp_norm,
     maximal,
 )
@@ -141,15 +140,6 @@ class TestWeights:
         # first center at 0.0625, periodic distance to origin is 0.0625
         v = PowerWeight(2.0).sample(g)
         assert v[0] == pytest.approx(0.0625**2)
-
-    def test_tabulated_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TabulatedWeight((1.0, 0.0, 2.0))
-
-    def test_tabulated_size_check(self):
-        w = TabulatedWeight(tuple(np.ones(8)))
-        with pytest.raises(ValueError):
-            w.sample(Grid(1, 16))
 
 
 class TestMeasure:

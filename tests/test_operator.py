@@ -9,9 +9,15 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_reference import dense_spectrum, inner_w, modes, operator_matrix
+from dense_reference import (
+    TabulatedWeight,
+    dense_spectrum,
+    inner_w,
+    modes,
+    operator_matrix,
+)
 from tentcalc import operator as operator_module
-from tentcalc.mesh import Grid, PowerWeight, TabulatedWeight, UNIT_WEIGHT
+from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
 from tentcalc.operator import CoefficientField, assemble
 
 # generalized-eigenproblem oracle, dim 1, N=8, w = |x|, A = I
@@ -185,7 +191,15 @@ def mirrored_weight(grid, seed, axes):
     w = np.random.default_rng(seed).uniform(0.5, 2.0, size=(n,) * grid.dim)
     for axis in axes:
         w = 0.5 * (w + np.flip(w, axis=axis))
-    return TabulatedWeight(tuple(w.ravel()))
+    return TabulatedWeight(w.ravel())
+
+
+def swap_symmetric_weight(grid, seed):
+    """A random tabulated weight, mirrored along both axes and equal to
+    its transpose, exactly."""
+    n = grid.n_side
+    w = mirrored_weight(grid, seed, [0, 1]).values.reshape(n, n)
+    return TabulatedWeight((0.5 * (w + w.T)).ravel())
 
 
 def cluster_bounds(lam, rtol):
@@ -238,7 +252,6 @@ class TestParityBlocks:
         coeff = CoefficientField.identity(g) if entries is None \
             else CoefficientField.diagonal(g, entries)
         op = assemble(g, coeff, weight)
-        assert op.split == (True,) * dim
         assert len(op.block_vectors) == 2**dim
         assert_matches_dense(op)
 
@@ -247,18 +260,15 @@ class TestParityBlocks:
         g = Grid(dim, n)
         op = assemble(g, CoefficientField.diagonal(g, [1.5] * dim),
                       mirrored_weight(g, n, range(dim)))
-        assert op.split == (True,) * dim
+        assert len(op.block_vectors) == 2**dim
         assert_matches_dense(op)
 
     @pytest.mark.parametrize("n", [8, 9])
-    def test_nonsymmetric_weight_is_one_block(self, n):
+    def test_nonsymmetric_weight_is_rejected(self, n):
         g = Grid(2, n)
         w = np.random.default_rng(5).uniform(0.5, 2.0, size=g.n_cells)
-        op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]),
-                      TabulatedWeight(tuple(w)))
-        assert op.split == (False, False)
-        assert len(op.block_vectors) == 1
-        assert_matches_dense(op)
+        with pytest.raises(ValueError, match="mirror-symmetric along every axis"):
+            assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]), TabulatedWeight(w))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_power_weight_off_power_of_two_splits(self, dim):
@@ -267,15 +277,14 @@ class TestParityBlocks:
         g = Grid(dim, 9)
         op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0][:dim]),
                       PowerWeight(1.0))
-        assert op.split == (True,) * dim
+        assert len(op.block_vectors) == 2**dim
         assert_matches_dense(op)
 
-    def test_weight_mirrored_along_one_axis_is_one_block(self):
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_weight_mirrored_along_one_axis_is_rejected(self, axis):
         g = Grid(2, 8)
-        op = assemble(g, CoefficientField.identity(g), mirrored_weight(g, 3, [0]))
-        assert op.split == (False, False)
-        assert len(op.block_vectors) == 1
-        assert_matches_dense(op)
+        with pytest.raises(ValueError, match="mirror-symmetric along every axis"):
+            assemble(g, CoefficientField.identity(g), mirrored_weight(g, 3, [axis]))
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_project_reconstruct_stacks(self, n):
@@ -317,23 +326,32 @@ class TestParityBlocks:
 
     @given(
         dim=st.sampled_from([1, 2]),
-        n=st.sampled_from([4, 8, 9, 16]),
+        n=st.sampled_from([4, 7, 8, 9, 16]),
         alpha_frac=st.floats(-0.95, 0.95),
         entries=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
         equal=st.booleans(),
+        tabulated=st.none() | st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
     # two eigenvalues 1.65e-8 lambda_max apart
     @example(dim=1, n=4, alpha_frac=0.00033042853970111086, entries=(1.0, 1.0),
-             equal=False)
-    def test_symmetric_power_weights_match_dense(self, dim, n, alpha_frac, entries, equal):
-        # equal entries in dim 2 take the axis-swap split as well
+             equal=False, tabulated=None)
+    def test_symmetric_power_weights_match_dense(self, dim, n, alpha_frac, entries, equal,
+                                                 tabulated):
+        # equal entries in dim 2 take the axis-swap split as well; a
+        # tabulated seed draws a random weight in place of the power, with
+        # the same symmetries: mirrored along every axis, and transposed
+        # too when the entries are equal
         g = Grid(dim, n)
         if equal:
             entries = (entries[0],) * 2
-        op = assemble(g, CoefficientField.diagonal(g, entries[:dim]),
-                      PowerWeight(alpha_frac * dim))
-        assert op.split == (True,) * dim
+        weight = PowerWeight(alpha_frac * dim)
+        if tabulated is not None:
+            weight = swap_symmetric_weight(g, tabulated) if equal and dim == 2 \
+                else mirrored_weight(g, tabulated, range(dim))
+        op = assemble(g, CoefficientField.diagonal(g, entries[:dim]), weight)
+        assert len(op.block_vectors) == 2**dim
+        assert op.swap or not (equal and dim == 2)
         assert_matches_dense(op)
 
     @given(
@@ -369,7 +387,7 @@ class TestParityBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.split == (True, True)
+        assert len(op.block_vectors) == 4
         assert peak < 8 * g.n_cells**2
 
 
@@ -387,14 +405,6 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
-def swap_symmetric_weight(grid, seed):
-    """A random tabulated weight, mirrored along both axes and equal to
-    its transpose, exactly."""
-    n = grid.n_side
-    w = np.asarray(mirrored_weight(grid, seed, [0, 1]).values).reshape(n, n)
-    return TabulatedWeight(tuple((0.5 * (w + w.T)).ravel()))
-
-
 class TestSwapSplit:
     @pytest.mark.parametrize("n", [8, 9, 16])
     @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -402,7 +412,7 @@ class TestSwapSplit:
     def test_power_weights_match_dense(self, n, a, alpha, eigh_sizes):
         g = Grid(2, n)
         op = assemble(g, CoefficientField.diagonal(g, [a, a]), PowerWeight(alpha))
-        assert op.split == (True, True)
+        assert op.swap
         # (even, even) and (odd, odd) in two parts each, (odd, even) derived
         assert len(eigh_sizes) == 5
         assert sum(eigh_sizes) + (n - n // 2) * (n // 2) == g.n_cells
@@ -450,7 +460,8 @@ class TestSwapSplit:
 
 BLOCK_CASES = [
     # (dim, n, weight, entries): even and odd sides, the axis-swap split
-    # (A = a I in dim 2), four plain parity blocks, and the one-block case
+    # (A = a I in dim 2), four plain parity blocks, and (None) a random
+    # tabulated weight with the symmetries of a power weight
     (1, 8, PowerWeight(0.7), (1.0,)),
     (1, 9, PowerWeight(-0.4), (2.0,)),
     (2, 8, PowerWeight(1.0), (1.0, 1.0)),
@@ -470,11 +481,10 @@ class TestBlockCoordinates:
     def test_match_dense(self, dim, n, weight, entries):
         g = Grid(dim, n)
         if weight is None:
-            w = np.random.default_rng(n).uniform(0.5, 2.0, size=g.n_cells)
-            weight = TabulatedWeight(tuple(w))
+            weight = swap_symmetric_weight(g, n) if len(set(entries)) == 1 \
+                else mirrored_weight(g, n, range(dim))
         op = assemble(g, CoefficientField.diagonal(g, entries), weight)
-        assert len(op.block_vectors) == (1 if isinstance(weight, TabulatedWeight)
-                                         else 2**dim)
+        assert len(op.block_vectors) == 2**dim
         lam, phi = dense_spectrum(g, op.coeff, op.weight_values)
         scale = lam.max()
         dens = op.weight_values * g.cell_volume

@@ -6,8 +6,11 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tentcalc import squarefn, tent, verify
 from tentcalc.exponents import ext
@@ -212,6 +215,59 @@ class TestSuiteRuns:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suites"):
             run_suites(SMALL, names=["heat_control", "entropy"])
+
+
+class Assembled(Exception):
+    """Raised in place of assembly: the run got past every config check."""
+
+
+# the suites that read exact p ranges, each with the helper it reads them from
+RANGES_OF = {
+    "poisson_control": verify._poisson_control_ranges,
+    "boundedness": verify._boundedness_ranges,
+}
+
+
+def _excludes_two(config: SuiteConfig, name: str) -> bool:
+    """Whether the exact ranges of the suite exclude p = 2 (or do not
+    exist) at the config's weight power."""
+    if name not in RANGES_OF:
+        return False
+    try:
+        ranges, _ = RANGES_OF[name](config)
+    except ValueError:
+        return True
+    return not all(r.contains(2) for r in ranges.values())
+
+
+@given(
+    dim=st.sampled_from([1, 2]),
+    alpha_frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    names=st.lists(st.sampled_from(list(SUITES)), min_size=1, unique=True),
+)
+@settings(max_examples=60, deadline=None)
+@example(dim=2, alpha_frac=0.625, names=["heat_control", "poisson_control"])
+@example(dim=2, alpha_frac=0.625, names=["heat_control"])
+@example(dim=2, alpha_frac=-0.75, names=["boundedness"])
+@example(dim=2, alpha_frac=-0.6, names=["boundedness"])
+def test_inadmissible_weight_alpha_rejected_before_assembly(dim, alpha_frac, names):
+    # a run either stops at the weight_alpha check, before anything is
+    # assembled, or gets to assembly; it stops exactly when a selected
+    # suite's exact ranges exclude p = 2
+    config = SuiteConfig(dim=dim, weight_alpha=alpha_frac * dim, sizes=(8, 16), bank_size=2)
+    verify._assemble_cached.cache_clear()
+    with mock.patch.object(verify, "assemble", side_effect=Assembled):
+        try:
+            run_suites(config, names)
+        except Assembled:
+            rejected = False
+        except ValueError as exc:
+            assert str(exc).startswith("weight_alpha: "), exc
+            assert any(name in str(exc) for name in names), exc
+            rejected = True
+        else:
+            pytest.fail("a run finished without assembly")
+    assert rejected == any(_excludes_two(config, name) for name in names)
 
 
 class TestRunMemo:
