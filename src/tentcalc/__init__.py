@@ -33,7 +33,6 @@ from .mesh import (
 )
 from .operator import CoefficientField, SpectralOperator, assemble
 from .semigroup import (
-    GradField,
     TimeLadder,
     grad_eval,
     heat_eval,
@@ -86,7 +85,6 @@ __all__ = [
     "CoefficientField",
     "SpectralOperator",
     "assemble",
-    "GradField",
     "TimeLadder",
     "grad_eval",
     "heat_eval",

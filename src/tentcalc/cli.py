@@ -44,6 +44,7 @@ from .verify import (
     _named,
     materialize,
     reports_to_csv,
+    reports_to_json,
     run_suites,
 )
 
@@ -400,11 +401,7 @@ def cmd_verify(suite, seed, config_path, out_json, out_csv):
         _fail(str(exc))
 
     header = _header({**asdict(config), "suite": suite}, config.seed)
-    json_text = json.dumps({
-        "header": header,
-        "reports": [r.to_json_dict() for r in reports],
-    }, indent=2, allow_nan=False) + "\n"
-    _write_text(out_json, json_text)
+    _write_text(out_json, reports_to_json(reports, header))
     csv_body = reports_to_csv(reports)
     _write_text(out_csv, _comment_lines(header) + csv_body)
 

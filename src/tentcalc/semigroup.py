@@ -12,8 +12,10 @@ Time derivatives are computed analytically on the spectrum,
     t d/dt [(t s)^{2K} e^{-t s}]      = (2K - t s) (t s)^{2K} e^{-t s},  s = sqrt(lam),
 
 so the m = 0 heat identity t d_t e^{-t^2 L_w} f = -2 (t^2 L_w) e^{-t^2 L_w} f
-holds at the coefficient level up to rounding; spatial gradients use
-centered periodic differences on the evaluated field.
+holds at the coefficient level up to rounding.  `grad_eval` and
+`poisson_grad_eval` return the pair [u, t d_t u]; the spatial part
+t grad_y u is never stored, and `spatial_norm_sq` takes its squares from
+centered periodic differences of u.
 
 The factors above are the multiplier tables.  Every evaluator projects
 f once into the operator's block coordinates and builds each table it
@@ -42,7 +44,7 @@ rule converges geometrically in the step and the half-width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,7 +54,6 @@ from .operator import SpectralOperator
 
 __all__ = [
     "TimeLadder",
-    "GradField",
     "ORDER_CAP",
     "LADDER_CAP",
     "LADDER_START_DIVISOR",
@@ -209,9 +210,10 @@ def multiplier_tables(op: SpectralOperator, semigroup: str, order: int,
                       t: float | NDArray, f: NDArray, time: bool = False) -> list[NDArray]:
     """The coefficient table of the "heat" or "poisson" power of order
     `order` applied to f, in block order, and with `time` also its t d_t
-    table: reconstructed, they are the image and time parts of
-    `grad_eval` or `poisson_grad_eval`.  By w-orthonormality a table's sum
-    of squares at a node is its image's squared L^2(w) norm there."""
+    table: reconstructed, they are the pair that `grad_eval` or
+    `poisson_grad_eval` returns, and the first alone is `heat_eval` or
+    `poisson_eval`.  By w-orthonormality a table's sum of squares at a
+    node is its image's squared L^2(w) norm there."""
     factor, rate = {"heat": (_heat, _heat_rate), "poisson": (_poisson, _poisson_rate)}[semigroup]
     return _tables(op, order, t, f, factor, rate if time else None)
 
@@ -246,32 +248,11 @@ def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray) -> NDArray:
     return total
 
 
-@dataclass(frozen=True)
-class GradField:
-    """t grad_{y,t} of a semigroup image u at one time t (cells) or at J
-    times t (J, cells): the image itself and its time part t d_t u.  The
-    spatial part t grad_y u, by centered differences, is never stored:
-    the norms take its squares from `spatial_norm_sq` and sum them with
-    the time part's in one buffer."""
-
-    grid: Grid
-    t: NDArray = field(repr=False)
-    image: NDArray = field(repr=False)
-    time: NDArray = field(repr=False)
-
-    def norm_sq(self) -> NDArray:
-        total = spatial_norm_sq(self.grid, self.t, self.image)
-        total += np.square(self.time)
-        return total
-
-    def norm(self) -> NDArray:
-        total = self.norm_sq()
-        return np.sqrt(total, out=total)
-
-
-def grad_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> GradField:
-    u, du_t = _images(op, m, t, f, _heat, _heat_rate)
-    return GradField(op.grid, np.asarray(t, float), u, du_t)
+def grad_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> list[NDArray]:
+    """[u, t d_t u] for u = (t^2 L_w)^m e^{-t^2 L_w} f, at one time (M,) or
+    at each of J times (J, M): the image and time parts of
+    t grad_{y,t} u, whose spatial part `spatial_norm_sq` takes from u."""
+    return _images(op, m, t, f, _heat, _heat_rate)
 
 
 def subordination_factors(lam: NDArray, t: float) -> NDArray:
@@ -322,9 +303,9 @@ def poisson_eval(
 
 def poisson_grad_eval(
     op: SpectralOperator, big_k: int, t: float | NDArray, f: NDArray
-) -> GradField:
-    u, du_t = _images(op, big_k, t, f, _poisson, _poisson_rate)
-    return GradField(op.grid, np.asarray(t, float), u, du_t)
+) -> list[NDArray]:
+    """[u, t d_t u] for u = (t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f, as `grad_eval`."""
+    return _images(op, big_k, t, f, _poisson, _poisson_rate)
 
 
 def poisson_scalar(lam: float, t: float) -> float:

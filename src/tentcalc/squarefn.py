@@ -1,27 +1,26 @@
 """Conical and vertical square functions of the weighted operator.
 
-Seven cone-based kinds, each a half-space field F(y, t) fed to the
-aperture-1 cone functional A_w:
+Every kind is one row of FAMILIES: a semigroup, heat or Poisson, and the
+parts of t grad_{y,t} u its integrand reads, for u the power
 
-    S_H(m):    |(t^2 L_w)^m e^{-t^2 L_w} f|,          m >= 1
-    G_H(m):    |t grad_y (t^2 L_w)^m e^{-t^2 L_w} f|,  m >= 0
-    Gcal_H(m): |t grad_{y,t} (t^2 L_w)^m e^{-t^2 L_w} f|
-    S_P(K):    |(t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f|, K >= 1
-    G_P(K):    spatial gradient of the Poisson power,   K >= 0
-    Gcal_P(K): full space-time gradient of the same
+    heat:    (t^2 L_w)^m e^{-t^2 L_w} f,            order m
+    Poisson: (t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f, order K
 
-plus vertical_g_H, the same m = 0 heat integrand as Gcal_H but with the
-dt/t sum taken at the point itself, no cone.  The S kinds need order at
-least 1 because the plain semigroup has no decay against dt/t as t -> 0;
-gradient kinds gain that decay from the factor t.
+S kinds read u itself, |u|; G kinds the spatial part, |t grad_y u|; Gcal
+kinds the spatial and time parts, |t grad_{y,t} u|.  Six kinds feed that
+field F(y, t) to the aperture-1 cone functional A_w; vertical_g_H takes
+the Gcal_H integrand at order 0 with the dt/t sum at the point itself,
+no cone.  The S kinds need order at least 1 because the plain semigroup
+has no decay against dt/t as t -> 0; gradient kinds gain that decay from
+the factor t.
 
 Poisson kinds evaluate through the spectral path so their error budget
 is pure ladder quadrature, independent of subordination quadrature.
 
-A field reads only the semigroup images its magnitude needs, all ladder
-nodes at once: S kinds one image, G kinds the same one image and its
-centered periodic differences, Gcal kinds the image and its t d_t image.
-Squared parts are summed in one buffer and rooted in place.
+A field reads only the images its row names, all ladder nodes at once:
+one image, plus its t d_t image when the row reads the time part.  The
+spatial part is the image's centered periodic differences.  Squared parts
+are summed in one buffer and rooted in place; S kinds keep |u| itself.
 
 `l2_norm_sq` gives the squared L^2(w) norm of any kind with no field and
 no cone, from the Fubini identity and Parseval's identity in the
@@ -40,7 +39,6 @@ from .mesh import Grid
 from .operator import SpectralOperator
 from .semigroup import (
     ORDER_CAP,
-    GradField,
     TimeLadder,
     grad_eval,
     heat_eval,
@@ -52,22 +50,24 @@ from .semigroup import (
 from .tent import HalfSpaceField, cone_all
 
 __all__ = [
+    "FAMILIES",
     "SquareFunctionKind",
     "build_field",
     "evaluate",
-    "vertical_g",
     "l2_norm_sq",
     "result_to_csv",
 ]
 
-_MIN_ORDER = {
-    "S_H": 1,
-    "G_H": 0,
-    "Gcal_H": 0,
-    "S_P": 1,
-    "G_P": 0,
-    "Gcal_P": 0,
-    "vertical_g_H": 0,
+# family: (semigroup, reads t grad_y u, reads t d_t u, summed over the
+# cone, least order, greatest order)
+FAMILIES = {
+    "S_H": ("heat", False, False, True, 1, ORDER_CAP),
+    "G_H": ("heat", True, False, True, 0, ORDER_CAP),
+    "Gcal_H": ("heat", True, True, True, 0, ORDER_CAP),
+    "S_P": ("poisson", False, False, True, 1, ORDER_CAP),
+    "G_P": ("poisson", True, False, True, 0, ORDER_CAP),
+    "Gcal_P": ("poisson", True, True, True, 0, ORDER_CAP),
+    "vertical_g_H": ("heat", True, True, False, 0, 0),
 }
 
 
@@ -75,26 +75,48 @@ _MIN_ORDER = {
 class SquareFunctionKind:
     """A square-function family plus its semigroup order.
 
-    `order` is m for the heat kinds and K for the Poisson kinds; omitted
-    it defaults to the family minimum (1 for S kinds, 0 otherwise), so
-    SquareFunctionKind("S_H") is S_{1,H} and "Gcal_H" is Gcal_{0,H}.
-    The vertical kind admits only order 0.  Cone aperture is fixed at 1.
+    `order` is m for the heat kinds and K for the Poisson kinds, an
+    integer in the family's range in FAMILIES; omitted it defaults to the
+    least, so SquareFunctionKind("S_H") is S_{1,H} and "Gcal_H" is
+    Gcal_{0,H}.  Cone aperture is fixed at 1.
     """
 
     family: str
     order: int | None = None
 
     def __post_init__(self):
-        if self.family not in _MIN_ORDER:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown square function family {self.family!r}")
-        if self.order is None:
-            object.__setattr__(self, "order", _MIN_ORDER[self.family])
-        lo = _MIN_ORDER[self.family]
-        hi = 0 if self.family == "vertical_g_H" else ORDER_CAP
-        if not lo <= self.order <= hi:
-            raise ValueError(
-                f"{self.family} order must lie in [{lo}, {hi}], got {self.order}"
-            )
+        lo, hi = FAMILIES[self.family][4:]
+        order = lo if self.order is None else self.order
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+            raise ValueError(f"{self.family} order must be an integer, got {order!r}")
+        if not lo <= order <= hi:
+            raise ValueError(f"{self.family} order must lie in [{lo}, {hi}], got {order}")
+        object.__setattr__(self, "order", int(order))
+
+
+def _integrand(kind: SquareFunctionKind, op: SpectralOperator, f: NDArray,
+               t: NDArray) -> NDArray:
+    """The kind's integrand at the J times t, (J, M): |u| for a row that
+    reads u alone, not the root of its square, so S fields are exact;
+    otherwise the squares of the parts the row reads, summed in one
+    buffer.
+
+    The evaluators are looked up per call, so a rebinding of the module's
+    names is honoured."""
+    semigroup, spatial, time = FAMILIES[kind.family][:3]
+    if time:
+        evaluator = grad_eval if semigroup == "heat" else poisson_grad_eval
+        image, time_part = evaluator(op, kind.order, t, f)
+    else:
+        image = (heat_eval if semigroup == "heat" else poisson_eval)(op, kind.order, t, f)
+    if not spatial:
+        return np.abs(image, out=image)
+    total = spatial_norm_sq(op.grid, t, image)
+    if time:
+        total += np.square(time_part, out=time_part)
+    return total
 
 
 def build_field(
@@ -105,28 +127,9 @@ def build_field(
 ) -> HalfSpaceField:
     """Sample the kind's integrand magnitude at every ladder node.
 
-    The cone functional squares the field, so only magnitudes are kept:
-    the semigroup image itself for S kinds, the length of t grad_y of
-    that image for G kinds, and the full space-time length for Gcal
-    kinds.
-    """
-    # looked up per call, so a rebinding of the module's evaluator names
-    # is honoured
-    evaluator = {
-        "S_H": heat_eval,
-        "G_H": heat_eval,
-        "Gcal_H": grad_eval,
-        "S_P": poisson_eval,
-        "G_P": poisson_eval,
-        "Gcal_P": poisson_grad_eval,
-    }[kind.family]
-    t = ladder.nodes
-    image = evaluator(op, kind.order, t, f)
-    if kind.family.startswith("S_"):
-        rows = np.abs(image, out=image)
-    else:
-        rows = image.norm_sq() if isinstance(image, GradField) \
-            else spatial_norm_sq(op.grid, t, image)
+    The cone functional squares the field, so only magnitudes are kept."""
+    rows = _integrand(kind, op, f, ladder.nodes)
+    if FAMILIES[kind.family][1]:
         np.sqrt(rows, out=rows)
     return HalfSpaceField(op.grid, ladder, op.weight, rows)
 
@@ -137,16 +140,12 @@ def evaluate(
     f: NDArray,
     ladder: TimeLadder,
 ) -> NDArray:
-    """The square function of f at every cell."""
-    if kind.family == "vertical_g_H":
-        return vertical_g(op, f, ladder)
-    return cone_all(build_field(kind, op, f, ladder), 1.0)
-
-
-def vertical_g(op: SpectralOperator, f: NDArray, ladder: TimeLadder) -> NDArray:
-    """Vertical square function: the dt/t sum of |t grad_{y,t} e^{-t^2
-    L_w} f|^2 at the point itself."""
-    total = np.sum(grad_eval(op, 0, ladder.nodes, f).norm_sq(), axis=0)
+    """The square function of f at every cell: the cone functional of the
+    kind's field, or for a row not summed over the cone the dt/t sum of
+    its squared integrand at the point itself."""
+    if FAMILIES[kind.family][3]:
+        return cone_all(build_field(kind, op, f, ladder), 1.0)
+    total = np.sum(_integrand(kind, op, f, ladder.nodes), axis=0)
     return np.sqrt(total * ladder.node_weight)
 
 
@@ -163,24 +162,21 @@ def l2_norm_sq(
     sum is the squared norm of the vertical kind.  Parseval in the
     w-orthonormal eigenbasis takes each semigroup part straight from its
     multiplier table, ln(rho) sum_{j,k} (T_jk c_k)^2, with no
-    reconstruction: the whole norm for S kinds, the t d_t part for Gcal
-    kinds.  The spatial gradient is not diagonal in the eigenbasis, so G
-    and Gcal kinds reconstruct their one image and sum |t grad_y u|^2
-    against w h^dim.
+    reconstruction: the image for a row that reads u alone, the t d_t
+    part for a row that reads it.  The spatial gradient is not diagonal
+    in the eigenbasis, so a row that reads it reconstructs the image and
+    sums |t grad_y u|^2 against w h^dim.
     """
-    family = kind.family
+    semigroup, spatial, time = FAMILIES[kind.family][:3]
     t = ladder.nodes
-    tables = multiplier_tables(
-        op, "poisson" if family.endswith("_P") else "heat", kind.order, t, f,
-        time=family.startswith("Gcal") or family == "vertical_g_H",
-    )
+    tables = multiplier_tables(op, semigroup, kind.order, t, f, time=time)
     total = 0.0
-    if not family.startswith("S_"):
+    if spatial:
         image = tables.pop(0)
         op.reconstruct_blocks(image, out=image)
-        spatial = spatial_norm_sq(op.grid, t, image)
-        spatial *= op.weight_values * op.grid.cell_volume
-        total += float(np.sum(spatial))
+        grad_sq = spatial_norm_sq(op.grid, t, image)
+        grad_sq *= op.weight_values * op.grid.cell_volume
+        total += float(np.sum(grad_sq))
     for table in tables:
         total += float(np.sum(np.square(table, out=table)))
     return total * ladder.node_weight

@@ -177,8 +177,10 @@ def _json_safe(data):
     return data
 
 
-def reports_to_json(reports: list[SuiteReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2, allow_nan=False)
+def reports_to_json(reports: list[SuiteReport], header: dict) -> str:
+    """The {"header", "reports"} object, indented, with a final newline."""
+    return json.dumps({"header": header, "reports": [r.to_json_dict() for r in reports]},
+                      indent=2, allow_nan=False) + "\n"
 
 
 def reports_to_csv(reports: list[SuiteReport]) -> str:

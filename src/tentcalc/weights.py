@@ -197,12 +197,6 @@ class RefinementVerdict:
     max_ratio: float
     increment_ratio: float | None
 
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(
-            b / a for a, b in zip(self.constants, self.constants[1:])
-        )
-
 
 def membership_by_refinement(
     v: WeightModel,

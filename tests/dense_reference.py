@@ -87,9 +87,10 @@ def centered_gradient(grid, u) -> np.ndarray:
     ])
 
 
-def spatial_part(g) -> np.ndarray:
-    """t grad_y u of a GradField g, (dim, ..., M)."""
-    return np.asarray(g.t, float)[..., None] * centered_gradient(g.grid, g.image)
+def spatial_part(grid, t, u) -> np.ndarray:
+    """t grad_y u of an image u at one time (M,) or at J times t (J, M),
+    (dim, ..., M)."""
+    return np.asarray(t, float)[..., None] * centered_gradient(grid, u)
 
 
 def inner_w(op, f, g) -> float:

@@ -550,16 +550,15 @@ class TestVerifyCommand:
         with runner.isolated_filesystem():
             result = runner.invoke(main, ["verify"])
             assert result.exit_code == 3, result.output
-            data = json.loads(open("verify_report.json").read(),
-                              parse_constant=_no_constant)
+            text = open("verify_report.json").read()
+            data = json.loads(text, parse_constant=_no_constant)
             csv_rows = open("verify_report.csv").read().splitlines()[4:]
         checks = data["reports"][0]["checks"]
         assert checks[0]["values"] == [1.0, "inf", "-inf"]
         assert checks[1]["values"] == ["nan"] and checks[1]["tolerance"] == "inf"
         assert data["reports"][0]["environment"]["class_constants_A2_of_w"] == {
             "one": "inf"}
-        assert json.loads(verify.reports_to_json([report]),
-                          parse_constant=_no_constant)[0] == data["reports"][0]
+        assert verify.reports_to_json([report], data["header"]) == text
         assert csv_rows[1:3] == ["heat_control,drift,inf,fail",
                                  "heat_control,drift,-inf,fail"]
 

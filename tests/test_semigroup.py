@@ -12,17 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import inner_w, spatial_part
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
+from tentcalc import squarefn
 from tentcalc.operator import CoefficientField, assemble
 from tentcalc.semigroup import (
     LADDER_CAP,
     ORDER_CAP,
-    GradField,
     TimeLadder,
     grad_eval,
     heat_eval,
     poisson_eval,
     poisson_grad_eval,
     poisson_scalar,
+    spatial_norm_sq,
     subordination_factors,
 )
 
@@ -160,18 +161,18 @@ class TestHeatEval:
 
 class TestGradEval:
     def test_constant_gives_zero_field(self, op_weighted16):
-        out = grad_eval(op_weighted16, 0, 0.5, np.full(16, 2.0))
-        npt.assert_allclose(spatial_part(out), 0.0, atol=1e-12)
-        npt.assert_allclose(out.time, 0.0, atol=1e-12)
+        u, time = grad_eval(op_weighted16, 0, 0.5, np.full(16, 2.0))
+        npt.assert_allclose(spatial_part(op_weighted16.grid, 0.5, u), 0.0, atol=1e-12)
+        npt.assert_allclose(time, 0.0, atol=1e-12)
 
     def test_time_part_is_minus_two_heat_m1(self, op_weighted16):
         # m = 0: t d_t e^{-t^2 L} f = -2 (t^2 L) e^{-t^2 L} f, coefficientwise
         rng = np.random.default_rng(3)
         f = rng.normal(size=16)
         t = 0.35
-        out = grad_eval(op_weighted16, 0, t, f)
+        _, time = grad_eval(op_weighted16, 0, t, f)
         npt.assert_allclose(
-            out.time, -2.0 * heat_eval(op_weighted16, 1, t, f), rtol=1e-13, atol=1e-14
+            time, -2.0 * heat_eval(op_weighted16, 1, t, f), rtol=1e-13, atol=1e-14
         )
 
     def test_spatial_matches_fft_symbol(self, op_flat16):
@@ -180,20 +181,39 @@ class TestGradEval:
         k_mode = 5
         t = 0.1
         f = op_flat16.mode(k_mode)
-        out = grad_eval(op_flat16, 0, t, f)
+        out, _ = grad_eval(op_flat16, 0, t, f)
         u = heat_eval(op_flat16, 0, t, f)
         freq = np.fft.rfftfreq(16, d=1.0) * 16  # integer frequencies
         symbol = 1j * np.sin(2 * np.pi * freq / 16) / op_flat16.grid.h
         via_fft = np.fft.irfft(np.fft.rfft(u) * symbol, n=16)
-        npt.assert_allclose(spatial_part(out)[0], t * via_fft, atol=1e-8)
+        npt.assert_allclose(spatial_part(op_flat16.grid, t, out)[0], t * via_fft, atol=1e-8)
 
-    def test_norm_sq_combines_parts(self):
-        # centered differences of u over 2h = 1/2 are (4, 0, -4, 0); t = 3/4
+    def test_norm_sq_combines_parts(self, monkeypatch):
+        # centered differences of u over 2h = 1/2 are (4, 0, -4, 0); t = 3/4.
+        # Each row of the family table combines the parts it reads from
+        # the images that the module's evaluator names return.
+        grid = Grid(1, 4)
         u = np.array([0.0, 1.0, 0.0, -1.0])
-        gf = GradField(Grid(1, 4), np.array(0.75), u, np.array([4.0, 1.0, 4.0, 0.0]))
-        npt.assert_array_equal(spatial_part(gf), [[3.0, 0.0, -3.0, 0.0]])
-        npt.assert_array_equal(gf.norm_sq(), [25.0, 1.0, 25.0, 0.0])
-        npt.assert_array_equal(gf.norm(), [5.0, 1.0, 5.0, 0.0])
+        time = np.array([4.0, 1.0, 4.0, 0.0])
+        npt.assert_array_equal(spatial_part(grid, 0.75, u), [[3.0, 0.0, -3.0, 0.0]])
+        npt.assert_array_equal(spatial_norm_sq(grid, 0.75, u), [9.0, 0.0, 9.0, 0.0])
+        # the Poisson evaluators return twice the heat images
+        for scale, plain, grad in ((1.0, "heat_eval", "grad_eval"),
+                                   (2.0, "poisson_eval", "poisson_grad_eval")):
+            monkeypatch.setattr(squarefn, plain, lambda *args, s=scale: s * u[None])
+            monkeypatch.setattr(squarefn, grad,
+                                lambda *args, s=scale: [s * u[None], s * time[None]])
+        op = assemble(grid, CoefficientField.identity(grid), UNIT_WEIGHT)
+        ladder = TimeLadder.geometric(0.75, 0.75, 2.0)
+        for family, want in [("S", [0.0, 1.0, 0.0, 1.0]), ("G", [3.0, 0.0, 3.0, 0.0]),
+                             ("Gcal", [5.0, 1.0, 5.0, 0.0])]:
+            for suffix, scale in (("_H", 1.0), ("_P", 2.0)):
+                kind = squarefn.SquareFunctionKind(family + suffix)
+                fld = squarefn.build_field(kind, op, u, ladder)
+                npt.assert_array_equal(fld.values, [scale * np.array(want)])
+        vertical = squarefn.SquareFunctionKind("vertical_g_H")
+        npt.assert_array_equal(squarefn.evaluate(vertical, op, u, ladder),
+                               np.sqrt(np.array([25.0, 1.0, 25.0, 0.0]) * math.log(2.0)))
 
 
 class TestPoisson:
@@ -273,27 +293,28 @@ class TestPoisson:
 class TestPoissonGrad:
     def test_constant_zero(self, op_weighted16):
         for big_k in (0, 2):
-            out = poisson_grad_eval(op_weighted16, big_k, 0.4, np.full(16, 1.5))
-            npt.assert_allclose(spatial_part(out), 0.0, atol=1e-12)
-            npt.assert_allclose(out.time, 0.0, atol=1e-12)
+            u, time = poisson_grad_eval(op_weighted16, big_k, 0.4, np.full(16, 1.5))
+            npt.assert_allclose(spatial_part(op_weighted16.grid, 0.4, u), 0.0, atol=1e-12)
+            npt.assert_allclose(time, 0.0, atol=1e-12)
 
     def test_time_part_finite_difference(self, op_weighted16):
         rng = np.random.default_rng(7)
         f = rng.normal(size=16)
         t, delta = 0.3, 1e-5
-        out = poisson_grad_eval(op_weighted16, 0, t, f)
+        _, time = poisson_grad_eval(op_weighted16, 0, t, f)
         fd = (
             poisson_eval(op_weighted16, 0, t + delta, f)
             - poisson_eval(op_weighted16, 0, t - delta, f)
         ) / (2 * delta)
-        npt.assert_allclose(out.time, t * fd, rtol=1e-6, atol=1e-8)
+        npt.assert_allclose(time, t * fd, rtol=1e-6, atol=1e-8)
 
     def test_time_component_dominated_by_full_gradient(self, op_weighted16):
         # |t d_t P f| <= |t grad_{y,t} P f| cell by cell, by construction
         rng = np.random.default_rng(8)
         f = rng.normal(size=16)
-        out = poisson_grad_eval(op_weighted16, 1, 0.25, f)
-        assert np.all(np.abs(out.time) <= out.norm() + 1e-15)
+        u, time = poisson_grad_eval(op_weighted16, 1, 0.25, f)
+        norm = np.sqrt(spatial_norm_sq(op_weighted16.grid, 0.25, u) + time**2)
+        assert np.all(np.abs(time) <= norm + 1e-15)
 
 
 class TestArrayTimes:
@@ -318,12 +339,13 @@ class TestArrayTimes:
             if image is None:
                 self.assert_close(block[j], one, np.max(np.abs(one)))
                 continue
-            self.assert_close(block.time[j], one.time, np.max(np.abs(one.time)))
+            self.assert_close(block[1][j], one[1], np.max(np.abs(one[1])))
             # once the image has decayed, its centered differences are
             # rounding noise of size t |u| / h, so that is the scale here
             u = image(op, order, float(t), f)
             self.assert_close(
-                spatial_part(block)[:, j], spatial_part(one), t * np.max(np.abs(u)) / op.grid.h
+                spatial_part(op.grid, times, block[0])[:, j],
+                spatial_part(op.grid, float(t), one[0]), t * np.max(np.abs(u)) / op.grid.h
             )
 
     @pytest.mark.parametrize("name", sorted(EVALUATORS))
@@ -335,9 +357,9 @@ class TestArrayTimes:
         if image is None:
             assert out.shape == (3, op.grid.n_cells)
         else:
-            assert spatial_part(out).shape == (2, 3, op.grid.n_cells)
-            assert out.time.shape == (3, op.grid.n_cells)
-            assert out.norm().shape == (3, op.grid.n_cells)
+            assert spatial_part(op.grid, times, out[0]).shape == (2, 3, op.grid.n_cells)
+            assert out[1].shape == (3, op.grid.n_cells)
+            assert spatial_norm_sq(op.grid, times, out[0]).shape == (3, op.grid.n_cells)
 
     @pytest.mark.parametrize("name", sorted(EVALUATORS))
     def test_rejects_bad_times_and_orders(self, name, op_flat16):
@@ -352,3 +374,31 @@ class TestArrayTimes:
             with pytest.raises(ValueError, match="power"):
                 evaluator(op_flat16, order, 0.1, f)
 
+
+
+@given(
+    dim=st.sampled_from([1, 2]), side=st.integers(4, 12),
+    alpha=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+    entries=st.lists(st.floats(0.5, 4.0), min_size=2, max_size=2), equal=st.booleans(),
+    log_t=st.floats(math.log(1e-3), 0.0), order=st.integers(0, 2), seed=st.integers(0, 999),
+)
+@settings(max_examples=60, deadline=None)
+def test_contracts_over_drawn_operators(dim, side, alpha, entries, equal, log_t, order,
+                                        seed):
+    # w-self-adjointness at every order; positivity and L^2(w) contraction
+    # at order 0, for heat and Poisson on drawn grids, weights and diagonal A
+    grid = Grid(dim, side)
+    coeff = CoefficientField.diagonal(grid, entries[:1] * dim if equal else entries[:dim])
+    op = assemble(grid, coeff, PowerWeight(alpha * dim))
+    t = math.exp(log_t)
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal((2, grid.n_cells))
+    # nonnegative and zero on about two thirds of the cells
+    positive = np.where(rng.random(grid.n_cells) < 0.3, rng.random(grid.n_cells), 0.0)
+    for evaluator in (heat_eval, poisson_eval):
+        tf, tg = evaluator(op, order, t, f), evaluator(op, order, t, g)
+        defect = abs(inner_w(op, tf, g) - inner_w(op, f, tg))
+        assert defect <= 1e-12 * l2w(op, f) * l2w(op, g)
+        if order == 0:
+            assert np.min(evaluator(op, 0, t, positive)) >= -1e-12 * np.max(positive)
+            assert l2w(op, tf) <= (1 + 1e-12) * l2w(op, f)

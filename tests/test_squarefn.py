@@ -24,7 +24,6 @@ from tentcalc.squarefn import (
     evaluate,
     l2_norm_sq,
     result_to_csv,
-    vertical_g,
 )
 from tentcalc.tent import cone_all
 from tentcalc.verify import BankFunction, materialize
@@ -42,6 +41,7 @@ ORACLE_MODAL = [
 ]
 
 ALL_CONE_KINDS = ["S_H", "G_H", "Gcal_H", "S_P", "G_P", "Gcal_P"]
+VERTICAL = SquareFunctionKind("vertical_g_H")
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,15 @@ class TestKind:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             SquareFunctionKind("S_X")
+
+    @pytest.mark.parametrize("order", [1.5, True, "2", 2.0])
+    def test_order_not_an_integer(self, order):
+        with pytest.raises(ValueError, match="S_H order must be an integer"):
+            SquareFunctionKind("S_H", order)
+
+    def test_numpy_integer_order(self):
+        kind = SquareFunctionKind("S_H", np.int64(2))
+        assert kind == SquareFunctionKind("S_H", 2) and type(kind.order) is int
 
 
 class TestModalConstants:
@@ -149,19 +158,14 @@ class TestVerticalFubini:
     def test_gcal_norm_equals_vertical_norm(self, op_small, small_ladder):
         f = np.random.default_rng(407).standard_normal(op_small.grid.n_cells)
         conical = evaluate(SquareFunctionKind("Gcal_H", 0), op_small, f, small_ladder)
-        vertical = vertical_g(op_small, f, small_ladder)
+        vertical = evaluate(VERTICAL, op_small, f, small_ladder)
         a = norm_sq_w(op_small, conical)
         b = norm_sq_w(op_small, vertical)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_evaluate_dispatches_vertical(self, op_small, small_ladder):
-        f = np.random.default_rng(408).standard_normal(op_small.grid.n_cells)
-        got = evaluate(SquareFunctionKind("vertical_g_H"), op_small, f, small_ladder)
-        assert np.array_equal(got, vertical_g(op_small, f, small_ladder))
-
     def test_vertical_nonnegative(self, op_small, small_ladder):
         f = np.random.default_rng(409).standard_normal(op_small.grid.n_cells)
-        assert np.all(vertical_g(op_small, f, small_ladder) >= 0)
+        assert np.all(evaluate(VERTICAL, op_small, f, small_ladder) >= 0)
 
 
 class TestSpectralIdentity:
@@ -227,9 +231,9 @@ def test_l2_norm_sq_equals_cone_norm(family, order, source, dim, side, alpha, en
 def test_l2_norm_sq_of_vertical_kind(op_small, small_ladder):
     # the vertical kind has the Fubini sum of Gcal_{0,H} as its norm
     f = np.random.default_rng(421).standard_normal(op_small.grid.n_cells)
-    got = l2_norm_sq(SquareFunctionKind("vertical_g_H"), op_small, f, small_ladder)
-    assert got == pytest.approx(norm_sq_w(op_small, vertical_g(op_small, f, small_ladder)),
-                                rel=1e-12)
+    got = l2_norm_sq(VERTICAL, op_small, f, small_ladder)
+    want = norm_sq_w(op_small, evaluate(VERTICAL, op_small, f, small_ladder))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestAlgebraicProperties:
@@ -298,11 +302,12 @@ def per_node_field(kind, op, f, ladder):
         else:
             poisson = kind.family.endswith("_P")
             evaluator = poisson_grad_eval if poisson else grad_eval
-            g = evaluator(op, kind.order, t, f)
+            u, time = evaluator(op, kind.order, t, f)
+            spatial_sq = np.sum(spatial_part(op.grid, t, u)**2, axis=0)
             if kind.family.startswith("G_"):
-                rows.append(np.sqrt(np.sum(spatial_part(g)**2, axis=0)))
+                rows.append(np.sqrt(spatial_sq))
             else:
-                rows.append(g.norm())
+                rows.append(np.sqrt(spatial_sq + time**2))
     return np.array(rows)
 
 
@@ -326,9 +331,10 @@ class TestAgainstPerNodeReference:
         f = np.random.default_rng(418).standard_normal(op.grid.n_cells)
         total = np.zeros(op.grid.n_cells)
         for t in ladder.nodes:
-            total += grad_eval(op, 0, float(t), f).norm_sq()
+            u, time = grad_eval(op, 0, float(t), f)
+            total += np.sum(spatial_part(op.grid, t, u)**2, axis=0) + time**2
         want = np.sqrt(total * ladder.node_weight)
-        np.testing.assert_allclose(vertical_g(op, f, ladder), want, rtol=1e-12)
+        np.testing.assert_allclose(evaluate(VERTICAL, op, f, ladder), want, rtol=1e-12)
 
 
 class TestFieldAndCsv:
@@ -418,8 +424,8 @@ class TestImagesRead:
             want = np.abs(evaluator(op, kind.order, t, f))
         else:
             evaluator = poisson_grad_eval if family.endswith("_P") else grad_eval
-            g = evaluator(op, kind.order, t, f)
-            spatial_sq = np.sum(spatial_part(g)**2, axis=0)
-            want = np.sqrt(spatial_sq if family.startswith("G_") else spatial_sq + g.time**2)
+            u, time = evaluator(op, kind.order, t, f)
+            spatial_sq = np.sum(spatial_part(op.grid, t, u)**2, axis=0)
+            want = np.sqrt(spatial_sq if family.startswith("G_") else spatial_sq + time**2)
         got = build_field(kind, op, f, ladder).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)

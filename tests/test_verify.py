@@ -35,6 +35,7 @@ from tentcalc.verify import (
 )
 
 SMALL = SuiteConfig(sizes=(8, 16), bank_size=6)
+HEADER = {"version": "0.1.0", "config_hash": "0123456789ab", "seed": SMALL.seed}
 DIM1 = SuiteConfig(dim=1, weight_alpha=0.5, sizes=(16, 32), bank_size=3)
 
 
@@ -192,11 +193,11 @@ class TestSuiteRuns:
 
     def test_deterministic_given_seed(self, small_reports):
         again = run_suites(SMALL)
-        assert reports_to_json(small_reports) == reports_to_json(again)
+        assert reports_to_json(small_reports, HEADER) == reports_to_json(again, HEADER)
 
     def test_seed_changes_some_values(self, small_reports):
         other = run_suites(replace(SMALL, seed=11), names=["heat_control"])
-        assert reports_to_json(other) != reports_to_json(small_reports[:1])
+        assert reports_to_json(other, HEADER) != reports_to_json(small_reports[:1], HEADER)
 
     def test_doubled_t_max_moves_norms_below_one_percent(self, small_reports):
         doubled = run_suites(replace(SMALL, ladder_t_max=2.0))
@@ -364,9 +365,12 @@ class TestRunMemo:
 
 class TestSerialization:
     def test_json_shape(self, small_reports):
-        data = json.loads(reports_to_json(small_reports))
-        assert len(data) == 5
-        for entry in data:
+        text = reports_to_json(small_reports, HEADER)
+        assert text.endswith("}\n")
+        data = json.loads(text)
+        assert set(data) == {"header", "reports"} and data["header"] == HEADER
+        assert len(data["reports"]) == 5
+        for entry in data["reports"]:
             assert set(entry) == {"suite", "passed", "environment", "checks"}
             for check in entry["checks"]:
                 assert set(check) == {
@@ -374,7 +378,7 @@ class TestSerialization:
                 }
 
     def test_json_has_no_timestamps(self, small_reports):
-        text = reports_to_json(small_reports).lower()
+        text = reports_to_json(small_reports, HEADER).lower()
         for needle in ("time", "date", "host", "elapsed"):
             assert needle not in text
 
