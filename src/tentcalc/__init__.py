@@ -38,7 +38,6 @@ from .semigroup import (
     heat_eval,
     poisson_eval,
     poisson_grad_eval,
-    poisson_scalar,
     subordination_factors,
 )
 from .squarefn import SquareFunctionKind, build_field, evaluate, result_to_csv
@@ -90,7 +89,6 @@ __all__ = [
     "heat_eval",
     "poisson_eval",
     "poisson_grad_eval",
-    "poisson_scalar",
     "subordination_factors",
     "SquareFunctionKind",
     "build_field",

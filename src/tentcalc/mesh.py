@@ -35,6 +35,7 @@ dyadic ball family {all centers} x {h, 2h, 4h, ..., 1/2}.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,45 +57,44 @@ __all__ = [
 TIE_SLACK = 1e-9
 
 
+@dataclass(frozen=True)
 class Grid:
     """Periodic cell-centered grid on the unit torus; immutable."""
 
-    def __init__(self, dim: int, n_side: int):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
-        if n_side < 4:
-            raise ValueError(f"need at least 4 cells per side, got {n_side}")
-        self._dim = int(dim)
-        self._n = int(n_side)
+    dim: int
+    n_side: int
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def n_side(self) -> int:
-        return self._n
+    def __post_init__(self):
+        for name in ("dim", "n_side"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if self.n_side < 4:
+            raise ValueError(f"need at least 4 cells per side, got {self.n_side}")
 
     @property
     def h(self) -> float:
-        return 1.0 / self._n
+        return 1.0 / self.n_side
 
     @property
     def n_cells(self) -> int:
-        return self._n ** self._dim
+        return self.n_side ** self.dim
 
     @property
     def cell_volume(self) -> float:
-        return self.h ** self._dim
+        return self.h ** self.dim
 
     @property
     def centers(self) -> NDArray:
         """Cell centers, shape (n_cells, dim); flat index is row-major."""
-        return self._per_cell((np.arange(self._n) + 0.5) / self._n)
+        return self._per_cell((np.arange(self.n_side) + 0.5) / self.n_side)
 
     def _per_cell(self, axis: NDArray) -> NDArray:
         """Per-axis values at every cell, (n_cells, dim), row-major."""
-        if self._dim == 1:
+        if self.dim == 1:
             return axis[:, None]
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
@@ -103,16 +103,16 @@ class Grid:
         """Permutation p with p[i] = flat index of the cell shifted by
         `step` cells along `axis` (periodic); used for stencil assembly."""
         idx = np.arange(self.n_cells)
-        if self._dim == 1:
-            return (idx + step) % self._n
-        i0, i1 = np.divmod(idx, self._n)
+        if self.dim == 1:
+            return (idx + step) % self.n_side
+        i0, i1 = np.divmod(idx, self.n_side)
         if axis == 0:
-            i0 = (i0 + step) % self._n
+            i0 = (i0 + step) % self.n_side
         elif axis == 1:
-            i1 = (i1 + step) % self._n
+            i1 = (i1 + step) % self.n_side
         else:
             raise ValueError(f"axis out of range: {axis}")
-        return i0 * self._n + i1
+        return i0 * self.n_side + i1
 
     def distances_to(self, point) -> NDArray:
         """Periodic distances from every cell center to `point`, (M,)."""
@@ -144,19 +144,6 @@ class Grid:
             radii.append(r)
             r *= 2.0
         return radii
-
-    def __repr__(self) -> str:
-        return f"Grid(dim={self._dim}, n_side={self._n})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and other._dim == self._dim
-            and other._n == self._n
-        )
-
-    def __hash__(self):
-        return hash((self._dim, self._n))
 
 
 # Grids hash and compare by (dim, n_side), so each cache below holds one
@@ -218,7 +205,7 @@ class BallStencil:
 
     def _bounds(self, radii) -> NDArray:
         radii = np.atleast_1d(np.asarray(radii, float))
-        if radii.size == 0 or radii[0] <= 0:
+        if radii.size == 0 or not np.all(radii > 0):
             raise ValueError(f"ball radii must be positive, got {radii}")
         if np.any(np.diff(radii) < 0):
             raise ValueError("ball radii must be non-decreasing")
@@ -366,8 +353,8 @@ def lp_norm(
     w: WeightModel,
     grid: Grid,
 ) -> float:
-    """(sum |f|^p v w h^dim)^{1/p}; rejects p <= 0."""
-    if p <= 0:
+    """(sum |f|^p v w h^dim)^{1/p}; rejects p that is not positive (NaN too)."""
+    if not p > 0:
         raise ValueError(f"lp_norm requires p > 0, got {p}")
     f = np.asarray(f, float)
     if f.shape != (grid.n_cells,):
@@ -388,7 +375,7 @@ def maximal(
     (avg_B |f|^{p0} d(base))^{1/p0}; base None means Lebesgue measure,
     otherwise the weighted measure of the supplied WeightModel.
     """
-    if p0 <= 0:
+    if not p0 > 0:
         raise ValueError(f"maximal requires p0 > 0, got {p0}")
     f = np.asarray(f, float)
     mu = np.full(grid.n_cells, grid.cell_volume)

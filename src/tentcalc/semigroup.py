@@ -29,16 +29,19 @@ product per parity block, written over its table; no table or image
 outlives its call.  `multiplier_tables` returns the tables themselves,
 for norms that Parseval takes without a reconstruction.
 
-The Poisson semigroup also has a quadrature path through the subordination
-formula
+The Poisson factors are taken in closed form.  `subordination_factors`
+is their independent reference, the subordination formula
 
-    e^{-t sqrt(L_w)} f = (1/sqrt(pi)) int_0^inf e^{-u} u^{1/2} e^{-(t^2/4u) L_w} f du/u,
+    e^{-t sqrt(lam)} = (1/sqrt(pi)) int_0^inf e^{-u} u^{1/2} e^{-(t^2/4u) lam} du/u,
 
 integrated in v = log u (the du/u measure becomes dv) by a fixed
 trapezoid rule: step SUBORDINATION_STEP on [-V, V] with
 V = SUBORDINATION_HALF_WIDTH.  In v the integrand is analytic and decays
 doubly exponentially as v -> +inf and like e^{v/2} as v -> -inf, so the
-rule converges geometrically in the step and the half-width.
+rule converges geometrically in the step and the half-width.  No
+evaluator uses it: multiplied into the global coefficients `project(f)`
+and reconstructed, it gives the Poisson image that `poisson_eval` must
+match.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ __all__ = [
     "poisson_eval",
     "poisson_grad_eval",
     "multiplier_tables",
-    "poisson_scalar",
     "subordination_factors",
     "spatial_norm_sq",
 ]
@@ -278,27 +280,10 @@ def subordination_factors(lam: NDArray, t: float) -> NDArray:
     return total
 
 
-def _subordinated(lam: NDArray, t: NDArray) -> NDArray:
-    """e^{-t sqrt(lam)} from one quadrature per time."""
-    table = np.stack([subordination_factors(lam, s) for s in t.ravel()])
-    return table.reshape(t.shape + lam.shape)
-
-
-_POISSON_METHODS = {"spectral": _poisson, "subordination": _subordinated}
-
-
-def poisson_eval(
-    op: SpectralOperator,
-    big_k: int,
-    t: float | NDArray,
-    f: NDArray,
-    method: str = "spectral",
-) -> NDArray:
+def poisson_eval(op: SpectralOperator, big_k: int, t: float | NDArray, f: NDArray) -> NDArray:
     """(t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f at one time (M,) or at each of
-    J times (J, M), by the closed-form spectrum or by subordination."""
-    if method not in _POISSON_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return _images(op, big_k, t, f, _POISSON_METHODS[method])[0]
+    J times (J, M), from the closed-form spectrum."""
+    return _images(op, big_k, t, f, _poisson)[0]
 
 
 def poisson_grad_eval(
@@ -306,9 +291,3 @@ def poisson_grad_eval(
 ) -> list[NDArray]:
     """[u, t d_t u] for u = (t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f, as `grad_eval`."""
     return _images(op, big_k, t, f, _poisson, _poisson_rate)
-
-
-def poisson_scalar(lam: float, t: float) -> float:
-    """Scalar subordination value, the quadrature's closed-form cross-check."""
-    return float(subordination_factors(np.array([lam]), t)[0])
-

@@ -120,7 +120,7 @@ def _cone_sq(fld: HalfSpaceField, payload: NDArray, alpha: float) -> NDArray:
 
 def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
     """A_w^alpha F at every cell."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"aperture must be positive, got {alpha}")
     return np.sqrt(_cone_sq(fld, _cone_payload(fld), alpha))
 
@@ -145,7 +145,7 @@ def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDAr
 
 def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
     """C_{w,p0} F at every cell over the mesh ball family."""
-    if p0 <= 0:
+    if not p0 > 0:
         raise ValueError(f"carleson_p requires p0 > 0, got {p0}")
     grid = fld.grid
     whn = fld.weight_values * grid.cell_volume
@@ -166,16 +166,10 @@ def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
 
 @dataclass(frozen=True)
 class AngleReport:
-    """Measured aperture-growth ratio with the predicted power bounds."""
+    """Measured aperture-growth ratio with the predicted power bound."""
 
-    alpha: float
-    beta: float
-    p: float
-    norm_alpha: float
-    norm_beta: float
     ratio: float | None
     predicted_increase: float | None
-    predicted_decrease: float | None
 
 
 def change_of_angle_report(
@@ -187,14 +181,11 @@ def change_of_angle_report(
     w: WeightModel,
     r: float | None = None,
     r_tilde: float | None = None,
-    s: float | None = None,
-    s_tilde: float | None = None,
     cones: dict[float, NDArray] | None = None,
 ) -> AngleReport:
     """Compare ||A^beta F|| / ||A^alpha F|| in L^p(v dw) with the class
-    predictions (beta/alpha)^{n r_tilde r / p} (given r, r_tilde) and
-    (alpha/beta)^{n / (s s_tilde p)} (given s, s_tilde).  `cones` holds
-    cone values of F already computed, by aperture."""
+    prediction (beta/alpha)^{n r_tilde r / p} (given r, r_tilde).  `cones`
+    holds cone values of F already computed, by aperture."""
     if not 0 < alpha <= beta:
         raise ValueError(f"need 0 < alpha <= beta, got ({alpha}, {beta})")
     grid = fld.grid
@@ -206,21 +197,7 @@ def change_of_angle_report(
     norm_a = lp_norm(cone(alpha), p, v, w, grid)
     norm_b = lp_norm(cone(beta), p, v, w, grid)
     ratio = norm_b / norm_a if norm_a > 0 else None
-
-    n = grid.dim
     inc = None
     if r is not None and r_tilde is not None:
-        inc = (beta / alpha) ** (n * r_tilde * r / p)
-    dec = None
-    if s is not None and s_tilde is not None:
-        dec = (alpha / beta) ** (n / (s * s_tilde * p))
-    return AngleReport(
-        alpha=alpha,
-        beta=beta,
-        p=p,
-        norm_alpha=norm_a,
-        norm_beta=norm_b,
-        ratio=ratio,
-        predicted_increase=inc,
-        predicted_decrease=dec,
-    )
+        inc = (beta / alpha) ** (grid.dim * r_tilde * r / p)
+    return AngleReport(ratio=ratio, predicted_increase=inc)

@@ -33,7 +33,7 @@ import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -289,24 +289,16 @@ class ProblemConfig:
         })
 
     def build_operator(self, n: int) -> SpectralOperator:
-        """L_w on the grid with n cells per side, assembled once per
-        process for each (dim, n, weight, coefficients)."""
-        return _assemble_cached(self.dim, n, self.weight_alpha, self.coeff_entries)
+        """L_w on the grid with n cells per side."""
+        grid = Grid(self.dim, n)
+        if self.coeff_entries is None:
+            coeff = CoefficientField.identity(grid)
+        else:
+            coeff = CoefficientField.diagonal(grid, self.coeff_entries)
+        return assemble(grid, coeff, PowerWeight(self.weight_alpha))
 
     def build_ladder(self, grid: Grid) -> TimeLadder:
         return TimeLadder.default_for(grid, self.ladder_ratio, self.ladder_t_max)
-
-
-@lru_cache(maxsize=8)
-def _assemble_cached(
-    dim: int, n: int, alpha: float, entries: tuple[float, ...] | None
-) -> SpectralOperator:
-    grid = Grid(dim, n)
-    if entries is None:
-        coeff = CoefficientField.identity(grid)
-    else:
-        coeff = CoefficientField.diagonal(grid, entries)
-    return assemble(grid, coeff, PowerWeight(alpha))
 
 
 @dataclass(frozen=True)

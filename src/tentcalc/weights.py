@@ -73,8 +73,6 @@ class ClassKind:
 class ClassEstimate:
     class_kind: ClassKind
     constant_estimate: float
-    ball_family_size: int
-    refinement_level: int
 
     def __post_init__(self):
         if not self.constant_estimate >= 1.0 - 1e-12:
@@ -86,10 +84,6 @@ class ClassEstimate:
 
 def _family_radii(grid: Grid) -> list[float]:
     return grid.dyadic_radii(0.25)
-
-
-def _family_size(grid: Grid) -> int:
-    return len(_family_radii(grid)) * grid.n_cells
 
 
 # exp overflows past ~709.8; the margin leaves room for the ball sums
@@ -151,7 +145,7 @@ def ap_constant(w: WeightModel, p: float, grid: Grid) -> ClassEstimate:
     kind = ClassKind("Ap", float(p))
     wv = w.sample(grid)
     c = _max_product(wv, np.ones(grid.n_cells), grid, kind)
-    return ClassEstimate(kind, c, _family_size(grid), grid.n_side)
+    return ClassEstimate(kind, c)
 
 
 def rh_constant(w: WeightModel, s: float, grid: Grid) -> ClassEstimate:
@@ -159,7 +153,7 @@ def rh_constant(w: WeightModel, s: float, grid: Grid) -> ClassEstimate:
     kind = ClassKind("RHs", float(s))
     wv = w.sample(grid)
     c = _max_product(wv, np.ones(grid.n_cells), grid, kind)
-    return ClassEstimate(kind, c, _family_size(grid), grid.n_side)
+    return ClassEstimate(kind, c)
 
 
 def weighted_class_constant(
@@ -179,23 +173,16 @@ def weighted_class_constant(
     else:
         base = np.ones(grid.n_cells)
     c = _max_product(vv, base, grid, class_kind)
-    return ClassEstimate(class_kind, c, _family_size(grid), grid.n_side)
+    return ClassEstimate(class_kind, c)
 
 
 @dataclass(frozen=True)
 class RefinementVerdict:
-    """Outcome of a stability-vs-growth sweep across grid refinements.
-
-    `increment_ratio` is the ratio of the last two constant increments,
-    or None when fewer than three sizes were swept or the earlier
-    increment was not positive.
-    """
+    """Outcome of a stability-vs-growth sweep across grid refinements:
+    the verdict and the class constant at each swept size."""
 
     member: bool
-    sizes: tuple[int, ...]
     constants: tuple[float, ...]
-    max_ratio: float
-    increment_ratio: float | None
 
 
 def membership_by_refinement(
@@ -213,9 +200,11 @@ def membership_by_refinement(
     increments decay by at least the factor INCREMENT_DECAY, the
     signature of a convergent estimate whose limit merely sits above the
     stability band).  Divergence, whether power-like or logarithmic,
-    keeps the increments from shrinking.  `w` is required for the
-    weighted families.
+    keeps the increments from shrinking.  `sizes` are at least two
+    increasing grid sides; `w` is required for the weighted families.
     """
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be at least two increasing grid sides, got {sizes}")
     if class_kind.family in ("Ap_of_w", "RHs_of_w") and w is None:
         raise ValueError(f"family {class_kind.family} needs the base weight w")
     if w is None:
@@ -224,23 +213,15 @@ def membership_by_refinement(
     for n in sizes:
         est = weighted_class_constant(v, w, class_kind, Grid(dim, n))
         constants.append(est.constant_estimate)
-    ratios = [b / a for a, b in zip(constants, constants[1:])]
-    max_ratio = max(ratios)
     increments = [b - a for a, b in zip(constants, constants[1:])]
-    increment_ratio = None
+    step_ratio = None
     if len(increments) >= 2 and increments[-2] > 0:
-        increment_ratio = increments[-1] / increments[-2]
+        step_ratio = increments[-1] / increments[-2]
     if constants[-1] / constants[0] <= threshold:
         member = True
     else:
-        member = increment_ratio is not None and increment_ratio <= INCREMENT_DECAY
-    return RefinementVerdict(
-        member=member,
-        sizes=tuple(sizes),
-        constants=tuple(constants),
-        max_ratio=max_ratio,
-        increment_ratio=increment_ratio,
-    )
+        member = step_ratio is not None and step_ratio <= INCREMENT_DECAY
+    return RefinementVerdict(member=member, constants=tuple(constants))
 
 
 def estimate_critical_index(

@@ -34,7 +34,7 @@ from tentcalc.semigroup import (
     TimeLadder,
     heat_eval,
     poisson_eval,
-    poisson_scalar,
+    subordination_factors,
 )
 from tentcalc.squarefn import SquareFunctionKind, evaluate
 from tentcalc.tent import HalfSpaceField, cone_all, fubini_norm_sq
@@ -136,7 +136,7 @@ def test_subordination_accuracy():
     lams = np.linspace(0.0, 100.0, 10)
     ts = np.linspace(0.1, 10.0, 10)
     worst = max(
-        abs(poisson_scalar(lam, t) - math.exp(-t * math.sqrt(lam)))
+        abs(float(subordination_factors(lam, t)[0]) - math.exp(-t * math.sqrt(lam)))
         for lam in lams for t in ts
     )
     assert worst <= 1e-8
@@ -147,7 +147,7 @@ def test_subordination_accuracy():
     f = rng.standard_normal(grid.n_cells)
     for t in (0.05, 0.2, 1.0):
         spectral = poisson_eval(op, 0, t, f)
-        subordinated = poisson_eval(op, 0, t, f, method="subordination")
+        subordinated = op.reconstruct(subordination_factors(op.eigenvalues, t) * op.project(f))
         assert _norm_w(op, spectral - subordinated) <= 1e-8
     assert time.monotonic() - start < 10.0
 

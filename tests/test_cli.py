@@ -175,7 +175,7 @@ class TestExponents:
             result = runner.invoke(main, ["exponents", "--alpha", "1", "--n", "2",
                                           "-o", "exp.json"])
             assert result.exit_code == 0
-            data = json.loads(open("exp.json").read(), parse_constant=_no_constant)
+            data = json.loads(Path("exp.json").read_text(), parse_constant=_no_constant)
             assert data["header"]["version"]
             assert len(data["header"]["config_hash"]) == 12
             assert data["r_w"] == "3/2"
@@ -256,9 +256,9 @@ class TestSf:
             result = runner.invoke(main, ["sf", "--kind", "SH", "--m", "1",
                                           "--f", "constant", "--config", "cfg.json"])
             assert result.exit_code == 0
-            summary = json.load(open("sf_summary.json"))
+            summary = json.loads(Path("sf_summary.json").read_text())
             assert summary["norms"][0]["norm"] <= 1e-10
-            lines = open("sf_field.csv").read().splitlines()
+            lines = Path("sf_field.csv").read_text().splitlines()
             assert lines[0].startswith("# version")
             assert lines[1].startswith("# config_hash")
             assert lines[2].startswith("# seed")
@@ -274,7 +274,7 @@ class TestSf:
             result = runner.invoke(main, ["sf", "--kind", "SH", "--m", "1",
                                           "--f", "eig:3", "--config", "cfg.json"])
             assert result.exit_code == 0
-            norm = json.load(open("sf_summary.json"))["norms"][0]["norm"]
+            norm = json.loads(Path("sf_summary.json").read_text())["norms"][0]["norm"]
             assert norm**2 == pytest.approx(0.125, rel=1e-4)
 
     def test_field_csv_bytes(self, runner):
@@ -357,7 +357,6 @@ class TestSf:
         def no_assembly(*args, **kwargs):
             pytest.fail("operator assembled for a flag that must be rejected")
 
-        verify._assemble_cached.cache_clear()
         monkeypatch.setattr(verify, "assemble", no_assembly)
         with runner.isolated_filesystem():
             result = runner.invoke(main, ["sf", "--kind", "SH", *flags])
@@ -373,7 +372,7 @@ class TestSf:
                 "--p", "2", "--p", "4", "--v", "one", "--v", "w:-1",
             ])
             assert result.exit_code == 0
-            norms = json.load(open("sf_summary.json"))["norms"]
+            norms = json.loads(Path("sf_summary.json").read_text())["norms"]
             assert len(norms) == 4
             assert all(n["norm"] > 0 for n in norms)
 
@@ -386,10 +385,10 @@ class TestVerifyCommand:
                                           "--seed", "7", "--config", "cfg.json"])
             assert result.exit_code == 0, result.output
             assert "heat_control: PASS" in result.output
-            report = json.load(open("verify_report.json"))
+            report = json.loads(Path("verify_report.json").read_text())
             assert report["header"]["seed"] == 7
             assert report["reports"][0]["suite"] == "heat_control"
-            lines = open("verify_report.csv").read().splitlines()
+            lines = Path("verify_report.csv").read_text().splitlines()
             assert lines[0].startswith("# version")
             assert lines[3] == "suite,check,value,verdict"
 
@@ -402,8 +401,8 @@ class TestVerifyCommand:
                                               "--seed", "7", "--config", "cfg.json"])
                 assert result.exit_code == 0
                 outputs.append((
-                    open("verify_report.json", "rb").read(),
-                    open("verify_report.csv", "rb").read(),
+                    Path("verify_report.json").read_bytes(),
+                    Path("verify_report.csv").read_bytes(),
                     result.output,
                 ))
         assert outputs[0] == outputs[1]
@@ -487,7 +486,6 @@ class TestVerifyCommand:
         def no_assembly(*args, **kwargs):
             pytest.fail("operator assembled for a config that must be rejected")
 
-        verify._assemble_cached.cache_clear()
         monkeypatch.setattr(verify, "assemble", no_assembly)
         with runner.isolated_filesystem():
             _write_json("cfg.json", config)
@@ -506,7 +504,6 @@ class TestVerifyCommand:
         def no_assembly(*args, **kwargs):
             pytest.fail("operator assembled for a weight power that must be rejected")
 
-        verify._assemble_cached.cache_clear()
         monkeypatch.setattr(verify, "assemble", no_assembly)
         with runner.isolated_filesystem():
             _write_json("cfg.json", {"weight_alpha": alpha, "sizes": [8, 16]})
@@ -550,9 +547,9 @@ class TestVerifyCommand:
         with runner.isolated_filesystem():
             result = runner.invoke(main, ["verify"])
             assert result.exit_code == 3, result.output
-            text = open("verify_report.json").read()
+            text = Path("verify_report.json").read_text()
             data = json.loads(text, parse_constant=_no_constant)
-            csv_rows = open("verify_report.csv").read().splitlines()[4:]
+            csv_rows = Path("verify_report.csv").read_text().splitlines()[4:]
         checks = data["reports"][0]["checks"]
         assert checks[0]["values"] == [1.0, "inf", "-inf"]
         assert checks[1]["values"] == ["nan"] and checks[1]["tolerance"] == "inf"
@@ -629,7 +626,7 @@ def test_verify_report_is_strict_json(dim, alpha, bank, seed, drift):
             assert result.output.startswith("error: weight_alpha:"), result.output
             return
         assert result.exit_code in (0, 3), result.output
-        json.loads(open("verify_report.json").read(), parse_constant=_no_constant)
+        json.loads(Path("verify_report.json").read_text(), parse_constant=_no_constant)
 
 
 class Assembled(Exception):
@@ -681,7 +678,6 @@ def test_config_reader_property(command, data):
     config = data.draw(st.dictionaries(st.sampled_from(keys), VALUES, max_size=5))
     flags = data.draw(FLAGS) if command[0] == "sf" else []
     runner = CliRunner()
-    verify._assemble_cached.cache_clear()
     with mock.patch.object(verify, "assemble", _reach_assembly), \
             runner.isolated_filesystem():
         _write_json("cfg.json", config)

@@ -36,6 +36,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 3)
 
+    @pytest.mark.parametrize("dim, n_side", [(True, 8), (1, True), (2, 8.7), (2, 8.0),
+                                             (2.0, 8), ("2", 8)],
+                             ids=["bool-dim", "bool-side", "fractional-side", "float-side",
+                                  "float-dim", "str-dim"])
+    def test_rejects_non_integer_dim_and_side(self, dim, n_side):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Grid(dim, n_side)
+
+    def test_numpy_integers_and_identity(self):
+        # the geometry caches key on Grid, by (dim, n_side)
+        g = Grid(np.int64(2), np.int32(16))
+        assert type(g.dim) is int and type(g.n_side) is int
+        assert g == Grid(2, 16) and hash(g) == hash((2, 16))
+        assert repr(g) == "Grid(dim=2, n_side=16)"
+
     def test_centers_offset(self):
         g = Grid(1, 8)
         npt.assert_allclose(g.centers[:, 0], (np.arange(8) + 0.5) / 8)

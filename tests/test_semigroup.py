@@ -22,7 +22,6 @@ from tentcalc.semigroup import (
     heat_eval,
     poisson_eval,
     poisson_grad_eval,
-    poisson_scalar,
     spatial_norm_sq,
     subordination_factors,
 )
@@ -51,7 +50,13 @@ def l2w(op, f):
 
 
 def subordinated_eval(op, big_k, t, f):
-    return poisson_eval(op, big_k, t, f, method="subordination")
+    """The Poisson image from the subordination reference: at each time,
+    (t^2 lam)^K e^{-t sqrt(lam)} project(f) in global mode order,
+    reconstructed; one time (M,) or J times (J, M), without validation."""
+    lam, coeffs = op.eigenvalues, op.project(f)
+    rows = [(s * s * lam) ** big_k * subordination_factors(lam, s) * coeffs
+            for s in np.atleast_1d(t)]
+    return op.reconstruct(np.reshape(rows, np.shape(t) + lam.shape))
 
 
 # each evaluator with the plain image whose centered differences its
@@ -60,9 +65,10 @@ EVALUATORS = {
     "heat": (heat_eval, None),
     "grad": (grad_eval, heat_eval),
     "poisson": (poisson_eval, None),
-    "poisson_subordination": (subordinated_eval, None),
     "poisson_grad": (poisson_grad_eval, poisson_eval),
 }
+# the evaluators and the subordination reference, which must stack times alike
+STACKING = {**EVALUATORS, "poisson_subordination": (subordinated_eval, None)}
 
 
 class TestTimeLadder:
@@ -218,11 +224,12 @@ class TestGradEval:
 
 class TestPoisson:
     def test_scalar_lambda_zero(self):
-        assert poisson_scalar(0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert float(subordination_factors(0.0, 1.0)[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_closed_form(self):
         # e^{-t sqrt(lam)} at lam = 4, t = 1
-        assert poisson_scalar(4.0, 1.0) == pytest.approx(math.exp(-2.0), abs=1e-8)
+        assert float(subordination_factors(4.0, 1.0)[0]) == pytest.approx(
+            math.exp(-2.0), abs=1e-8)
 
     def test_subordination_vector_agrees_with_exp(self):
         lam = np.array([0.0, 1.0, 10.0, 400.0, 2000.0])
@@ -254,12 +261,13 @@ class TestPoisson:
         assert peak < 4_000_000
 
     def test_methods_agree(self, op_weighted16):
+        # the closed-form images against the subordination reference
         rng = np.random.default_rng(4)
         f = rng.normal(size=16)
         for big_k in (0, 1, 2):
             for t in (0.05, 0.3, 1.0):
-                a = poisson_eval(op_weighted16, big_k, t, f, method="spectral")
-                b = poisson_eval(op_weighted16, big_k, t, f, method="subordination")
+                a = poisson_eval(op_weighted16, big_k, t, f)
+                b = subordinated_eval(op_weighted16, big_k, t, f)
                 assert l2w(op_weighted16, a - b) <= 1e-8
 
     def test_semigroup_law(self, op_weighted16):
@@ -284,10 +292,6 @@ class TestPoisson:
         f = rng.normal(size=16)
         npt.assert_allclose(poisson_eval(op_weighted16, 0, 0.0, f), f, atol=1e-12)
         npt.assert_allclose(poisson_eval(op_weighted16, 1, 0.0, f), 0.0, atol=1e-12)
-
-    def test_unknown_method(self, op_flat16):
-        with pytest.raises(ValueError):
-            poisson_eval(op_flat16, 0, 0.1, np.ones(16), method="magic")
 
 
 class TestPoissonGrad:
@@ -325,12 +329,12 @@ class TestArrayTimes:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("name", sorted(STACKING))
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("op_name", ["op_weighted16", "op_weighted8x8"])
     def test_rows_match_scalar_calls(self, name, order, op_name, request):
         op = request.getfixturevalue(op_name)
-        evaluator, image = EVALUATORS[name]
+        evaluator, image = STACKING[name]
         f = np.random.default_rng(11).normal(size=op.grid.n_cells)
         times = TimeLadder.geometric(op.grid.h / 4, 1.0, 2 ** 0.5).nodes
         block = evaluator(op, order, times, f)
@@ -348,9 +352,9 @@ class TestArrayTimes:
                 spatial_part(op.grid, float(t), one[0]), t * np.max(np.abs(u)) / op.grid.h
             )
 
-    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("name", sorted(STACKING))
     def test_block_shapes(self, name, op_weighted8x8):
-        evaluator, image = EVALUATORS[name]
+        evaluator, image = STACKING[name]
         op = op_weighted8x8
         times = np.array([0.1, 0.2, 0.4])
         out = evaluator(op, 1, times, np.ones(op.grid.n_cells))

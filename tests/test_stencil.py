@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
-from tentcalc.mesh import Grid, PowerWeight, maximal
+from tentcalc.mesh import UNIT_WEIGHT, Grid, PowerWeight, lp_norm, maximal
 from tentcalc.semigroup import TimeLadder
 from tentcalc.tent import (
     HalfSpaceField,
@@ -257,3 +257,27 @@ def test_aperture_monotone_and_fubini(dim, n, frac, density, apertures, seed):
     cone_sq = float(np.sum(cones[1.0] ** 2 * fld.weight_values * grid.cell_volume))
     direct = fubini_norm_sq(fld)
     assert abs(cone_sq - direct) <= 1e-12 * direct
+    # the Carleson functional is one of the averages the maximal operator
+    # of the aperture-1 cone sups over
+    for p0 in (1.0, 2.0):
+        c = carleson_p_all(fld, p0)
+        m = maximal(cones[1.0], grid, p0=p0, base=fld.weight)
+        assert np.all(c <= m * (1 + 1e-10) + 1e-14)
+
+
+# a NaN aperture, exponent or radius, rejected by each entry point that
+# takes one
+NAN_CALLS = {
+    "cone_all": lambda fld: cone_all(fld, math.nan),
+    "carleson_p_all": lambda fld: carleson_p_all(fld, math.nan),
+    "maximal": lambda fld: maximal(fld.values[0], fld.grid, math.nan),
+    "lp_norm": lambda fld: lp_norm(fld.values[0], math.nan, UNIT_WEIGHT, fld.weight,
+                                   fld.grid),
+    "ball_reduce": lambda fld: fld.grid.stencil.ball_reduce(fld.values[0], [0.25, math.nan]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_rejects_nan_parameter(name):
+    with pytest.raises(ValueError, match="positive|> 0"):
+        NAN_CALLS[name](make_field(2, 8))

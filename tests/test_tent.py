@@ -165,11 +165,9 @@ class TestChangeOfAngle:
     def test_predicted_bounds_plumbing(self):
         fld = make_field(dim=2, n=8, seed=9)
         rep = change_of_angle_report(
-            fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight,
-            r=1.5, r_tilde=1.0, s=2.0, s_tilde=1.5,
+            fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight, r=1.5, r_tilde=1.0,
         )
         assert rep.predicted_increase == pytest.approx(2 ** (2 * 1.0 * 1.5 / 2.0))
-        assert rep.predicted_decrease == pytest.approx(0.5 ** (2 / (2.0 * 1.5 * 2.0)))
 
     def test_p2_fubini_identity_with_v(self):
         # ||A^beta F||^2_{L^2(v dw)} as a node sum: the x-integral of the

@@ -256,7 +256,6 @@ def test_inadmissible_weight_alpha_rejected_before_assembly(dim, alpha_frac, nam
     # assembled, or gets to assembly; it stops exactly when a selected
     # suite's exact ranges exclude p = 2
     config = SuiteConfig(dim=dim, weight_alpha=alpha_frac * dim, sizes=(8, 16), bank_size=2)
-    verify._assemble_cached.cache_clear()
     with mock.patch.object(verify, "assemble", side_effect=Assembled):
         try:
             run_suites(config, names)
@@ -349,7 +348,6 @@ class TestRunMemo:
             sides.append(grid.n_side)
             return original(grid, coeff, w)
 
-        verify._assemble_cached.cache_clear()
         monkeypatch.setattr(verify, "assemble", recorded)
         run_suites(SMALL, ["appendix_q"])
         assert sides == [SMALL.sizes[0]]

@@ -51,7 +51,7 @@ class TestClassKind:
 
     def test_estimate_rejects_constant_below_one(self):
         with pytest.raises(ValueError):
-            ClassEstimate(ClassKind("Ap", 2.0), 0.5, 16, 8)
+            ClassEstimate(ClassKind("Ap", 2.0), 0.5)
 
 
 class TestApConstant:
@@ -63,12 +63,6 @@ class TestApConstant:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             ap_constant(UNIT_WEIGHT, 0.9, Grid(1, 8))
-
-    def test_family_size(self):
-        # dim 1, N=8: radii {1/8, 1/4}, 8 centers each
-        est = ap_constant(UNIT_WEIGHT, 2.0, Grid(1, 8))
-        assert est.ball_family_size == 16
-        assert est.refinement_level == 8
 
     def test_frozen_oracle_dim1(self):
         g = Grid(1, 8)
@@ -242,7 +236,8 @@ class TestRefinement:
         assert not verdict.member
         np.testing.assert_allclose(verdict.constants, ORACLE_DIVERGENT, rtol=1e-12)
         assert verdict.constants[0] < verdict.constants[1] < verdict.constants[2]
-        assert verdict.max_ratio > 1.15
+        c = verdict.constants
+        assert max(b / a for a, b in zip(c, c[1:])) > 1.15
 
     def test_stable_member_ap(self):
         # alpha = 1 < n(p-1) = 2 in dim 2: constants stabilize
@@ -264,6 +259,11 @@ class TestRefinement:
             PowerWeight(1.0), ClassKind("RHs", 4.0), 2
         )
         assert verdict.member
+
+    @pytest.mark.parametrize("sizes", [(), (16,), (32, 16), (16, 16, 32)], ids=str)
+    def test_rejects_fewer_than_two_or_unordered_sizes(self, sizes):
+        with pytest.raises(ValueError, match="sizes"):
+            membership_by_refinement(UNIT_WEIGHT, ClassKind("Ap", 2.0), 1, sizes=sizes)
 
     def test_requires_base_weight_for_weighted_family(self):
         with pytest.raises(ValueError):
