@@ -41,11 +41,10 @@ def main():
     w = PowerWeight(0.5)
     v = PowerWeight(-0.5)
     grid = Grid(dim, 32)
-    est = weighted_class_constant(v, w, ClassKind("Ap_of_w", 2.0), grid)
-    print(f"duality probe: A_2(w)-constant of 1/w on N = 32 grid: "
-          f"{est.constant_estimate:.4f}")
+    const = weighted_class_constant(v, w, ClassKind("Ap", 2.0), grid)
+    print(f"duality probe: A_2(w)-constant of 1/w on N = 32 grid: {const:.4f}")
 
-    crit = estimate_critical_index(v, w, "Ap_of_w", dim, lo=1.0, hi=4.0)
+    crit = estimate_critical_index(v, w, "Ap", dim, lo=1.0, hi=4.0)
     print(f"bisection bracket for the critical A_p(w) index of 1/w: "
           f"{crit:.4f} (upper estimate; tightens under refinement)")
 

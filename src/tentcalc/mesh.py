@@ -35,6 +35,7 @@ dyadic ball family {all centers} x {h, 2h, 4h, ..., 1/2}.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -339,6 +340,10 @@ class PowerWeight(WeightModel):
 
     alpha: float
 
+    def __post_init__(self):
+        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
+
     def sample(self, grid: Grid) -> NDArray:
         return grid.origin_distances ** float(self.alpha)
 
@@ -353,9 +358,9 @@ def lp_norm(
     w: WeightModel,
     grid: Grid,
 ) -> float:
-    """(sum |f|^p v w h^dim)^{1/p}; rejects p that is not positive (NaN too)."""
-    if not p > 0:
-        raise ValueError(f"lp_norm requires p > 0, got {p}")
+    """(sum |f|^p v w h^dim)^{1/p}; p must be finite and > 0."""
+    if not 0 < p < np.inf:
+        raise ValueError(f"lp_norm requires finite p > 0, got {p}")
     f = np.asarray(f, float)
     if f.shape != (grid.n_cells,):
         raise ValueError(f"expected {grid.n_cells} cell values, got shape {f.shape}")
@@ -367,20 +372,18 @@ def maximal(
     f: NDArray,
     grid: Grid,
     p0: float = 1.0,
-    base: WeightModel | None = None,
+    base: WeightModel = UNIT_WEIGHT,
 ) -> NDArray:
     """Discrete maximal operator over the dyadic ball family.
 
     At each cell x the value is sup over balls containing x of the p0-mean
-    (avg_B |f|^{p0} d(base))^{1/p0}; base None means Lebesgue measure,
-    otherwise the weighted measure of the supplied WeightModel.
+    (avg_B |f|^{p0})^{1/p0}, averages taken in the measure base dx
+    (UNIT_WEIGHT: Lebesgue measure); p0 must be finite and > 0.
     """
-    if not p0 > 0:
-        raise ValueError(f"maximal requires p0 > 0, got {p0}")
+    if not 0 < p0 < np.inf:
+        raise ValueError(f"maximal requires finite p0 > 0, got {p0}")
     f = np.asarray(f, float)
-    mu = np.full(grid.n_cells, grid.cell_volume)
-    if base is not None:
-        mu = base.sample(grid) * grid.cell_volume
+    mu = base.sample(grid) * grid.cell_volume
     g = np.abs(f) ** p0 * mu
     radii = grid.dyadic_radii(0.5)
     sums = grid.stencil.ball_reduce(np.stack([g, mu]), radii)

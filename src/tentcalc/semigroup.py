@@ -182,8 +182,9 @@ def _tables(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
     t = np.asarray(t, float)
     if t.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
-    if np.any(t < 0):
-        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
+    finite = (t >= 0) & (t < np.inf)
+    if not np.all(finite):
+        raise ValueError(f"time must be finite and nonnegative, got {t[~finite].flat[0]}")
     lam = op.block_eigenvalues
     coeffs = op.project_blocks(f)
     table = semigroup(lam, t)
@@ -263,6 +264,8 @@ def subordination_factors(lam: NDArray, t: float) -> NDArray:
     The trapezoid rule in v = log u for
     (1/sqrt(pi)) int e^{-u + v/2 - (t^2/4u) lam} dv, with the exponentials
     of each chunk of nodes summed into one buffer of lam's shape."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     lam = np.atleast_1d(np.asarray(lam, float))
     if t == 0:
         return np.ones_like(lam)

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import Grid, WeightModel, lp_norm
+from .mesh import TIE_SLACK, Grid, WeightModel, lp_norm
 from .semigroup import TimeLadder
 
 __all__ = [
@@ -60,9 +60,6 @@ __all__ = [
     "AngleReport",
     "change_of_angle_report",
 ]
-
-CONE_TIE_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class HalfSpaceField:
@@ -132,7 +129,7 @@ def fubini_norm_sq(fld: HalfSpaceField) -> float:
 
 def _truncation_index(ladder: TimeLadder, r: float) -> int:
     """Number of ladder nodes with t_j strictly below r."""
-    return int(np.sum(ladder.nodes < r * (1.0 - CONE_TIE_SLACK)))
+    return int(np.sum(ladder.nodes < r * (1.0 - TIE_SLACK)))
 
 
 def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDArray:
@@ -144,9 +141,10 @@ def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDAr
 
 
 def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
-    """C_{w,p0} F at every cell over the mesh ball family."""
-    if not p0 > 0:
-        raise ValueError(f"carleson_p requires p0 > 0, got {p0}")
+    """C_{w,p0} F at every cell over the mesh ball family; p0 must be
+    finite and > 0."""
+    if not 0 < p0 < np.inf:
+        raise ValueError(f"carleson_p requires finite p0 > 0, got {p0}")
     grid = fld.grid
     whn = fld.weight_values * grid.cell_volume
     payload = _cone_payload(fld)
@@ -169,7 +167,7 @@ class AngleReport:
     """Measured aperture-growth ratio with the predicted power bound."""
 
     ratio: float | None
-    predicted_increase: float | None
+    predicted_increase: float
 
 
 def change_of_angle_report(
@@ -179,13 +177,13 @@ def change_of_angle_report(
     p: float,
     v: WeightModel,
     w: WeightModel,
-    r: float | None = None,
-    r_tilde: float | None = None,
+    r: float,
+    r_tilde: float,
     cones: dict[float, NDArray] | None = None,
 ) -> AngleReport:
     """Compare ||A^beta F|| / ||A^alpha F|| in L^p(v dw) with the class
-    prediction (beta/alpha)^{n r_tilde r / p} (given r, r_tilde).  `cones`
-    holds cone values of F already computed, by aperture."""
+    prediction (beta/alpha)^{n r_tilde r / p}.  `cones` holds cone values
+    of F already computed, by aperture."""
     if not 0 < alpha <= beta:
         raise ValueError(f"need 0 < alpha <= beta, got ({alpha}, {beta})")
     grid = fld.grid
@@ -197,7 +195,6 @@ def change_of_angle_report(
     norm_a = lp_norm(cone(alpha), p, v, w, grid)
     norm_b = lp_norm(cone(beta), p, v, w, grid)
     ratio = norm_b / norm_a if norm_a > 0 else None
-    inc = None
-    if r is not None and r_tilde is not None:
-        inc = (beta / alpha) ** (grid.dim * r_tilde * r / p)
-    return AngleReport(ratio=ratio, predicted_increase=inc)
+    return AngleReport(
+        ratio=ratio, predicted_increase=(beta / alpha) ** (grid.dim * r_tilde * r / p)
+    )

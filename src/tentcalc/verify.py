@@ -733,8 +733,8 @@ def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     coarse = contexts[0]
     env_classes = {
         label: weighted_class_constant(
-            v_model, coarse.op.weight, ClassKind("Ap_of_w", 2.0), coarse.op.grid
-        ).constant_estimate
+            v_model, coarse.op.weight, ClassKind("Ap", 2.0), coarse.op.grid
+        )
         for label, v_model in v_cases
     }
 

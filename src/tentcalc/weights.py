@@ -1,16 +1,18 @@
 """Muckenhoupt and reverse-Hölder class constants over a finite ball family.
 
-For a weight w and a ball B the two defining products are
+A class is always taken relative to a measure w dx: the weight v under
+test is averaged in it, avg_B g = (1/w(B)) sum_B g w h^dim, and the
+defining products are
 
-    A_p:   (avg_B w) (avg_B w^{-1/(p-1)})^{p-1},      p > 1,
-    A_1:   (avg_B w) / (min_B w),
-    RH_s:  (avg_B w^s)^{1/s} / (avg_B w),             1 < s < inf,
-    RH_oo: (max_B w) / (avg_B w),
+    A_p(w):   (avg_B v) (avg_B v^{-1/(p-1)})^{p-1},      p > 1,
+    A_1(w):   (avg_B v) / (min_B v),
+    RH_s(w):  (avg_B v^s)^{1/s} / (avg_B v),             1 < s < inf,
+    RH_oo(w): (max_B v) / (avg_B v),
 
-each >= 1 by Jensen.  The class constant is the sup over balls, realized
-here as the max over the finite family {all cell centers} x {dyadic radii
-<= 1/4}.  Weighted variants A_p(w), RH_s(w) replace every average by the
-dw-average avg_B^dw g = (1/w(B)) sum_B g w h^dim.
+each >= 1 by Jensen.  The plain classes A_p and RH_s are those in the
+measure w = UNIT_WEIGHT.  The class constant is the sup over balls,
+realized here as the max over the finite family {all cell centers} x
+{dyadic radii <= 1/4}.
 
 Membership in a class is a statement about all balls at all scales, so no
 single grid decides it.  It is diagnosed by refinement across N in
@@ -29,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import Grid, WeightModel
+from .mesh import UNIT_WEIGHT, Grid, WeightModel
 
 __all__ = [
     "ClassKind",
-    "ClassEstimate",
     "RefinementVerdict",
     "ap_constant",
     "rh_constant",
@@ -46,12 +47,13 @@ GROWTH_THRESHOLD = 1.15
 INCREMENT_DECAY = 0.94
 REFINEMENT_SIZES = (16, 32, 64)
 
-_FAMILIES = ("Ap", "RHs", "Ap_of_w", "RHs_of_w")
+_FAMILIES = ("Ap", "RHs")
 
 
 @dataclass(frozen=True)
 class ClassKind:
-    """A weight class: A_p, RH_s, or their w-weighted versions."""
+    """A weight class family, "Ap" or "RHs", with its index p or s; the
+    measure it is taken in is an argument of the estimators."""
 
     family: str
     index: float
@@ -59,7 +61,7 @@ class ClassKind:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown class family {self.family!r}")
-        if self.family in ("Ap", "Ap_of_w"):
+        if self.family == "Ap":
             if not self.index >= 1:
                 raise ValueError(f"A_p requires p >= 1, got {self.index}")
             if math.isinf(self.index):
@@ -67,19 +69,6 @@ class ClassKind:
         else:
             if not self.index > 1:
                 raise ValueError(f"RH_s requires s > 1 (or inf), got {self.index}")
-
-
-@dataclass(frozen=True)
-class ClassEstimate:
-    class_kind: ClassKind
-    constant_estimate: float
-
-    def __post_init__(self):
-        if not self.constant_estimate >= 1.0 - 1e-12:
-            raise ValueError(
-                f"class constant {self.constant_estimate} below 1; "
-                "the defining products are >= 1 by Jensen"
-            )
 
 
 def _family_radii(grid: Grid) -> list[float]:
@@ -99,7 +88,7 @@ def _max_product(
     """Max over the ball family of the defining product for `kind`,
     with averages in the measure `base` (cell volumes cancel)."""
     p_or_s = kind.index
-    is_ap = kind.family in ("Ap", "Ap_of_w")
+    is_ap = kind.family == "Ap"
     stencil = grid.stencil
     radii = _family_radii(grid)
     # the power of v averaged beside v: the dual -1/(p-1) for A_p, s for
@@ -140,20 +129,14 @@ def _max_product(
     return best
 
 
-def ap_constant(w: WeightModel, p: float, grid: Grid) -> ClassEstimate:
+def ap_constant(w: WeightModel, p: float, grid: Grid) -> float:
     """[w]_{A_p} over the ball family; p = 1 uses the min form."""
-    kind = ClassKind("Ap", float(p))
-    wv = w.sample(grid)
-    c = _max_product(wv, np.ones(grid.n_cells), grid, kind)
-    return ClassEstimate(kind, c)
+    return weighted_class_constant(w, UNIT_WEIGHT, ClassKind("Ap", float(p)), grid)
 
 
-def rh_constant(w: WeightModel, s: float, grid: Grid) -> ClassEstimate:
+def rh_constant(w: WeightModel, s: float, grid: Grid) -> float:
     """[w]_{RH_s} over the ball family; s = inf uses the max form."""
-    kind = ClassKind("RHs", float(s))
-    wv = w.sample(grid)
-    c = _max_product(wv, np.ones(grid.n_cells), grid, kind)
-    return ClassEstimate(kind, c)
+    return weighted_class_constant(w, UNIT_WEIGHT, ClassKind("RHs", float(s)), grid)
 
 
 def weighted_class_constant(
@@ -161,19 +144,15 @@ def weighted_class_constant(
     w: WeightModel,
     class_kind: ClassKind,
     grid: Grid,
-) -> ClassEstimate:
-    """Class constant of v with every average taken in the measure dw.
-
-    The plain families are accepted too and then ignore w, so one entry
-    point covers all four kinds.
-    """
-    vv = v.sample(grid)
-    if class_kind.family in ("Ap_of_w", "RHs_of_w"):
-        base = w.sample(grid)
-    else:
-        base = np.ones(grid.n_cells)
-    c = _max_product(vv, base, grid, class_kind)
-    return ClassEstimate(class_kind, c)
+) -> float:
+    """Class constant of v in `class_kind` with every average taken in
+    the measure w dx; raises if it falls below 1, which Jensen forbids."""
+    c = _max_product(v.sample(grid), w.sample(grid), grid, class_kind)
+    if not c >= 1.0 - 1e-12:
+        raise ValueError(
+            f"class constant {c} below 1; the defining products are >= 1 by Jensen"
+        )
+    return c
 
 
 @dataclass(frozen=True)
@@ -189,35 +168,28 @@ def membership_by_refinement(
     v: WeightModel,
     class_kind: ClassKind,
     dim: int,
-    w: WeightModel | None = None,
+    w: WeightModel = UNIT_WEIGHT,
     sizes: tuple[int, ...] = REFINEMENT_SIZES,
-    threshold: float = GROWTH_THRESHOLD,
 ) -> RefinementVerdict:
-    """Diagnose class membership by refining the grid.
+    """Diagnose membership of v in the class taken in the measure w dx
+    by refining the grid.
 
     Member iff the constants are stable (total growth across the sweep
-    within the threshold factor) or still settling (successive
+    within the factor GROWTH_THRESHOLD) or still settling (successive
     increments decay by at least the factor INCREMENT_DECAY, the
     signature of a convergent estimate whose limit merely sits above the
     stability band).  Divergence, whether power-like or logarithmic,
     keeps the increments from shrinking.  `sizes` are at least two
-    increasing grid sides; `w` is required for the weighted families.
+    increasing grid sides.
     """
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must be at least two increasing grid sides, got {sizes}")
-    if class_kind.family in ("Ap_of_w", "RHs_of_w") and w is None:
-        raise ValueError(f"family {class_kind.family} needs the base weight w")
-    if w is None:
-        w = v  # ignored by the plain families
-    constants = []
-    for n in sizes:
-        est = weighted_class_constant(v, w, class_kind, Grid(dim, n))
-        constants.append(est.constant_estimate)
+    constants = [weighted_class_constant(v, w, class_kind, Grid(dim, n)) for n in sizes]
     increments = [b - a for a, b in zip(constants, constants[1:])]
     step_ratio = None
     if len(increments) >= 2 and increments[-2] > 0:
         step_ratio = increments[-1] / increments[-2]
-    if constants[-1] / constants[0] <= threshold:
+    if constants[-1] / constants[0] <= GROWTH_THRESHOLD:
         member = True
     else:
         member = step_ratio is not None and step_ratio <= INCREMENT_DECAY
@@ -234,33 +206,20 @@ def estimate_critical_index(
     iters: int = 10,
     sizes: tuple[int, ...] = REFINEMENT_SIZES,
 ) -> float:
-    """Bisect for the boundary index of a weighted class.
+    """Bisect for the boundary index of the class `family` ("Ap" or
+    "RHs") of v in the measure w dx.
 
-    For "Ap_of_w" membership is monotone increasing in p and the value
-    returned estimates inf{p : v in A_p(w)} from above; for "RHs_of_w"
-    membership is decreasing in s and the estimate of sup{s : v in
-    RH_s(w)} is from below.  Endpoints must bracket: lo outside (or at
-    the boundary), hi inside for Ap; the reverse for RHs.
+    Membership grows with p and shrinks with s, so lo starts outside and
+    hi inside the class for "Ap" (the reverse for "RHs"), and the member
+    endpoint is returned.  Finite-grid verdicts decide which side of the
+    true index it lands on, and that side can differ between measures.
     """
-    if family not in ("Ap_of_w", "RHs_of_w"):
-        raise ValueError(f"bisection handles weighted families only, got {family!r}")
-
-    def member(index: float) -> bool:
-        verdict = membership_by_refinement(
-            v, ClassKind(family, index), dim, w=w, sizes=sizes
-        )
-        return verdict.member
-
+    is_ap = family == "Ap"
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if family == "Ap_of_w":
-            if member(mid):
-                hi = mid
-            else:
-                lo = mid
+        verdict = membership_by_refinement(v, ClassKind(family, mid), dim, w=w, sizes=sizes)
+        if verdict.member == is_ap:
+            hi = mid
         else:
-            if member(mid):
-                lo = mid
-            else:
-                hi = mid
-    return hi if family == "Ap_of_w" else lo
+            lo = mid
+    return hi if is_ap else lo

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from tentcalc.mesh import WeightModel
+from tentcalc.mesh import UNIT_WEIGHT, WeightModel
 
 SLACK = 1e-9
 LOG_SAFE = 700.0
@@ -167,10 +167,8 @@ def carleson_p_all(fld, p0: float) -> np.ndarray:
     return scatter_max(masks, vals, grid.n_cells)
 
 
-def maximal(f, grid, p0: float = 1.0, base=None) -> np.ndarray:
-    mu = np.full(grid.n_cells, grid.cell_volume)
-    if base is not None:
-        mu = base.sample(grid) * grid.cell_volume
+def maximal(f, grid, p0: float = 1.0, base: WeightModel = UNIT_WEIGHT) -> np.ndarray:
+    mu = base.sample(grid) * grid.cell_volume
     g = np.abs(np.asarray(f, float)) ** p0 * mu
     masks = [ball_mask(grid, r) for r in grid.dyadic_radii(0.5)]
     vals = [(m @ g) / (m @ mu) for m in masks]
@@ -196,7 +194,7 @@ def class_constant(values, base, grid, family: str, index: float) -> float:
         mask = ball_mask(grid, r)
         mass = mask @ base
         avg_v = (mask @ (values * base)) / mass
-        if family in ("Ap", "Ap_of_w"):
+        if family == "Ap":
             if index == 1:
                 per_ball = avg_v / ball_min(values, mask)
             else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -145,6 +147,17 @@ class TestWeights:
             v = PowerWeight(alpha).sample(g)
             assert np.all(v > 0)
             assert np.all(np.isfinite(v))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True])
+    def test_power_weight_rejects_non_finite_or_bool_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            PowerWeight(alpha)
+
+    def test_power_weight_hash_and_equality(self):
+        # tent's cone-factor cache keys on the weight
+        assert PowerWeight(0.5) == PowerWeight(0.5) != PowerWeight(-0.5)
+        assert hash(PowerWeight(0.5)) == hash((0.5,))
+        assert PowerWeight(0.0) == UNIT_WEIGHT
 
     def test_power_weight_zero_is_unit(self):
         g = Grid(1, 8)

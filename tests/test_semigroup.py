@@ -231,6 +231,11 @@ class TestPoisson:
         assert float(subordination_factors(4.0, 1.0)[0]) == pytest.approx(
             math.exp(-2.0), abs=1e-8)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_subordination_rejects_bad_time(self, t):
+        with pytest.raises(ValueError, match="nonnegative"):
+            subordination_factors(np.array([1.0, 4.0]), t)
+
     def test_subordination_vector_agrees_with_exp(self):
         lam = np.array([0.0, 1.0, 10.0, 400.0, 2000.0])
         for t in (0.05, 0.3, 1.0):
@@ -369,7 +374,8 @@ class TestArrayTimes:
     def test_rejects_bad_times_and_orders(self, name, op_flat16):
         evaluator, _ = EVALUATORS[name]
         f = np.ones(16)
-        for t in (-0.1, np.array([0.1, -1e-9, 0.3])):
+        for t in (-0.1, math.nan, math.inf, np.array([0.1, -1e-9, 0.3]),
+                  np.array([0.1, math.nan])):
             with pytest.raises(ValueError, match="nonnegative"):
                 evaluator(op_flat16, 0, t, f)
         with pytest.raises(ValueError, match="1-D"):

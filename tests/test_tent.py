@@ -128,12 +128,12 @@ class TestCarlesonP:
 class TestChangeOfAngle:
     def test_equal_apertures_ratio_one(self):
         fld = make_field(seed=7)
-        rep = change_of_angle_report(fld, 1.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight)
+        rep = change_of_angle_report(fld, 1.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
         assert rep.ratio == pytest.approx(1.0, rel=1e-14)
 
     def test_doubling_aperture_monotone(self):
         fld = make_field(dim=1, n=16, alpha_w=0.0, seed=8)
-        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, UNIT_WEIGHT)
+        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, UNIT_WEIGHT, 2.0, 2.0)
         assert rep.ratio is not None
         assert rep.ratio >= 1.0
         assert np.isfinite(rep.ratio)
@@ -141,17 +141,17 @@ class TestChangeOfAngle:
     def test_zero_field_undefined_ratio(self):
         fld = make_field()
         fld = HalfSpaceField(fld.grid, fld.ladder, fld.weight, np.zeros_like(fld.values))
-        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight)
+        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
         assert rep.ratio is None
 
     def test_rejects_bad_aperture_order(self):
         fld = make_field()
         with pytest.raises(ValueError):
-            change_of_angle_report(fld, 2.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight)
+            change_of_angle_report(fld, 2.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
 
     def test_known_cones_give_the_same_report(self, monkeypatch):
         fld = make_field(dim=2, n=8, seed=11)
-        fresh = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight)
+        fresh = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
         cones = {1.0: cone_all(fld, 1.0), 2.0: cone_all(fld, 2.0)}
 
         def refuse(*args):
@@ -159,7 +159,7 @@ class TestChangeOfAngle:
 
         monkeypatch.setattr(tent, "cone_all", refuse)
         known = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight,
-                                       cones=cones)
+                                       2.0, 2.0, cones=cones)
         assert known == fresh
 
     def test_predicted_bounds_plumbing(self):

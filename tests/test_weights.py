@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import ball_mask
-from tentcalc import mesh
+from tentcalc import mesh, weights
 from tentcalc.mesh import BallStencil, Grid, PowerWeight, UNIT_WEIGHT
 from tentcalc.weights import (
-    ClassEstimate,
     ClassKind,
     ap_constant,
     estimate_critical_index,
@@ -49,16 +48,17 @@ class TestClassKind:
     def test_rh_infinity_allowed(self):
         assert ClassKind("RHs", math.inf).index == math.inf
 
-    def test_estimate_rejects_constant_below_one(self):
-        with pytest.raises(ValueError):
-            ClassEstimate(ClassKind("Ap", 2.0), 0.5)
+    def test_estimate_rejects_constant_below_one(self, monkeypatch):
+        monkeypatch.setattr(weights, "_max_product", lambda *args: 0.5)
+        with pytest.raises(ValueError, match="below 1"):
+            ap_constant(UNIT_WEIGHT, 2.0, Grid(1, 8))
 
 
 class TestApConstant:
     def test_unit_weight_is_one(self):
         g = Grid(2, 8)
         for p in (1, 1.5, 2, 4):
-            assert ap_constant(UNIT_WEIGHT, p, g).constant_estimate == pytest.approx(1.0)
+            assert ap_constant(UNIT_WEIGHT, p, g) == pytest.approx(1.0)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
@@ -67,15 +67,11 @@ class TestApConstant:
     def test_frozen_oracle_dim1(self):
         g = Grid(1, 8)
         w = PowerWeight(1.0)
-        assert ap_constant(w, 2.0, g).constant_estimate == pytest.approx(
-            ORACLE_AP2_A1_D1N8, rel=1e-12
-        )
-        assert ap_constant(w, 1, g).constant_estimate == pytest.approx(
-            ORACLE_AP1_A1_D1N8, rel=1e-12
-        )
+        assert ap_constant(w, 2.0, g) == pytest.approx(ORACLE_AP2_A1_D1N8, rel=1e-12)
+        assert ap_constant(w, 1, g) == pytest.approx(ORACLE_AP1_A1_D1N8, rel=1e-12)
 
     def test_frozen_oracle_dim2(self):
-        got = ap_constant(PowerWeight(1.0), 2.0, Grid(2, 16)).constant_estimate
+        got = ap_constant(PowerWeight(1.0), 2.0, Grid(2, 16))
         assert got == pytest.approx(ORACLE_AP2_A1_D2N16, rel=1e-12)
 
     @given(
@@ -89,8 +85,8 @@ class TestApConstant:
         g = Grid(1, 8)
         w = PowerWeight(alpha)
         lo, hi = sorted((p1, p2))
-        c_lo = ap_constant(w, lo, g).constant_estimate
-        c_hi = ap_constant(w, hi, g).constant_estimate
+        c_lo = ap_constant(w, lo, g)
+        c_hi = ap_constant(w, hi, g)
         assert c_hi <= c_lo * (1 + 1e-10)
 
     @given(alpha=st.floats(-0.9, 1.5), p=st.floats(1.1, 3.0), seed=st.integers(0, 999))
@@ -99,7 +95,7 @@ class TestApConstant:
         # (|E|/|B|)^p <= [w]_{A_p} w(E)/w(B) for subsets E of a family ball
         g = Grid(2, 8)
         w = PowerWeight(alpha)
-        c = ap_constant(w, p, g).constant_estimate
+        c = ap_constant(w, p, g)
         rng = np.random.default_rng(seed)
         b = np.nonzero(ball_mask(g, 0.25)[int(rng.integers(g.n_cells))])[0]
         k = int(rng.integers(1, len(b) + 1))
@@ -113,8 +109,8 @@ class TestApConstant:
 class TestRhConstant:
     def test_unit_weight_is_one(self):
         g = Grid(1, 8)
-        assert rh_constant(UNIT_WEIGHT, 2.0, g).constant_estimate == pytest.approx(1.0)
-        assert rh_constant(UNIT_WEIGHT, math.inf, g).constant_estimate == pytest.approx(1.0)
+        assert rh_constant(UNIT_WEIGHT, 2.0, g) == pytest.approx(1.0)
+        assert rh_constant(UNIT_WEIGHT, math.inf, g) == pytest.approx(1.0)
 
     def test_rejects_s_at_or_below_one(self):
         with pytest.raises(ValueError):
@@ -123,50 +119,42 @@ class TestRhConstant:
     def test_frozen_oracle(self):
         g = Grid(1, 8)
         w = PowerWeight(1.0)
-        assert rh_constant(w, 2.0, g).constant_estimate == pytest.approx(
-            ORACLE_RH2_A1_D1N8, rel=1e-12
-        )
-        assert rh_constant(w, math.inf, g).constant_estimate == pytest.approx(
-            ORACLE_RHINF_A1_D1N8, rel=1e-12
-        )
-        got = rh_constant(PowerWeight(1.0), 4.0, Grid(2, 16)).constant_estimate
+        assert rh_constant(w, 2.0, g) == pytest.approx(ORACLE_RH2_A1_D1N8, rel=1e-12)
+        assert rh_constant(w, math.inf, g) == pytest.approx(ORACLE_RHINF_A1_D1N8, rel=1e-12)
+        got = rh_constant(PowerWeight(1.0), 4.0, Grid(2, 16))
         assert got == pytest.approx(ORACLE_RH4_A1_D2N16, rel=1e-12)
 
     def test_infinity_dominates_finite(self):
         # L^s means increase in s, so RH_oo has the largest constant
         g = Grid(1, 16)
         w = PowerWeight(0.7)
-        c_inf = rh_constant(w, math.inf, g).constant_estimate
+        c_inf = rh_constant(w, math.inf, g)
         for s in (1.5, 2.0, 4.0, 8.0):
-            assert rh_constant(w, s, g).constant_estimate <= c_inf * (1 + 1e-12)
+            assert rh_constant(w, s, g) <= c_inf * (1 + 1e-12)
 
 
 class TestWeightedClassConstant:
     def test_unit_v_is_one_for_any_w(self):
         g = Grid(2, 8)
         for alpha in (-1.0, 0.0, 1.5):
-            got = weighted_class_constant(
-                UNIT_WEIGHT, PowerWeight(alpha), ClassKind("Ap_of_w", 2.0), g
-            ).constant_estimate
+            w = PowerWeight(alpha)
+            got = weighted_class_constant(UNIT_WEIGHT, w, ClassKind("Ap", 2.0), g)
             assert got == pytest.approx(1.0)
 
     def test_frozen_oracle_dual_weight(self):
         g = Grid(1, 8)
         w = PowerWeight(1.0)
-        got = weighted_class_constant(
-            PowerWeight(-1.0), w, ClassKind("Ap_of_w", 2.0), g
-        ).constant_estimate
+        got = weighted_class_constant(PowerWeight(-1.0), w, ClassKind("Ap", 2.0), g)
         assert got == pytest.approx(ORACLE_A2W_VINV_D1N8, rel=1e-12)
 
     def test_plain_family_matches_direct(self):
+        # the plain classes are the Lebesgue measure UNIT_WEIGHT
         g = Grid(1, 16)
         v = PowerWeight(0.5)
-        via_weighted = weighted_class_constant(
-            v, PowerWeight(1.0), ClassKind("Ap", 2.0), g
-        ).constant_estimate
-        assert via_weighted == pytest.approx(
-            ap_constant(v, 2.0, g).constant_estimate, rel=1e-14
-        )
+        for kind, plain in ((ClassKind("Ap", 2.0), ap_constant),
+                            (ClassKind("RHs", 2.0), rh_constant)):
+            via_weighted = weighted_class_constant(v, UNIT_WEIGHT, kind, g)
+            assert via_weighted == plain(v, kind.index, g)
 
 
 def separate_passes(values, base, grid, kind):
@@ -177,7 +165,7 @@ def separate_passes(values, base, grid, kind):
     mass = stencil.ball_reduce(base, radii)
     avg_v = stencil.ball_reduce(values * base, radii) / mass
     p = kind.index
-    if kind.family in ("Ap", "Ap_of_w"):
+    if kind.family == "Ap":
         if p == 1:
             per_ball = avg_v / stencil.ball_reduce(values, radii, ufunc=np.minimum)
         else:
@@ -204,12 +192,11 @@ class TestSharedStencilPasses:
         v, w = PowerWeight(-1.2), PowerWeight(0.5)
         vv, wv = v.sample(grid), w.sample(grid)
         ones = np.ones(grid.n_cells)
+        kind = ClassKind(family, index)
         plain = ap_constant if family == "Ap" else rh_constant
-        assert plain(v, index, grid).constant_estimate == separate_passes(
-            vv, ones, grid, ClassKind(family, index))
-        weighted = ClassKind(family + "_of_w", index)
-        assert weighted_class_constant(v, w, weighted, grid).constant_estimate \
-            == separate_passes(vv, wv, grid, weighted)
+        assert plain(v, index, grid) == separate_passes(vv, ones, grid, kind)
+        assert weighted_class_constant(v, w, kind, grid) \
+            == separate_passes(vv, wv, grid, kind)
 
     def test_refinement_builds_one_stencil_per_size(self, monkeypatch):
         built = []
@@ -265,16 +252,12 @@ class TestRefinement:
         with pytest.raises(ValueError, match="sizes"):
             membership_by_refinement(UNIT_WEIGHT, ClassKind("Ap", 2.0), 1, sizes=sizes)
 
-    def test_requires_base_weight_for_weighted_family(self):
-        with pytest.raises(ValueError):
-            membership_by_refinement(UNIT_WEIGHT, ClassKind("Ap_of_w", 2.0), 1)
-
     def test_duality_sweep_dim1(self):
         # v = w^{-1} in RH_2(w) iff w in A_2; dim 1 closed form -1 < alpha < 1
         for alpha in (-1.5, -0.5, 0.0, 0.5, 1.5):
             w = PowerWeight(alpha)
             verdict = membership_by_refinement(
-                PowerWeight(-alpha), ClassKind("RHs_of_w", 2.0), 1, w=w
+                PowerWeight(-alpha), ClassKind("RHs", 2.0), 1, w=w
             )
             assert verdict.member == (-1 < alpha < 1), f"alpha={alpha}"
 
@@ -287,14 +270,10 @@ class TestCriticalIndex:
         # bracket, the frozen default-size value, and the improvement.
         w = PowerWeight(-0.5)
         v = PowerWeight(0.5)
-        got = estimate_critical_index(v, w, "Ap_of_w", 1, lo=1.0, hi=5.0, iters=8)
+        got = estimate_critical_index(v, w, "Ap", 1, lo=1.0, hi=5.0, iters=8)
         assert got > 2.0
         assert got == pytest.approx(3.875, abs=1e-12)
         finer = estimate_critical_index(
-            v, w, "Ap_of_w", 1, lo=1.0, hi=5.0, iters=8, sizes=(64, 128, 256)
+            v, w, "Ap", 1, lo=1.0, hi=5.0, iters=8, sizes=(64, 128, 256)
         )
         assert 2.0 < finer < got
-
-    def test_rejects_plain_family(self):
-        with pytest.raises(ValueError):
-            estimate_critical_index(UNIT_WEIGHT, UNIT_WEIGHT, "Ap", 1, 1.0, 4.0)
