@@ -28,8 +28,8 @@ ALL_KINDS = ("S_H", "G_H", "Gcal_H", "S_P", "G_P", "Gcal_P", "vertical_g_H")
 
 def main():
     grid = Grid(2, 16)
-    op = assemble(grid, CoefficientField.diagonal(grid, (1.0, 2.0)), PowerWeight(1.0))
-    ladder = TimeLadder.geometric(grid.h / 16, 4.0, 2 ** (1 / 16))
+    op = assemble(grid, CoefficientField((1.0, 2.0)), PowerWeight(1.0))
+    ladder = TimeLadder(grid.h / 16, 4.0, 2 ** (1 / 16))
 
     def norm_w(values):
         return lp_norm(values, 2.0, UNIT_WEIGHT, op.weight, op.grid)

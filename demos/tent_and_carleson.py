@@ -54,9 +54,7 @@ def main():
         print(f"p0 = {p0}: max(Carleson - maximal of cone) = "
               f"{np.max(carleson - dominator):.2e} (<= 0)")
 
-    report = change_of_angle_report(
-        fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, weight, r=2.0, r_tilde=2.0
-    )
+    report = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, r=2.0, r_tilde=2.0)
     print(f"change of angle 1 -> 2: measured ratio {report.ratio:.4f}, "
           f"class prediction <= C * {report.predicted_increase:.1f}")
 

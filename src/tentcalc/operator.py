@@ -131,14 +131,6 @@ class CoefficientField:
     def identity(cls, grid: Grid) -> "CoefficientField":
         return cls((1.0,) * grid.dim)
 
-    @classmethod
-    def diagonal(cls, grid: Grid, entries) -> "CoefficientField":
-        """Constant diagonal coefficients, one entry per axis."""
-        d = np.asarray(entries, float)
-        if d.shape != (grid.dim,):
-            raise ValueError(f"need {grid.dim} diagonal entries, got shape {d.shape}")
-        return cls(tuple(d.tolist()))
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -411,7 +403,9 @@ class SpectralOperator:
 
 def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOperator:
     """Assemble L_w and its w-orthonormal eigendecomposition, one `eigh`
-    per reflection-parity block or axis-swap part of one."""
+    per reflection-parity block or axis-swap part of one.  A grid outside
+    `check_dense_budget` is rejected before anything is allocated."""
+    check_dense_budget(grid.dim, grid.n_side)
     if coeff.dim != grid.dim:
         raise ValueError(f"coefficient dim {coeff.dim} does not match grid dim {grid.dim}")
     n = grid.n_side

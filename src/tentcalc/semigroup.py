@@ -114,10 +114,6 @@ class TimeLadder:
             )
 
     @classmethod
-    def geometric(cls, t_min: float, t_max: float, ratio: float) -> "TimeLadder":
-        return cls(float(t_min), float(t_max), float(ratio))
-
-    @classmethod
     def default_for(
         cls, grid: Grid, ratio: float = 2 ** (1 / 16), t_max: float = 1.0
     ) -> "TimeLadder":
@@ -168,15 +164,25 @@ def _poisson_rate(lam: NDArray, t: NDArray) -> NDArray:
     return np.multiply.outer(-t, np.sqrt(lam))
 
 
-def _tables(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
-            semigroup, rate=None) -> list[NDArray]:
+# semigroup: (its factor S over (t, lam), the t d_t of log S)
+_SEMIGROUPS = {"heat": (_heat, _heat_rate), "poisson": (_poisson, _poisson_rate)}
+
+
+def multiplier_tables(op: SpectralOperator, semigroup: str, order: int,
+                      t: float | NDArray, f: NDArray, time: bool = False) -> list[NDArray]:
     """The coefficient table (t^2 lam_k)^order S_k(t) c_k of f, with S the
-    `semigroup` factor and c = project(f), and given the `rate` t d_t log S
-    also its t d_t table, the image table times 2 order + rate.
+    factor of `semigroup`, "heat" or "poisson", and c = project(f), and
+    with `time` also its t d_t table, the image table times
+    2 order + t d_t log S.  Reconstructed, they are the pair that
+    `grad_eval` or `poisson_grad_eval` returns, and the first alone is
+    `heat_eval` or `poisson_eval`; by w-orthonormality a table's sum of
+    squares at a node is its image's squared L^2(w) norm there.
 
     t is one time or a 1-D array of J times, so each table has shape (M,)
     or (J, M).  f is projected once; the tables and the coefficients stay
     in the operator's block order."""
+    if semigroup not in _SEMIGROUPS:
+        raise ValueError(f"unknown semigroup {semigroup!r}; expected 'heat' or 'poisson'")
     if not (0 <= int(order) == order and order <= ORDER_CAP):
         raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
     t = np.asarray(t, float)
@@ -185,45 +191,34 @@ def _tables(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
     finite = (t >= 0) & (t < np.inf)
     if not np.all(finite):
         raise ValueError(f"time must be finite and nonnegative, got {t[~finite].flat[0]}")
+    factor, rate = _SEMIGROUPS[semigroup]
     lam = op.block_eigenvalues
     coeffs = op.project_blocks(f)
-    table = semigroup(lam, t)
+    table = factor(lam, t)
     if order:  # no power at order 0: 0^0 = 1 keeps the kernel mode
         table *= (t * t)[..., None] ** order
         coeffs *= lam**order
     table *= coeffs
     tables = [table]
-    if rate is not None:
-        time = rate(lam, t)
-        time += 2 * order
-        time *= table
-        tables.append(time)
+    if time:
+        time_table = rate(lam, t)
+        time_table += 2 * order
+        time_table *= table
+        tables.append(time_table)
     return tables
 
 
-def _images(op: SpectralOperator, order: int, t: float | NDArray, f: NDArray,
-            semigroup, rate=None) -> list[NDArray]:
-    """The images of the `_tables` of f, each one reconstruction written
-    over its own table."""
+def _images(op: SpectralOperator, semigroup: str, order: int, t: float | NDArray,
+            f: NDArray, time: bool = False) -> list[NDArray]:
+    """The images of the `multiplier_tables` of f, each one reconstruction
+    written over its own table."""
     return [op.reconstruct_blocks(x, out=x)
-            for x in _tables(op, order, t, f, semigroup, rate)]
-
-
-def multiplier_tables(op: SpectralOperator, semigroup: str, order: int,
-                      t: float | NDArray, f: NDArray, time: bool = False) -> list[NDArray]:
-    """The coefficient table of the "heat" or "poisson" power of order
-    `order` applied to f, in block order, and with `time` also its t d_t
-    table: reconstructed, they are the pair that `grad_eval` or
-    `poisson_grad_eval` returns, and the first alone is `heat_eval` or
-    `poisson_eval`.  By w-orthonormality a table's sum of squares at a
-    node is its image's squared L^2(w) norm there."""
-    factor, rate = {"heat": (_heat, _heat_rate), "poisson": (_poisson, _poisson_rate)}[semigroup]
-    return _tables(op, order, t, f, factor, rate if time else None)
+            for x in multiplier_tables(op, semigroup, order, t, f, time)]
 
 
 def heat_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> NDArray:
     """(t^2 L_w)^m e^{-t^2 L_w} f at one time (M,) or at each of J times (J, M)."""
-    return _images(op, m, t, f, _heat)[0]
+    return _images(op, "heat", m, t, f)[0]
 
 
 def _centered_difference(grid: Grid, u: NDArray, axis: int) -> NDArray:
@@ -255,7 +250,7 @@ def grad_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> l
     """[u, t d_t u] for u = (t^2 L_w)^m e^{-t^2 L_w} f, at one time (M,) or
     at each of J times (J, M): the image and time parts of
     t grad_{y,t} u, whose spatial part `spatial_norm_sq` takes from u."""
-    return _images(op, m, t, f, _heat, _heat_rate)
+    return _images(op, "heat", m, t, f, time=True)
 
 
 def subordination_factors(lam: NDArray, t: float) -> NDArray:
@@ -286,11 +281,11 @@ def subordination_factors(lam: NDArray, t: float) -> NDArray:
 def poisson_eval(op: SpectralOperator, big_k: int, t: float | NDArray, f: NDArray) -> NDArray:
     """(t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f at one time (M,) or at each of
     J times (J, M), from the closed-form spectrum."""
-    return _images(op, big_k, t, f, _poisson)[0]
+    return _images(op, "poisson", big_k, t, f)[0]
 
 
 def poisson_grad_eval(
     op: SpectralOperator, big_k: int, t: float | NDArray, f: NDArray
 ) -> list[NDArray]:
     """[u, t d_t u] for u = (t sqrt(L_w))^{2K} e^{-t sqrt(L_w)} f, as `grad_eval`."""
-    return _images(op, big_k, t, f, _poisson, _poisson_rate)
+    return _images(op, "poisson", big_k, t, f, time=True)

@@ -176,14 +176,13 @@ def change_of_angle_report(
     beta: float,
     p: float,
     v: WeightModel,
-    w: WeightModel,
     r: float,
     r_tilde: float,
     cones: dict[float, NDArray] | None = None,
 ) -> AngleReport:
-    """Compare ||A^beta F|| / ||A^alpha F|| in L^p(v dw) with the class
-    prediction (beta/alpha)^{n r_tilde r / p}.  `cones` holds cone values
-    of F already computed, by aperture."""
+    """Compare ||A^beta F|| / ||A^alpha F|| in L^p(v dw), dw the field's
+    weight, with the class prediction (beta/alpha)^{n r_tilde r / p}.
+    `cones` holds cone values of F already computed, by aperture."""
     if not 0 < alpha <= beta:
         raise ValueError(f"need 0 < alpha <= beta, got ({alpha}, {beta})")
     grid = fld.grid
@@ -192,8 +191,8 @@ def change_of_angle_report(
     def cone(aperture: float) -> NDArray:
         return cones[aperture] if aperture in cones else cone_all(fld, aperture)
 
-    norm_a = lp_norm(cone(alpha), p, v, w, grid)
-    norm_b = lp_norm(cone(beta), p, v, w, grid)
+    norm_a = lp_norm(cone(alpha), p, v, fld.weight, grid)
+    norm_b = lp_norm(cone(beta), p, v, fld.weight, grid)
     ratio = norm_b / norm_a if norm_a > 0 else None
     return AngleReport(
         ratio=ratio, predicted_increase=(beta / alpha) ** (grid.dim * r_tilde * r / p)

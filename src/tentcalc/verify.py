@@ -10,8 +10,8 @@ once per run; a report does not depend on which suites ran with it.
                      refinement-stable norm ratios
     poisson_control  Poisson-vs-heat dominations and ratios, plus the
                      modal 3/8-over-1/8 oracle
-    boundedness      operator-norm ratios in L^p(v dw) for p drawn from
-                     the exact admissible ranges, v in {1, 1/w, sqrt(w)}
+    boundedness      operator-norm ratios in L^2(v dw), p = 2 inside the
+                     exact admissible ranges, v in {1, 1/w, sqrt(w)}
     angles_carleson  aperture monotonicity, the p = 2 Fubini identity,
                      Carleson-vs-maximal domination and norm equivalence
     appendix_q       the small-aperture averaging inequality and its
@@ -294,7 +294,7 @@ class ProblemConfig:
         if self.coeff_entries is None:
             coeff = CoefficientField.identity(grid)
         else:
-            coeff = CoefficientField.diagonal(grid, self.coeff_entries)
+            coeff = CoefficientField(self.coeff_entries)
         return assemble(grid, coeff, PowerWeight(self.weight_alpha))
 
     def build_ladder(self, grid: Grid) -> TimeLadder:
@@ -441,9 +441,9 @@ class SuiteContext:
     each half-space field it builds.  The angles suite reads the fields
     in KEPT_FIELDS whole, so their values are taken from those kept
     fields and each is built once; every other field is dropped after
-    its cone.  A cone is built only where a pointwise value or a
-    weighted norm is read: `norm` takes every unweighted L^2 norm from
-    `l2_norm_sq`.
+    its cone.  Every norm is in L^2(v dw), with dw the operator's weight.
+    A cone is built only where a pointwise value or a weighted norm is
+    read: `norm` takes every unweighted norm from `l2_norm_sq`.
     """
 
     KEPT_FIELDS = frozenset(("S_H1", i) for i in range(ANGLE_SAMPLE))
@@ -451,7 +451,7 @@ class SuiteContext:
     def __init__(self, config: SuiteConfig, n: int):
         self.config = config
         self.n = n
-        self._memo: dict[tuple[str, int | str, bool], NDArray] = {}
+        self._memo: dict[tuple[str, int | str], NDArray] = {}
         self._l2: dict[tuple[str, int | str, bool], float] = {}
         self._fields: dict[tuple[str, int | str], HalfSpaceField] = {}
 
@@ -486,16 +486,15 @@ class SuiteContext:
             return self.constant
         return self.bank[source]
 
-    def values(self, kind: str, source: int | str, wide: bool = False) -> NDArray:
+    def values(self, kind: str, source: int | str) -> NDArray:
         """The square function `kind` of the source at every cell, on the
-        default ladder or the wide modal one; evaluated once per run."""
-        key = (kind, source, wide)
+        default ladder; evaluated once per run."""
+        key = (kind, source)
         if key not in self._memo:
-            if not wide and (kind, source) in self.KEPT_FIELDS:
+            if key in self.KEPT_FIELDS:
                 values = cone_all(self.field(kind, source), 1.0)
             else:
-                ladder = self.wide_ladder if wide else self.ladder
-                values = evaluate(_sqf(kind), self.op, self.source(source), ladder)
+                values = evaluate(_sqf(kind), self.op, self.source(source), self.ladder)
             values.flags.writeable = False
             self._memo[key] = values
         return self._memo[key]
@@ -510,28 +509,30 @@ class SuiteContext:
             self._fields[key] = fld
         return self._fields[key]
 
-    def norm(self, kind: str | None, source: int | str, p: float = 2.0,
-             v: WeightModel = UNIT_WEIGHT, wide: bool = False) -> float:
-        """||values(kind, source, wide)||_{L^p(v dw)}, or the norm of the
-        source itself when kind is None.
+    def norm(self, kind: str | None, source: int | str, v: WeightModel = UNIT_WEIGHT,
+             wide: bool = False) -> float:
+        """||kind(source)||_{L^2(v dw)}, or the norm of the source itself
+        when kind is None; `wide` reads a kind on the wide modal ladder,
+        which only an unweighted norm may.
 
-        At p = 2 and v = 1 a kind's norm always comes from `l2_norm_sq`,
-        whatever values are memoized, so a suite reads the same figure
-        in any run; it is evaluated once per run."""
-        if kind is not None and p == 2.0 and v == UNIT_WEIGHT:
+        At v = 1 a kind's norm always comes from `l2_norm_sq`, whatever
+        values are memoized, so a suite reads the same figure in any run;
+        it is evaluated once per run."""
+        if kind is not None and v == UNIT_WEIGHT:
             key = (kind, source, wide)
             if key not in self._l2:
                 ladder = self.wide_ladder if wide else self.ladder
                 self._l2[key] = math.sqrt(
                     l2_norm_sq(_sqf(kind), self.op, self.source(source), ladder))
             return self._l2[key]
-        f = self.source(source) if kind is None else self.values(kind, source, wide)
-        return lp_norm(f, p, v, self.op.weight, self.op.grid)
+        if kind is not None and wide:
+            raise ValueError(f"a wide-ladder norm is unweighted, got v = {v}")
+        f = self.source(source) if kind is None else self.values(kind, source)
+        return lp_norm(f, 2.0, v, self.op.weight, self.op.grid)
 
-    def norms(self, kind: str | None, p: float = 2.0,
-              v: WeightModel = UNIT_WEIGHT) -> list[float]:
-        """norm(kind, i, p, v) for every bank index i."""
-        return [self.norm(kind, i, p, v) for i in range(self.config.bank_size)]
+    def norms(self, kind: str | None, v: WeightModel = UNIT_WEIGHT) -> list[float]:
+        """norm(kind, i, v) for every bank index i."""
+        return [self.norm(kind, i, v) for i in range(self.config.bank_size)]
 
 
 # the run's contexts, coarse grid first
@@ -671,19 +672,16 @@ def _poisson_control_ranges(config: SuiteConfig) -> tuple[dict[str, ExponentRang
 def suite_poisson_control(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     """Poisson-vs-heat dominations, ratio stability, the modal oracle."""
     _, exponents = _poisson_control_ranges(config)
-    p = 2.0
     coarse = contexts[0]
     worst = _worst_excess(coarse, [("G_P1", "Gcal_P1")])
     checks = [_pass_fail("pointwise-grad-domination-poisson", worst, POINTWISE_TOL)]
 
     def ratios(ctx: SuiteContext) -> dict[str, float]:
-        nsh = ctx.norms("S_H1", p)
+        nsh = ctx.norms("S_H1")
         return {
-            "ratio-sp-over-sh": _sup_ratio(ctx.norms("S_P1", p), nsh),
-            "ratio-gcalp-over-gcalh": _sup_ratio(
-                ctx.norms("Gcal_P0", p), ctx.norms("Gcal_H0", p)
-            ),
-            "ratio-gcalp-over-sh": _sup_ratio(ctx.norms("Gcal_P1", p), nsh),
+            "ratio-sp-over-sh": _sup_ratio(ctx.norms("S_P1"), nsh),
+            "ratio-gcalp-over-gcalh": _sup_ratio(ctx.norms("Gcal_P0"), ctx.norms("Gcal_H0")),
+            "ratio-gcalp-over-sh": _sup_ratio(ctx.norms("Gcal_P1"), nsh),
         }
 
     checks += _refinement_checks(config, contexts, ratios)
@@ -696,7 +694,7 @@ def suite_poisson_control(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
     checks.append(_pass_fail("eigenmode-ratio-three", worst, MODAL_RATIO_TOL))
     checks += _constant_checks(coarse, ("S_P1", "Gcal_P0"))
 
-    env = _environment(config, {"p": p, **exponents})
+    env = _environment(config, {"p": 2.0, **exponents})
     return SuiteReport("poisson_control", tuple(checks), env)
 
 
@@ -721,7 +719,7 @@ def _boundedness_ranges(config: SuiteConfig) -> tuple[dict[str, ExponentRange], 
 
 
 def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
-    """Operator-norm ratios in L^p(v dw) inside the admissible ranges."""
+    """Operator-norm ratios in L^2(v dw), p = 2 inside the admissible ranges."""
     _, exponents = _boundedness_ranges(config)
     alpha = _exact_alpha(config)
     v_cases = [
@@ -729,7 +727,6 @@ def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
         ("w-inv", PowerWeight(float(-alpha))),
         ("w-half", PowerWeight(float(alpha) / 2)),
     ]
-    p = 2.0
     coarse = contexts[0]
     env_classes = {
         label: weighted_class_constant(
@@ -741,10 +738,10 @@ def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     def ratios(ctx: SuiteContext) -> dict[str, float]:
         out = {}
         for label, v_model in v_cases:
-            nf = ctx.norms(None, p, v_model)
+            nf = ctx.norms(None, v_model)
             for family, kind in (("heat", "S_H1"), ("poisson", "S_P1")):
                 out[f"operator-ratio-{family}-v-{label}"] = _sup_ratio(
-                    ctx.norms(kind, p, v_model), nf
+                    ctx.norms(kind, v_model), nf
                 )
         return out
 
@@ -761,7 +758,7 @@ def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
         verdict="pass" if min_norm > 0 else "fail", tolerance=0.0,
     ))
 
-    env = _environment(config, {"p": p, **exponents, "class_constants_A2_of_w": env_classes})
+    env = _environment(config, {"p": 2.0, **exponents, "class_constants_A2_of_w": env_classes})
     return SuiteReport("boundedness", tuple(checks), env)
 
 
@@ -815,8 +812,8 @@ def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
             if na > 0:
                 equiv.append(nc / na)
             rep = change_of_angle_report(
-                ctx.field("S_H1", i), 1.0, 2.0, 2.0, UNIT_WEIGHT, ctx.op.weight,
-                r=2.0, r_tilde=2.0, cones={1.0: ctx.values("S_H1", i), 2.0: wide_area},
+                ctx.field("S_H1", i), 1.0, 2.0, 2.0, UNIT_WEIGHT, r=2.0, r_tilde=2.0,
+                cones={1.0: ctx.values("S_H1", i), 2.0: wide_area},
             )
             if rep.ratio is not None:
                 angle.append(rep.ratio / rep.predicted_increase)

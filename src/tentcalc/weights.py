@@ -61,6 +61,8 @@ class ClassKind:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown class family {self.family!r}")
+        if isinstance(self.index, bool):
+            raise ValueError(f"class index must be a number, got {self.index!r}")
         if self.family == "Ap":
             if not self.index >= 1:
                 raise ValueError(f"A_p requires p >= 1, got {self.index}")
@@ -209,11 +211,15 @@ def estimate_critical_index(
     """Bisect for the boundary index of the class `family` ("Ap" or
     "RHs") of v in the measure w dx.
 
-    Membership grows with p and shrinks with s, so lo starts outside and
-    hi inside the class for "Ap" (the reverse for "RHs"), and the member
-    endpoint is returned.  Finite-grid verdicts decide which side of the
-    true index it lands on, and that side can differ between measures.
+    Membership grows with p and shrinks with s, so the smaller index lo
+    starts outside and hi inside the class for "Ap" (the reverse for
+    "RHs"), and the member endpoint is returned.  lo < hi, both finite,
+    is required; the endpoints themselves are not probed.  Finite-grid
+    verdicts decide which side of the true index it lands on, and that
+    side can differ between measures.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
     is_ap = family == "Ap"
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

@@ -57,7 +57,7 @@ def timed_suites():
 
 def _modal_operator():
     grid = Grid(2, 16)
-    coeff = CoefficientField.diagonal(grid, (1.0, 2.0))
+    coeff = CoefficientField((1.0, 2.0))
     return assemble(grid, coeff, PowerWeight(1.0))
 
 
@@ -173,7 +173,7 @@ def test_pointwise_dominations():
 def test_modal_constants():
     start = time.monotonic()
     op = _modal_operator()
-    ladder = TimeLadder.geometric(op.grid.h / 16, 4.0, 2 ** (1 / 16))
+    ladder = TimeLadder(op.grid.h / 16, 4.0, 2 ** (1 / 16))
     for k in range(1, 6):
         phi = op.mode(k)
         base = _norm_w(op, phi) ** 2

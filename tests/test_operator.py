@@ -53,25 +53,34 @@ class TestCoefficientField:
         assert c.entries == (1.0, 1.0)
 
     def test_diagonal_bounds(self):
-        g = Grid(2, 4)
-        c = CoefficientField.diagonal(g, [2.0, 3.0])
+        c = CoefficientField([2.0, 3.0])
         assert c.entries == (2.0, 3.0)
 
     def test_rejects_ellipticity_violation(self):
         # a zero entry leaves no lower ellipticity bound
-        g = Grid(2, 4)
         with pytest.raises(ValueError):
-            CoefficientField.diagonal(g, [0.0, 1.5])
+            CoefficientField([0.0, 1.5])
 
     def test_rejects_bad_bounds(self):
+        with pytest.raises(ValueError):
+            CoefficientField([-1.0])
+        # the entry count is checked against the grid at assembly
         g = Grid(1, 4)
-        with pytest.raises(ValueError):
-            CoefficientField.diagonal(g, [-1.0])
-        with pytest.raises(ValueError):
-            CoefficientField.diagonal(g, [1.0, 2.0])
+        with pytest.raises(ValueError, match="coefficient dim 2 does not match grid dim 1"):
+            assemble(g, CoefficientField([1.0, 2.0]), UNIT_WEIGHT)
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("dim, n", [(1, 129), (2, 72)])
+    def test_rejects_grid_past_budget_before_any_block(self, dim, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block assembled")
+
+        monkeypatch.setattr(operator_module, "_block_matrix", refuse)
+        g = Grid(dim, n)
+        with pytest.raises(ValueError, match="grid size out of range"):
+            assemble(g, CoefficientField.identity(g), UNIT_WEIGHT)
+
     def test_flat_dim1_closed_form(self):
         for n in (8, 16):
             g = Grid(1, n)
@@ -86,7 +95,7 @@ class TestAssemble:
 
     def test_kernel_is_constant(self):
         g = Grid(2, 8)
-        op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]), PowerWeight(0.5))
+        op = assemble(g, CoefficientField([1.0, 2.0]), PowerWeight(0.5))
         assert op.eigenvalues[0] == 0.0
         phi0 = op.mode(0)
         assert np.ptp(phi0) <= 1e-10 * np.abs(phi0).max()
@@ -155,7 +164,7 @@ class TestBilinearProperties:
     @settings(max_examples=25, deadline=None)
     def test_nonnegativity(self, seed):
         g = Grid(2, 6)
-        op = assemble(g, CoefficientField.diagonal(g, [1.0, 3.0]), PowerWeight(0.5))
+        op = assemble(g, CoefficientField([1.0, 3.0]), PowerWeight(0.5))
         rng = np.random.default_rng(seed)
         f = rng.normal(size=36)
         assert inner_w(op, operator_matrix(op) @ f, f) >= -1e-10
@@ -174,7 +183,7 @@ class TestBilinearProperties:
     def test_garding_lower_bound(self):
         g = Grid(2, 8)
         w = PowerWeight(-0.5)
-        coeff = CoefficientField.diagonal(g, [2.0, 5.0])
+        coeff = CoefficientField([2.0, 5.0])
         op = assemble(g, coeff, w)
         rng = np.random.default_rng(4)
         f = rng.normal(size=64)
@@ -250,7 +259,7 @@ class TestParityBlocks:
     def test_symmetric_weight_splits_and_matches_dense(self, dim, n, weight, entries):
         g = Grid(dim, n)
         coeff = CoefficientField.identity(g) if entries is None \
-            else CoefficientField.diagonal(g, entries)
+            else CoefficientField(entries)
         op = assemble(g, coeff, weight)
         assert len(op.block_vectors) == 2**dim
         assert_matches_dense(op)
@@ -258,7 +267,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (2, 8), (2, 9)])
     def test_odd_and_even_mirrored_tabulated_weight(self, dim, n):
         g = Grid(dim, n)
-        op = assemble(g, CoefficientField.diagonal(g, [1.5] * dim),
+        op = assemble(g, CoefficientField([1.5] * dim),
                       mirrored_weight(g, n, range(dim)))
         assert len(op.block_vectors) == 2**dim
         assert_matches_dense(op)
@@ -268,14 +277,14 @@ class TestParityBlocks:
         g = Grid(2, n)
         w = np.random.default_rng(5).uniform(0.5, 2.0, size=g.n_cells)
         with pytest.raises(ValueError, match="mirror-symmetric along every axis"):
-            assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]), TabulatedWeight(w))
+            assemble(g, CoefficientField([1.0, 2.0]), TabulatedWeight(w))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_power_weight_off_power_of_two_splits(self, dim):
         # origin distances come from integer indices, so the sampled |x|
         # is exactly mirror-symmetric at N = 9 too
         g = Grid(dim, 9)
-        op = assemble(g, CoefficientField.diagonal(g, [1.0, 2.0][:dim]),
+        op = assemble(g, CoefficientField([1.0, 2.0][:dim]),
                       PowerWeight(1.0))
         assert len(op.block_vectors) == 2**dim
         assert_matches_dense(op)
@@ -349,7 +358,7 @@ class TestParityBlocks:
         if tabulated is not None:
             weight = swap_symmetric_weight(g, tabulated) if equal and dim == 2 \
                 else mirrored_weight(g, tabulated, range(dim))
-        op = assemble(g, CoefficientField.diagonal(g, entries[:dim]), weight)
+        op = assemble(g, CoefficientField(entries[:dim]), weight)
         assert len(op.block_vectors) == 2**dim
         assert op.swap or not (equal and dim == 2)
         assert_matches_dense(op)
@@ -370,9 +379,8 @@ class TestParityBlocks:
         g = Grid(dim, n)
         w = PowerWeight(alpha_frac * dim)
         s = 10.0**log_scale
-        base = assemble(g, CoefficientField.diagonal(g, entries[:dim]), w)
-        scaled = assemble(g, CoefficientField.diagonal(
-            g, [e * s for e in entries[:dim]]), w)
+        base = assemble(g, CoefficientField(entries[:dim]), w)
+        scaled = assemble(g, CoefficientField([e * s for e in entries[:dim]]), w)
         lam, lam_s = np.sort(base.eigenvalues), np.sort(scaled.eigenvalues)
         assert np.max(np.abs(lam_s - s * lam)) <= 1e-12 * lam_s[-1]
         assert np.sum(lam_s == 0) == np.sum(lam == 0) == 1
@@ -411,7 +419,7 @@ class TestSwapSplit:
     @pytest.mark.parametrize("alpha", [-1.2, 0.0, 1.0, 1.5])
     def test_power_weights_match_dense(self, n, a, alpha, eigh_sizes):
         g = Grid(2, n)
-        op = assemble(g, CoefficientField.diagonal(g, [a, a]), PowerWeight(alpha))
+        op = assemble(g, CoefficientField([a, a]), PowerWeight(alpha))
         assert op.swap
         # (even, even) and (odd, odd) in two parts each, (odd, even) derived
         assert len(eigh_sizes) == 5
@@ -428,7 +436,7 @@ class TestSwapSplit:
     @pytest.mark.parametrize("n", [7, 9])
     def test_tabulated_weight_at_odd_side(self, n, eigh_sizes):
         g = Grid(2, n)
-        op = assemble(g, CoefficientField.diagonal(g, [1.5, 1.5]),
+        op = assemble(g, CoefficientField([1.5, 1.5]),
                       swap_symmetric_weight(g, n))
         assert len(eigh_sizes) == 5
         assert_matches_dense(op)
@@ -453,7 +461,7 @@ class TestSwapSplit:
         g = Grid(2, 8)
         w = swap_symmetric_weight(g, 4) if transposed \
             else mirrored_weight(g, 4, [0, 1])
-        op = assemble(g, CoefficientField.diagonal(g, coeff_entries), w)
+        op = assemble(g, CoefficientField(coeff_entries), w)
         assert eigh_sizes == [16] * 4
         assert_matches_dense(op)
 
@@ -483,7 +491,7 @@ class TestBlockCoordinates:
         if weight is None:
             weight = swap_symmetric_weight(g, n) if len(set(entries)) == 1 \
                 else mirrored_weight(g, n, range(dim))
-        op = assemble(g, CoefficientField.diagonal(g, entries), weight)
+        op = assemble(g, CoefficientField(entries), weight)
         assert len(op.block_vectors) == 2**dim
         lam, phi = dense_spectrum(g, op.coeff, op.weight_values)
         scale = lam.max()

@@ -20,6 +20,7 @@ from tentcalc.semigroup import (
     TimeLadder,
     grad_eval,
     heat_eval,
+    multiplier_tables,
     poisson_eval,
     poisson_grad_eval,
     spatial_norm_sq,
@@ -42,7 +43,7 @@ def op_weighted16():
 @pytest.fixture(scope="module")
 def op_weighted8x8():
     g = Grid(2, 8)
-    return assemble(g, CoefficientField.diagonal(g, [1.0, 2.0]), PowerWeight(0.5))
+    return assemble(g, CoefficientField([1.0, 2.0]), PowerWeight(0.5))
 
 
 def l2w(op, f):
@@ -84,34 +85,34 @@ class TestTimeLadder:
         npt.assert_allclose(nodes[1:] / nodes[:-1], ladder.ratio)
 
     def test_node_weight(self):
-        ladder = TimeLadder.geometric(0.1, 1.0, 2.0)
+        ladder = TimeLadder(0.1, 1.0, 2.0)
         assert ladder.node_weight == pytest.approx(math.log(2.0))
         npt.assert_allclose(ladder.nodes, [0.1, 0.2, 0.4, 0.8])
 
     def test_exact_endpoint_included(self):
-        ladder = TimeLadder.geometric(0.125, 1.0, 2.0)
+        ladder = TimeLadder(0.125, 1.0, 2.0)
         npt.assert_allclose(ladder.nodes, [0.125, 0.25, 0.5, 1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TimeLadder.geometric(0.0, 1.0, 2.0)
+            TimeLadder(0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
-            TimeLadder.geometric(0.1, 1.0, 1.0)
+            TimeLadder(0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            TimeLadder.geometric(1.0, 0.5, 2.0)
+            TimeLadder(1.0, 0.5, 2.0)
 
     def test_node_cap(self):
         # exactly LADDER_CAP nodes pass; one more node, a ratio near 1 or a
         # t_max / t_min overflowing to inf is rejected from the count
         # formula alone, before any node is built
-        at_cap = TimeLadder.geometric(1.0, 1.1 ** (LADDER_CAP - 0.5), 1.1)
+        at_cap = TimeLadder(1.0, 1.1 ** (LADDER_CAP - 0.5), 1.1)
         assert at_cap.count == LADDER_CAP
         tracemalloc.start()
         try:
             for args in ((1.0, 1.1 ** (LADDER_CAP + 0.5), 1.1),
                          (1e-3, 1.0, 1 + 1e-12), (5e-324, 8.0, 2.0)):
                 with pytest.raises(ValueError, match="nodes"):
-                    TimeLadder.geometric(*args)
+                    TimeLadder(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -210,7 +211,7 @@ class TestGradEval:
             monkeypatch.setattr(squarefn, grad,
                                 lambda *args, s=scale: [s * u[None], s * time[None]])
         op = assemble(grid, CoefficientField.identity(grid), UNIT_WEIGHT)
-        ladder = TimeLadder.geometric(0.75, 0.75, 2.0)
+        ladder = TimeLadder(0.75, 0.75, 2.0)
         for family, want in [("S", [0.0, 1.0, 0.0, 1.0]), ("G", [3.0, 0.0, 3.0, 0.0]),
                              ("Gcal", [5.0, 1.0, 5.0, 0.0])]:
             for suffix, scale in (("_H", 1.0), ("_P", 2.0)):
@@ -247,7 +248,7 @@ class TestPoisson:
         # A = 100 and a weight power next to 1 (7.6e6; dim 2 at 64 cells
         # reaches 4.4e6)
         g = Grid(1, 128)
-        top = assemble(g, CoefficientField.diagonal(g, [100.0]),
+        top = assemble(g, CoefficientField([100.0]),
                        PowerWeight(1 - 1e-9)).eigenvalues.max()
         lam = np.concatenate([[0.0, top], np.geomspace(1e-3, 1e7, 400)])
         worst = max(
@@ -341,7 +342,7 @@ class TestArrayTimes:
         op = request.getfixturevalue(op_name)
         evaluator, image = STACKING[name]
         f = np.random.default_rng(11).normal(size=op.grid.n_cells)
-        times = TimeLadder.geometric(op.grid.h / 4, 1.0, 2 ** 0.5).nodes
+        times = TimeLadder(op.grid.h / 4, 1.0, 2 ** 0.5).nodes
         block = evaluator(op, order, times, f)
         for j, t in enumerate(times):
             one = evaluator(op, order, float(t), f)
@@ -398,7 +399,7 @@ def test_contracts_over_drawn_operators(dim, side, alpha, entries, equal, log_t,
     # w-self-adjointness at every order; positivity and L^2(w) contraction
     # at order 0, for heat and Poisson on drawn grids, weights and diagonal A
     grid = Grid(dim, side)
-    coeff = CoefficientField.diagonal(grid, entries[:1] * dim if equal else entries[:dim])
+    coeff = CoefficientField(entries[:1] * dim if equal else entries[:dim])
     op = assemble(grid, coeff, PowerWeight(alpha * dim))
     t = math.exp(log_t)
     rng = np.random.default_rng(seed)
@@ -412,3 +413,40 @@ def test_contracts_over_drawn_operators(dim, side, alpha, entries, equal, log_t,
         if order == 0:
             assert np.min(evaluator(op, 0, t, positive)) >= -1e-12 * np.max(positive)
             assert l2w(op, tf) <= (1 + 1e-12) * l2w(op, f)
+
+
+def test_multiplier_tables_rejects_unknown_semigroup(op_flat16):
+    with pytest.raises(ValueError, match="'Heat'; expected 'heat' or 'poisson'"):
+        multiplier_tables(op_flat16, "Heat", 0, 0.1, np.ones(16))
+
+
+# the evaluator whose images the tables of (semigroup, time) reconstruct to
+TABLE_IMAGES = {("heat", False): heat_eval, ("heat", True): grad_eval,
+                ("poisson", False): poisson_eval, ("poisson", True): poisson_grad_eval}
+
+
+@given(
+    dim=st.sampled_from([1, 2]), side=st.integers(4, 9),
+    alpha=st.floats(-0.95, 0.95), equal=st.booleans(),
+    times=st.floats(0.0, 2.0) | st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+    order=st.integers(0, ORDER_CAP), seed=st.integers(0, 999),
+)
+@settings(max_examples=40, deadline=None)
+def test_multiplier_tables_reconstruct_to_evaluator_images(dim, side, alpha, equal, times,
+                                                           order, seed):
+    # each table, reconstructed from block order, is the evaluator's image
+    # bit for bit, at one time and at an array of times, with and without
+    # the t d_t table
+    grid = Grid(dim, side)
+    coeff = CoefficientField([1.5] * dim if equal else [1.5, 3.0][:dim])
+    op = assemble(grid, coeff, PowerWeight(alpha * dim))
+    t = times if isinstance(times, float) else np.array(times)
+    f = np.random.default_rng(seed).standard_normal(grid.n_cells)
+    for (semigroup, time), evaluator in TABLE_IMAGES.items():
+        tables = multiplier_tables(op, semigroup, order, t, f, time=time)
+        images = evaluator(op, order, t, f)
+        images = images if time else [images]
+        assert len(tables) == len(images)
+        for table, image in zip(tables, images):
+            assert table.shape == np.shape(t) + (grid.n_cells,)
+            assert np.array_equal(op.reconstruct_blocks(table), image)

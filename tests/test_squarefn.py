@@ -47,12 +47,12 @@ VERTICAL = SquareFunctionKind("vertical_g_H")
 @pytest.fixture(scope="module")
 def op_modal():
     grid = Grid(2, 16)
-    return assemble(grid, CoefficientField.diagonal(grid, (1.0, 2.0)), PowerWeight(1.0))
+    return assemble(grid, CoefficientField((1.0, 2.0)), PowerWeight(1.0))
 
 
 @pytest.fixture(scope="module")
 def wide_ladder(op_modal):
-    return TimeLadder.geometric(op_modal.grid.h / 16, 4.0, 2 ** (1 / 16))
+    return TimeLadder(op_modal.grid.h / 16, 4.0, 2 ** (1 / 16))
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +209,7 @@ def test_l2_norm_sq_equals_cone_norm(family, order, source, dim, side, alpha, en
     # operator at odd sides) and the bank's kinds of source
     kind = SquareFunctionKind(family, max(order, 1) if family.startswith("S_") else order)
     grid = Grid(dim, side + 8 if dim == 1 else side)
-    op = assemble(grid, CoefficientField.diagonal(grid, entries[:dim]),
+    op = assemble(grid, CoefficientField(entries[:dim]),
                   PowerWeight(alpha * dim))
     ladder = TimeLadder.default_for(grid, 2 ** 0.25)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,7 @@ from tentcalc.tent import (
 
 def make_field(dim=1, n=16, alpha_w=0.5, seed=0, ratio=2 ** 0.25):
     grid = Grid(dim, n)
-    ladder = TimeLadder.geometric(grid.h, 0.5, ratio)
+    ladder = TimeLadder(grid.h, 0.5, ratio)
     w = PowerWeight(alpha_w)
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(ladder.count, grid.n_cells))
@@ -34,13 +34,13 @@ def make_field(dim=1, n=16, alpha_w=0.5, seed=0, ratio=2 ** 0.25):
 class TestHalfSpaceField:
     def test_shape_validation(self):
         grid = Grid(1, 8)
-        ladder = TimeLadder.geometric(grid.h, 0.5, 2.0)
+        ladder = TimeLadder(grid.h, 0.5, 2.0)
         with pytest.raises(ValueError, match="shape"):
             HalfSpaceField(grid, ladder, UNIT_WEIGHT, np.zeros((2, 8)))
 
     def test_rejects_nonfinite(self):
         grid = Grid(1, 8)
-        ladder = TimeLadder.geometric(grid.h, 0.5, 2.0)
+        ladder = TimeLadder(grid.h, 0.5, 2.0)
         bad = np.zeros((ladder.count, 8))
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
@@ -62,7 +62,7 @@ class TestCone:
 
     def test_single_node_hand_value(self):
         grid = Grid(1, 16)
-        ladder = TimeLadder.geometric(grid.h, 0.5, 2.0)
+        ladder = TimeLadder(grid.h, 0.5, 2.0)
         w = PowerWeight(0.5)
         j0, y0 = 2, 5
         t0 = ladder.nodes[j0]
@@ -128,12 +128,12 @@ class TestCarlesonP:
 class TestChangeOfAngle:
     def test_equal_apertures_ratio_one(self):
         fld = make_field(seed=7)
-        rep = change_of_angle_report(fld, 1.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
+        rep = change_of_angle_report(fld, 1.0, 1.0, 2.0, UNIT_WEIGHT, 2.0, 2.0)
         assert rep.ratio == pytest.approx(1.0, rel=1e-14)
 
     def test_doubling_aperture_monotone(self):
         fld = make_field(dim=1, n=16, alpha_w=0.0, seed=8)
-        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, UNIT_WEIGHT, 2.0, 2.0)
+        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, 2.0, 2.0)
         assert rep.ratio is not None
         assert rep.ratio >= 1.0
         assert np.isfinite(rep.ratio)
@@ -141,31 +141,30 @@ class TestChangeOfAngle:
     def test_zero_field_undefined_ratio(self):
         fld = make_field()
         fld = HalfSpaceField(fld.grid, fld.ladder, fld.weight, np.zeros_like(fld.values))
-        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
+        rep = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, 2.0, 2.0)
         assert rep.ratio is None
 
     def test_rejects_bad_aperture_order(self):
         fld = make_field()
         with pytest.raises(ValueError):
-            change_of_angle_report(fld, 2.0, 1.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
+            change_of_angle_report(fld, 2.0, 1.0, 2.0, UNIT_WEIGHT, 2.0, 2.0)
 
     def test_known_cones_give_the_same_report(self, monkeypatch):
         fld = make_field(dim=2, n=8, seed=11)
-        fresh = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight, 2.0, 2.0)
+        fresh = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, 2.0, 2.0)
         cones = {1.0: cone_all(fld, 1.0), 2.0: cone_all(fld, 2.0)}
 
         def refuse(*args):
             raise AssertionError("cone recomputed")
 
         monkeypatch.setattr(tent, "cone_all", refuse)
-        known = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight,
-                                       2.0, 2.0, cones=cones)
+        known = change_of_angle_report(fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, 2.0, 2.0, cones=cones)
         assert known == fresh
 
     def test_predicted_bounds_plumbing(self):
         fld = make_field(dim=2, n=8, seed=9)
         rep = change_of_angle_report(
-            fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, fld.weight, r=1.5, r_tilde=1.0,
+            fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, r=1.5, r_tilde=1.0,
         )
         assert rep.predicted_increase == pytest.approx(2 ** (2 * 1.0 * 1.5 / 2.0))
 

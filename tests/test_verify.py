@@ -281,10 +281,9 @@ class TestRunMemo:
         alone = [run_suites(config, [name])[0] for name in names]
 
         # the reference evaluates every request afresh, with no memo
-        def unmemoized(ctx, kind, source, wide=False):
+        def unmemoized(ctx, kind, source):
             sqf = SquareFunctionKind(kind[:-1], int(kind[-1]))
-            ladder = ctx.wide_ladder if wide else ctx.ladder
-            return evaluate(sqf, ctx.op, ctx.source(source), ladder)
+            return evaluate(sqf, ctx.op, ctx.source(source), ctx.ladder)
 
         monkeypatch.setattr(SuiteContext, "values", unmemoized)
         reference = run_suites(config)
@@ -357,8 +356,13 @@ class TestRunMemo:
         first = ctx.values("S_H1", 0)
         assert ctx.values("S_H1", 0) is first
         assert not first.flags.writeable
-        assert ctx.values("S_H1", 0, wide=True) is not first
         assert ctx.values("S_H1", 1) is not first
+
+    def test_wide_reads_are_unweighted_norms(self):
+        ctx = SuiteContext(SMALL, SMALL.sizes[0])
+        assert ctx.norm("S_H1", "phi", wide=True) != ctx.norm("S_H1", "phi")
+        with pytest.raises(ValueError, match="wide-ladder norm is unweighted"):
+            ctx.norm("S_H1", "phi", v=PowerWeight(0.5), wide=True)
 
 
 class TestSerialization:

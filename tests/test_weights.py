@@ -45,6 +45,11 @@ class TestClassKind:
         with pytest.raises(ValueError):
             ClassKind("Ap", math.inf)
 
+    @pytest.mark.parametrize("family", ["Ap", "RHs"])
+    def test_rejects_bool_index(self, family):
+        with pytest.raises(ValueError, match="index must be a number"):
+            ClassKind(family, True)
+
     def test_rh_infinity_allowed(self):
         assert ClassKind("RHs", math.inf).index == math.inf
 
@@ -263,6 +268,18 @@ class TestRefinement:
 
 
 class TestCriticalIndex:
+    @pytest.mark.parametrize("family", ["Ap", "RHs"])
+    @pytest.mark.parametrize("lo, hi", [(4.0, 1.0), (2.0, 2.0), (math.nan, 4.0),
+                                        (2.0, math.inf)])
+    def test_rejects_a_bracket_before_any_sweep(self, family, lo, hi, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("membership swept")
+
+        monkeypatch.setattr(weights, "membership_by_refinement", refuse)
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            estimate_critical_index(PowerWeight(0.5), UNIT_WEIGHT, family, 1,
+                                    lo=lo, hi=hi, iters=3)
+
     def test_ap_of_w_boundary_dim1(self):
         # v = w^{-1} in A_p(w) iff w in RH_{p'}; for alpha = -0.5 in dim 1
         # that is p' < n/|alpha| = 2, i.e. p > 2.  The estimator brackets
