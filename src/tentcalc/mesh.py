@@ -22,7 +22,11 @@ the grid, never as FFT convolutions or differences of prefix sums: with
 non-negative terms, a fixed order makes every sum over a larger ball at
 least the sum over a smaller one in floating point too, which the
 tolerance-0 aperture-monotonicity check relies on.  Geometry memory is
-O(M); no pairwise distance matrix is formed.
+O(M); no pairwise distance matrix is formed.  A reduction nested over a
+ladder of radii (cones, Carleson cuts, the maximal sup) works in one
+(radii, M) buffer: its suffix sums over the ladder are taken in place,
+and each row offset gathers its rows modulo the side, so no plane is
+doubled and no identity layer is stored.
 
 Weighted measures and norms use the cell quadrature
 
@@ -164,8 +168,8 @@ def _stencil(grid: Grid) -> "BallStencil":
     return BallStencil(grid)
 
 
-# the reductions the stencil runs, each with its identity: the value a
-# ball_reduce ball starts from and nested_reduce's outside layer holds
+# the reductions ball_reduce runs, each with its identity: the value a
+# ball starts from
 _IDENTITY = {np.add: 0.0, np.minimum: np.inf, np.maximum: -np.inf, np.logaddexp: -np.inf}
 
 
@@ -203,6 +207,9 @@ class BallStencil:
         self._plane = (1, n) if grid.dim == 1 else (n, n)
         # by mirror symmetry the reductions need only the columns 0..N/2
         self._half_distances = dist.reshape(self._plane)[:, : n // 2 + 1]
+        # row a holds the rows y + a (mod n_rows) in order of y
+        n_rows = self._plane[0]
+        self._row_shift = (np.arange(n_rows)[:, None] + np.arange(n_rows)) % n_rows
 
     def _bounds(self, radii) -> NDArray:
         radii = np.atleast_1d(np.asarray(radii, float))
@@ -272,52 +279,54 @@ class BallStencil:
         """out(x) = ufunc over i and y in B(x, radii[i]) of values[i](y),
         for ufunc np.add or np.maximum.
 
-        `values` has shape (len(radii), M).  Offset o lies in the balls
-        of radii[i] for i >= layer(o), so the suffix reductions S over i
-        are taken first and o contributes S[layer(o)](x + o); offsets
-        outside the largest ball get an extra layer holding the identity
-        (0, or -inf for np.maximum).  The row sums
+        `values` has shape (len(radii), M) and is not written to: the
+        reduction runs in one working buffer of that shape, a copy of
+        `values`.  Offset o lies in the balls of radii[i] for
+        i >= layer(o), so the suffix reductions S over i are taken first,
+        in place, and o contributes S[layer(o)](x + o).  The row sums
 
             R_b(y) = ufunc over a of S[layer(a, b)](y_1 + a, y_2)
 
-        take one gather per row offset a over all columns b at once.
-        Rows and columns wholly outside the largest ball hold only the
-        identity and are skipped, which leaves every result exactly as if
-        they were reduced too.  For non-negative values a suffix only grows
-        as its layer falls, so growing the radii grows every leaf.  By
-        ball symmetry, ufunc = np.maximum gives at each x the sup of
+        take one gather per row offset a, through the rows y_1 + a modulo
+        the side, over the columns b of that row inside the largest ball:
+        distances grow along a row, so those columns are a prefix.
+        Offsets outside the largest ball are skipped, which leaves every
+        result exactly as if they added the identity (0, or -inf for
+        np.maximum).  For non-negative values a suffix only grows as its
+        layer falls, so growing the radii grows every leaf.  By ball
+        symmetry, ufunc = np.maximum gives at each x the sup of
         values[i](c) over all balls B(c, radii[i]) that contain x.
         """
-        values = np.asarray(values, float)
+        return self._nested_reduce(np.array(values, float), radii, strict, ufunc)
+
+    def _nested_reduce(self, buf: NDArray, radii, strict: bool, ufunc) -> NDArray:
+        """`nested_reduce` with `buf`, a (len(radii), M) float array that
+        the caller gives up, as the working buffer; overwrites `buf`."""
         bounds = self._bounds(radii)
-        if values.shape != (bounds.size, self.offset_distances.size):
-            raise ValueError(f"values shape {values.shape}: need one row per radius")
+        if buf.shape != (bounds.size, self.offset_distances.size):
+            raise ValueError(f"values shape {buf.shape}: need one row per radius")
         if ufunc not in (np.add, np.maximum):
             raise ValueError(f"nested_reduce supports np.add and np.maximum, got {ufunc}")
         layer = np.searchsorted(
             bounds, self._half_distances, side="right" if strict else "left"
         )
-        inside = layer < bounds.size
-        rows = np.flatnonzero(inside.any(axis=1)).tolist()
-        n_cols = int(np.flatnonzero(inside.any(axis=0))[-1]) + 1
+        # the columns of row a inside the largest ball are 0 .. extent[a] - 1
+        extent = np.sum(layer < bounds.size, axis=1)
+        for i in range(bounds.size - 2, -1, -1):
+            ufunc(buf[i + 1], buf[i], out=buf[i])
         n_rows, n_side = self._plane
-        # suffix[i] = ufunc over i' >= i of values[i'], doubled along the
-        # rows so that each row offset is a slice
-        suffix = np.empty((bounds.size + 1, 2 * n_rows, n_side))
-        suffix[-1] = _IDENTITY[ufunc]
-        planes = values.reshape((bounds.size, n_rows, n_side))
-        for i in range(bounds.size - 1, -1, -1):
-            ufunc(suffix[i + 1, :n_rows], planes[i], out=suffix[i, :n_rows])
-        suffix[:, n_rows:] = suffix[:, :n_rows]
-        # the largest ball holds offset 0, so rows[0] == 0
-        acc = suffix[layer[0, :n_cols], :n_rows]
-        for a in rows[1:]:
-            ufunc(acc, suffix[layer[a, :n_cols], a : a + n_rows], out=acc)
-        doubled = np.concatenate([acc, acc], axis=-1)
+        rows = buf.reshape((bounds.size * n_rows, n_side))
+        # index[a, b]: the rows of buf that row offset a gathers for column
+        # b; the largest ball holds offset 0, so row 0 has the longest extent
+        index = layer[:, : extent[0], None] * n_rows + self._row_shift[:, None, :]
+        acc = np.take(rows, index[0], axis=0)
+        for a in np.flatnonzero(extent).tolist()[1:]:
+            k = extent[a]
+            ufunc(acc[:k], np.take(rows, index[a, :k], axis=0), out=acc[:k])
         out = acc[0].copy()
-        for b in range(1, n_cols):
-            self._column_step(out, doubled[b], b, ufunc)
-        return out.reshape(values.shape[1:])
+        for b in range(1, extent[0]):
+            self._column_step(out, np.concatenate([acc[b], acc[b]], axis=-1), b, ufunc)
+        return out.reshape(buf.shape[1:])
 
 
 class WeightModel:
@@ -388,4 +397,4 @@ def maximal(
     radii = grid.dyadic_radii(0.5)
     sums = grid.stencil.ball_reduce(np.stack([g, mu]), radii)
     avg = sums[:, 0] / sums[:, 1]
-    return grid.stencil.nested_reduce(avg, radii, ufunc=np.maximum) ** (1.0 / p0)
+    return grid.stencil._nested_reduce(avg, radii, False, np.maximum) ** (1.0 / p0)

@@ -122,7 +122,12 @@ class CoefficientField:
     entries: tuple[float, ...]
 
     def __post_init__(self):
-        d = tuple(float(e) for e in self.entries)
+        text = (str, bytes)
+        raw = self.entries if isinstance(self.entries, text) else tuple(self.entries)
+        # float() would read a string one character per axis, or parse it
+        if isinstance(raw, text) or any(isinstance(e, text) for e in raw):
+            raise ValueError(f"entries must be numbers, one per axis, got {self.entries!r}")
+        d = tuple(float(e) for e in raw)
         if not d or not all(math.isfinite(e) and e > 0 for e in d):
             raise ValueError(f"diagonal entries must be finite and positive, got {d}")
         object.__setattr__(self, "entries", d)

@@ -53,7 +53,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .mesh import Grid
-from .operator import SpectralOperator
+from .operator import SpectralOperator, _take
 
 __all__ = [
     "TimeLadder",
@@ -86,6 +86,10 @@ SUBORDINATION_HALF_WIDTH = 60.0
 # nodes per block of the rule's exponentials, so a call holds a
 # (SUBORDINATION_CHUNK, M) table and never one row per node
 SUBORDINATION_CHUNK = 32
+# values per block of the second axis's differences in spatial_norm_sq:
+# 256 KB of scratch, which at N = 32 and 64 also runs about twice as fast
+# as one difference over the whole (J, M) stack
+SPATIAL_BLOCK_CELLS = 2**15
 # semigroup factors e^{-s} with s past this are flushed to 0.  Below
 # 1e-304, and below 1e-290 after any power and coefficient, they are
 # invisible next to the leading terms of an image, while exp takes a slow
@@ -183,7 +187,7 @@ def multiplier_tables(op: SpectralOperator, semigroup: str, order: int,
     in the operator's block order."""
     if semigroup not in _SEMIGROUPS:
         raise ValueError(f"unknown semigroup {semigroup!r}; expected 'heat' or 'poisson'")
-    if not (0 <= int(order) == order and order <= ORDER_CAP):
+    if isinstance(order, (bool, np.bool_)) or not (0 <= int(order) == order <= ORDER_CAP):
         raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
     t = np.asarray(t, float)
     if t.ndim > 1:
@@ -223,25 +227,38 @@ def heat_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> N
 
 def _centered_difference(grid: Grid, u: NDArray, axis: int) -> NDArray:
     """u(x + h e_axis) - u(x - h e_axis), from periodic slices of u viewed
-    as a grid stack."""
-    v = np.moveaxis(u.reshape(u.shape[:-1] + (grid.n_side,) * grid.dim), axis - grid.dim, -1)
-    out = np.empty_like(v)
-    np.subtract(v[..., 2:], v[..., :-2], out=out[..., 1:-1])
-    np.subtract(v[..., 1], v[..., -1], out=out[..., 0])
-    np.subtract(v[..., 0], v[..., -2], out=out[..., -1])
-    return np.moveaxis(out, -1, axis - grid.dim).reshape(u.shape)
+    as a grid stack, written along the axis with no transposed copy."""
+    stack = u.shape[:-1] + (grid.n_side,) * grid.dim
+    v = u.reshape(stack)
+    out = np.empty(stack)
+    ax = axis - grid.dim
+
+    def at(x: NDArray, start: int | None, stop: int | None) -> NDArray:
+        return _take(x, ax, slice(start, stop))
+
+    np.subtract(at(v, 2, None), at(v, None, -2), out=at(out, 1, -1))
+    np.subtract(at(v, 1, 2), at(v, -1, None), out=at(out, None, 1))
+    np.subtract(at(v, None, 1), at(v, -2, -1), out=at(out, -1, None))
+    return out.reshape(u.shape)
 
 
 def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray) -> NDArray:
     """|t grad_y u|^2 by centered periodic differences, for u at one time
     (cells,) or at J times t (J, cells): the squared differences summed
-    over the axes in one buffer, then scaled by (t / 2h)^2."""
+    over the axes in one buffer, then scaled by (t / 2h)^2.  The first
+    axis's differences are that buffer; the other axes' are taken a block
+    of SPATIAL_BLOCK_CELLS values at a time, so no second (J, cells) array
+    is held."""
     u = np.asarray(u, float)
     total = _centered_difference(grid, u, 0)
     np.square(total, out=total)
+    rows, total_rows = u.reshape(-1, grid.n_cells), total.reshape(-1, grid.n_cells)
+    step = max(1, SPATIAL_BLOCK_CELLS // grid.n_cells)
     for axis in range(1, grid.dim):
-        diff = _centered_difference(grid, u, axis)
-        total += np.square(diff, out=diff)
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            diff = _centered_difference(grid, rows[block], axis)
+            total_rows[block] += np.square(diff, out=diff)
     total *= np.square(np.asarray(t, float) / (2 * grid.h))[..., None]
     return total
 

@@ -165,20 +165,24 @@ def l2_norm_sq(
     reconstruction: the image for a row that reads u alone, the t d_t
     part for a row that reads it.  The spatial gradient is not diagonal
     in the eigenbasis, so a row that reads it reconstructs the image and
-    sums |t grad_y u|^2 against w h^dim.
+    sums |t grad_y u|^2 against w h^dim, after the Parseval sums have
+    dropped their tables.
     """
     semigroup, spatial, time = FAMILIES[kind.family][:3]
     t = ladder.nodes
     tables = multiplier_tables(op, semigroup, kind.order, t, f, time=time)
+    image = tables.pop(0) if spatial else None
+    # the float sum still adds the spatial term first
+    parseval = [float(np.sum(np.square(table, out=table))) for table in tables]
+    del tables
     total = 0.0
     if spatial:
-        image = tables.pop(0)
         op.reconstruct_blocks(image, out=image)
         grad_sq = spatial_norm_sq(op.grid, t, image)
         grad_sq *= op.weight_values * op.grid.cell_volume
         total += float(np.sum(grad_sq))
-    for table in tables:
-        total += float(np.sum(np.square(table, out=table)))
+    for part in parseval:
+        total += part
     return total * ladder.node_weight
 
 

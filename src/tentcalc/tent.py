@@ -23,7 +23,10 @@ every ladder node; divided into w(y) h^dim ln(rho), they are cached per
 The cone sum is one `BallStencil.nested_reduce` of the integrand over the
 radii alpha t_j: offset o adds the ladder suffix sum from the first node
 whose strict alpha-cone contains o, and the offsets are summed by rows
-and columns in an order fixed by the grid alone.  That order is the same
+and columns in an order fixed by the grid alone.  The integrand |F|^2
+times the cached factor is written into one (J, M) buffer, and the
+reduction takes its suffix sums in that buffer, so a cone holds one
+ladder-sized array beyond its field.  That order is the same
 for every aperture and every term is non-negative, so A^alpha <= A^beta
 for alpha <= beta holds exactly in floating point.  For that reason no
 FFT and no difference of prefix sums is used: either would let rounding
@@ -37,8 +40,8 @@ maximal operator (all centers, dyadic radii up to 1/2), with the t-range
                      (truncated cone at x')^{p0} w(x') h^dim )^{1/p0}.
 
 The truncated cone at each cut is its own reverse sum over the nodes below
-the cut, and the sup over balls containing x is an exact max over the
-stencil offsets.
+the cut, built from the field in its own buffer of those nodes, and the
+sup over balls containing x is an exact max over the stencil offsets.
 """
 
 from __future__ import annotations
@@ -101,25 +104,21 @@ def _cone_factors(grid: Grid, weight: WeightModel, ladder: TimeLadder) -> NDArra
     return out
 
 
-def _cone_payload(fld: HalfSpaceField) -> NDArray:
-    """(J, M) node integrands |F|^2 w h^dim ln(rho) / w(B(y, t_j))."""
-    payload = np.square(fld.values)
-    payload *= _cone_factors(fld.grid, fld.weight, fld.ladder)
-    return payload
-
-
-def _cone_sq(fld: HalfSpaceField, payload: NDArray, alpha: float) -> NDArray:
-    """Squared aperture-alpha cone sum over the leading ladder nodes that
-    `payload` holds rows for."""
-    radii = alpha * fld.ladder.nodes[: payload.shape[0]]
-    return fld.grid.stencil.nested_reduce(payload, radii, strict=True)
+def _cone_sq(fld: HalfSpaceField, count: int, alpha: float) -> NDArray:
+    """Squared aperture-alpha cone sum over the first `count` ladder
+    nodes: their integrands |F|^2 w h^dim ln(rho) / w(B(y, t_j)), one
+    (count, M) buffer that the nested reduction then works in."""
+    buf = np.square(fld.values[:count])
+    buf *= _cone_factors(fld.grid, fld.weight, fld.ladder)[:count]
+    radii = alpha * fld.ladder.nodes[:count]
+    return fld.grid.stencil._nested_reduce(buf, radii, True, np.add)
 
 
 def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
     """A_w^alpha F at every cell."""
     if not alpha > 0:
         raise ValueError(f"aperture must be positive, got {alpha}")
-    return np.sqrt(_cone_sq(fld, _cone_payload(fld), alpha))
+    return np.sqrt(_cone_sq(fld, fld.ladder.count, alpha))
 
 
 def fubini_norm_sq(fld: HalfSpaceField) -> float:
@@ -137,7 +136,7 @@ def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDAr
     B(c, radii[i]) containing it; 0 when no radius contributes."""
     if not radii:
         return np.zeros(grid.n_cells)
-    return grid.stencil.nested_reduce(np.array(vals), radii, ufunc=np.maximum)
+    return grid.stencil._nested_reduce(np.array(vals), radii, False, np.maximum)
 
 
 def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
@@ -147,13 +146,12 @@ def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
         raise ValueError(f"carleson_p requires finite p0 > 0, got {p0}")
     grid = fld.grid
     whn = fld.weight_values * grid.cell_volume
-    payload = _cone_payload(fld)
     radii, vals = [], []
     for r in grid.dyadic_radii(0.5):
         j_cut = _truncation_index(fld.ladder, r)
         if j_cut == 0:
             continue
-        trunc_sq = _cone_sq(fld, payload[:j_cut], 1.0)
+        trunc_sq = _cone_sq(fld, j_cut, 1.0)
         wb, mass = grid.stencil.ball_reduce(
             np.stack([whn, trunc_sq ** (p0 / 2) * whn]), [r]
         )[0]

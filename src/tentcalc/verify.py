@@ -102,9 +102,10 @@ MODAL_L2_TOL = 1e-4
 # band, so none of them is taken for kernel.
 COEFF_MAX = 1e2
 COEFF_CONTRAST = 1e6
-# most bank functions a suite run takes: each adds about 0.16 s at the
-# default sizes (16, 32) and 1.1 s and 2.5 MB at sizes (32, 64) in dim 2,
-# so a run at the cap stays within about two minutes
+# most bank functions a suite run takes: each adds about 0.04 s at the
+# default sizes (16, 32) and 0.25 s and 0.9 MB at sizes (32, 64) in dim 2
+# (CLI runs at banks 2 and 12, and 3 and 9, on 2 cores), so a run at the
+# cap stays within about half a minute
 BANK_CAP = 100
 
 

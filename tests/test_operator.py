@@ -69,6 +69,13 @@ class TestCoefficientField:
         with pytest.raises(ValueError, match="coefficient dim 2 does not match grid dim 1"):
             assemble(g, CoefficientField([1.0, 2.0]), UNIT_WEIGHT)
 
+    @pytest.mark.parametrize("entries", ["12", b"12", ["1", "2"], [1.0, b"2"]],
+                             ids=["str", "bytes", "str-items", "bytes-item"])
+    def test_rejects_text_entries(self, entries):
+        # a string would be read one character per axis
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            CoefficientField(entries)
+
 
 class TestAssemble:
     @pytest.mark.parametrize("dim, n", [(1, 129), (2, 72)])

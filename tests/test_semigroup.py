@@ -18,6 +18,7 @@ from tentcalc.semigroup import (
     LADDER_CAP,
     ORDER_CAP,
     TimeLadder,
+    _centered_difference,
     grad_eval,
     heat_eval,
     multiplier_tables,
@@ -418,6 +419,45 @@ def test_contracts_over_drawn_operators(dim, side, alpha, entries, equal, log_t,
 def test_multiplier_tables_rejects_unknown_semigroup(op_flat16):
     with pytest.raises(ValueError, match="'Heat'; expected 'heat' or 'poisson'"):
         multiplier_tables(op_flat16, "Heat", 0, 0.1, np.ones(16))
+
+
+@pytest.mark.parametrize("order", [True, False, np.True_],
+                         ids=["True", "False", "numpy-True"])
+@pytest.mark.parametrize("evaluator", [heat_eval, grad_eval, poisson_eval, poisson_grad_eval])
+def test_evaluators_reject_bool_order(op_flat16, evaluator, order):
+    # True == 1 == int(True), so only the type tells a bool from an order
+    with pytest.raises(ValueError, match="power must be an integer"):
+        evaluator(op_flat16, order, 0.1, np.ones(16))
+
+
+@given(
+    dim=st.sampled_from([1, 2]), side=st.integers(4, 17),
+    times=st.none() | st.integers(1, 5), seed=st.integers(0, 999),
+)
+@settings(max_examples=60, deadline=None)
+def test_centered_difference_is_rolled_difference(dim, side, times, seed):
+    # at one time (M,) and at J times (J, M), along every axis, bit for bit
+    grid = Grid(dim, side)
+    shape = (grid.n_cells,) if times is None else (times, grid.n_cells)
+    u = np.random.default_rng(seed).standard_normal(shape)
+    v = u.reshape(shape[:-1] + (side,) * dim)
+    for axis in range(dim):
+        a = axis - dim
+        want = (np.roll(v, -1, a) - np.roll(v, 1, a)).reshape(shape)
+        assert np.array_equal(_centered_difference(grid, u, axis), want)
+
+
+def test_spatial_norm_sq_blocks_match_single_times():
+    # at M = 4096 the second axis is differenced in blocks of 8 times, the
+    # last one partial; each row of the stack equals its own single-time
+    # call bit for bit, and the np.roll reference within rounding
+    grid = Grid(2, 64)
+    t = np.linspace(0.01, 1.0, 19)
+    u = np.random.default_rng(8).standard_normal((t.size, grid.n_cells))
+    stack = spatial_norm_sq(grid, t, u)
+    for j in range(t.size):
+        assert np.array_equal(stack[j], spatial_norm_sq(grid, t[j], u[j]))
+    npt.assert_allclose(stack, np.sum(spatial_part(grid, t, u) ** 2, axis=0), rtol=1e-13)
 
 
 # the evaluator whose images the tables of (semigroup, time) reconstruct to

@@ -167,6 +167,15 @@ class TestNestedReduce:
         zero = grid.stencil.nested_reduce(np.zeros_like(vals), ladder, strict)
         npt.assert_array_equal(zero, 0.0)
 
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    def test_leaves_values_unchanged(self, ufunc):
+        grid = Grid(2, 9)
+        radii = [grid.h, 0.3, 0.5]
+        vals = np.random.default_rng(2).random((len(radii), grid.n_cells))
+        kept = vals.copy()
+        grid.stencil.nested_reduce(vals, radii, ufunc=ufunc)
+        npt.assert_array_equal(vals, kept)
+
     def test_rejects_other_reductions(self):
         grid = Grid(1, 8)
         with pytest.raises(ValueError, match="np.add and np.maximum"):
