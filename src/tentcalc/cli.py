@@ -23,6 +23,9 @@ from numpy.typing import NDArray
 
 from . import __version__
 from .exponents import (
+    INF,
+    INF_SPELLINGS,
+    ExtReal,
     corollary_ranges,
     ext,
     poisson_upper,
@@ -31,7 +34,7 @@ from .exponents import (
     sobolev_exponent,
     surrogate_p_bounds,
 )
-from .mesh import PowerWeight, Grid, lp_norm
+from .mesh import PowerWeight, Grid, lp_norm, number
 from .operator import SpectralOperator, check_dense_budget
 from .semigroup import TimeLadder
 from .squarefn import SquareFunctionKind, evaluate, result_to_csv
@@ -39,8 +42,6 @@ from .verify import (
     BankFunction,
     ProblemConfig,
     SuiteConfig,
-    _check_int,
-    _check_real,
     _named,
     materialize,
     reports_to_csv,
@@ -82,15 +83,12 @@ class RunConfig(ProblemConfig):
     ladder_t_min: float | None = None
 
     def __post_init__(self):
-        _check_int("n", self.n, 1)
+        number("n", self.n, 1, integer=True)
         _named("dim, n", check_dense_budget, self.dim, self.n)
         super().__post_init__()
         if self.ladder_t_min is not None:
-            _check_real("ladder_t_min", self.ladder_t_min)
-            if not 0.0 < self.ladder_t_min < self.ladder_t_max:
-                raise ValueError(
-                    f"ladder_t_min must be in (0, t_max), got {self.ladder_t_min}"
-                )
+            number("ladder_t_min", self.ladder_t_min, 0, self.ladder_t_max,
+                   open_lo=True, open_hi=True)
         _named("ladder_ratio, ladder_t_min, ladder_t_max", self.build_ladder,
                Grid(self.dim, self.n))
 
@@ -124,6 +122,11 @@ def _parse_rational(text: str, flag: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"{flag} expects a rational like 3/2, got {text!r}")
+
+
+def _parse_exponent(text: str, flag: str) -> ExtReal:
+    """A rational exponent, or infinity in any spelling ExtReal reads."""
+    return INF if text.strip().lower() in INF_SPELLINGS else ext(_parse_rational(text, flag))
 
 
 def _load_json(path: str) -> dict:
@@ -179,8 +182,8 @@ def main():
 @click.option("--n", "n", type=int, default=None, help="ambient dimension")
 @click.option("--K", "--k", "k", type=int, default=None,
               help="composition count for the Sobolev exponent chain")
-@click.option("--p0", default=None, help="rational lower exponent")
-@click.option("--q0", default=None, help="rational upper exponent")
+@click.option("--p0", default=None, help="lower exponent, a rational or inf")
+@click.option("--q0", default=None, help="upper exponent, a rational or inf")
 @click.option("--corollary", type=click.Choice(["heat", "poisson"]), default=None,
               help="emit the admissible power interval instead")
 @click.option("--out", "-o", type=click.Path(dir_okay=False), default=None,
@@ -206,13 +209,11 @@ def cmd_exponents(alpha, n, k, p0, q0, corollary, out):
             p_minus, p_plus = surrogate_p_bounds(pair, n)
             result["surrogate_p"] = [str(p_minus), str(p_plus)]
             if p0 is not None and k is not None:
-                q = ext(_parse_rational(p0, "--p0"))
+                q = _parse_exponent(p0, "--p0")
                 result["sobolev_exponent"] = str(sobolev_exponent(q, k, pair.r_w, n))
                 result["poisson_upper"] = str(poisson_upper(q, k, pair.r_w, n))
             if p0 is not None and q0 is not None:
-                lo = ext(_parse_rational(p0, "--p0"))
-                hi = ext(_parse_rational(q0, "--q0"))
-                rng = range_W(lo, hi, pair)
+                rng = range_W(_parse_exponent(p0, "--p0"), _parse_exponent(q0, "--q0"), pair)
                 result["range_W"] = [str(rng.lower), str(rng.upper)]
     except (TypeError, ValueError) as exc:
         _fail(str(exc))

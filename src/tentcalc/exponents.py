@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 __all__ = [
     "ExtReal",
     "INF",
+    "INF_SPELLINGS",
     "ZERO",
     "ONE",
     "ext",
@@ -50,14 +52,20 @@ __all__ = [
 
 ExtLike = Union["ExtReal", Fraction, int, str]
 
+# the strings ExtReal reads as +inf, after stripping and lower-casing
+INF_SPELLINGS = ("inf", "+inf", "infinity", "oo")
 
+
+@total_ordering
 class ExtReal:
-    """A nonnegative rational number or +inf, with total order.
+    """A nonnegative rational number or +inf, with total order (the other
+    comparisons derived from == and <).  It reads ints, Fractions, and
+    strings: a rational "num/den" or an infinity in INF_SPELLINGS.
 
-    Arithmetic follows the conventions a/inf = 0 and inf*a = inf for a > 0.
-    Division by zero of a positive value gives +inf (the reciprocal-form
-    convention used by the Sobolev exponents); the genuinely indeterminate
-    combinations inf*0, inf/inf and 0/0 raise.
+    Its arithmetic is * and /, with the conventions a/inf = 0 and
+    inf*a = inf for a > 0.  Division by zero of a positive value gives
+    +inf (the reciprocal-form convention used by the Sobolev exponents);
+    the genuinely indeterminate combinations inf*0, inf/inf and 0/0 raise.
     """
 
     __slots__ = ("_frac",)
@@ -67,7 +75,7 @@ class ExtReal:
             self._frac = value._frac
             return
         if isinstance(value, str):
-            if value.strip().lower() in ("inf", "+inf", "infinity", "oo"):
+            if value.strip().lower() in INF_SPELLINGS:
                 self._frac = None
                 return
             value = Fraction(value)
@@ -110,24 +118,7 @@ class ExtReal:
     def __lt__(self, other: ExtLike) -> bool:
         return self._cmp_key() < ExtReal(other)._cmp_key()
 
-    def __le__(self, other: ExtLike) -> bool:
-        return self._cmp_key() <= ExtReal(other)._cmp_key()
-
-    def __gt__(self, other: ExtLike) -> bool:
-        return self._cmp_key() > ExtReal(other)._cmp_key()
-
-    def __ge__(self, other: ExtLike) -> bool:
-        return self._cmp_key() >= ExtReal(other)._cmp_key()
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: ExtLike) -> "ExtReal":
-        other = ExtReal(other)
-        if self.is_inf or other.is_inf:
-            return INF
-        return ExtReal(self._frac + other._frac)
-
-    __radd__ = __add__
 
     def __mul__(self, other: ExtLike) -> "ExtReal":
         other = ExtReal(other)

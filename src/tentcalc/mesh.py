@@ -1,4 +1,5 @@
-"""Periodic grid geometry, weights, discrete measures and maximal operators.
+"""Periodic grid geometry, weights, discrete measures and maximal operators,
+and `number`, the one test of a numeric argument or config field.
 
 The domain is the unit torus [0,1)^dim (dim 1 or 2) split into N equal cells
 per side, with cell centers offset by h/2 = 1/(2N) so that no center sits on
@@ -55,11 +56,48 @@ __all__ = [
     "UNIT_WEIGHT",
     "lp_norm",
     "maximal",
+    "number",
 ]
 
 # relative slack used everywhere a continuum radius meets the discrete grid;
 # breaks exact ties deterministically (toward inclusion)
 TIE_SLACK = 1e-9
+
+
+def number(name: str, value, lo=-math.inf, hi=math.inf, *, integer: bool = False,
+           open_lo: bool = False, open_hi: bool = False):
+    """`value` unchanged if it is a number from lo to hi, else a ValueError
+    that names `name`; the one test of a numeric argument or config field.
+
+    A number is a `numbers.Integral` when `integer`, else a `numbers.Real`
+    that a float can hold (an int of size above 2^1023 is not); Python
+    and numpy bools are neither.  Each end is closed unless `open_lo` or
+    `open_hi`; an open infinite end excludes infinity.  NaN lies in no
+    interval, but with both ends infinite and closed only the type is
+    checked.
+    """
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ) or not integer and isinstance(value, numbers.Integral) and abs(value) > 2**1023:
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if lo == -math.inf and hi == math.inf and not (open_lo or open_hi):
+        return value
+    if (value > lo if open_lo else value >= lo) and (value < hi if open_hi else value <= hi):
+        return value
+    if lo > -math.inf and hi < math.inf:
+        where = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+    elif hi < math.inf:
+        where = f"{'<' if open_hi else '<='} {hi:g}"
+    elif lo == 0:
+        where = "positive" if open_lo else "nonnegative"
+    elif lo > -math.inf:
+        where = f"{'>' if open_lo else '>='} {lo:g}"
+    else:
+        where = ""
+    if open_lo and lo == -math.inf or open_hi and hi == math.inf:
+        where = f"finite and {where}" if where else "finite"
+    raise ValueError(f"{name} must be {where}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,15 +108,8 @@ class Grid:
     n_side: int
 
     def __post_init__(self):
-        for name in ("dim", "n_side"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.n_side < 4:
-            raise ValueError(f"need at least 4 cells per side, got {self.n_side}")
+        object.__setattr__(self, "dim", int(number("dim", self.dim, 1, 2, integer=True)))
+        object.__setattr__(self, "n_side", int(number("n_side", self.n_side, 4, integer=True)))
 
     @property
     def h(self) -> float:
@@ -213,8 +244,8 @@ class BallStencil:
 
     def _bounds(self, radii) -> NDArray:
         radii = np.atleast_1d(np.asarray(radii, float))
-        if radii.size == 0 or not np.all(radii > 0):
-            raise ValueError(f"ball radii must be positive, got {radii}")
+        if radii.size == 0 or not np.all((radii > 0) & (radii < np.inf)):
+            raise ValueError(f"ball radii must be finite and positive, got {radii}")
         if np.any(np.diff(radii) < 0):
             raise ValueError("ball radii must be non-decreasing")
         return radii * (1.0 + TIE_SLACK)
@@ -350,8 +381,7 @@ class PowerWeight(WeightModel):
     alpha: float
 
     def __post_init__(self):
-        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
+        number("alpha", self.alpha, open_lo=True, open_hi=True)
 
     def sample(self, grid: Grid) -> NDArray:
         return grid.origin_distances ** float(self.alpha)
@@ -368,8 +398,7 @@ def lp_norm(
     grid: Grid,
 ) -> float:
     """(sum |f|^p v w h^dim)^{1/p}; p must be finite and > 0."""
-    if not 0 < p < np.inf:
-        raise ValueError(f"lp_norm requires finite p > 0, got {p}")
+    number("p", p, 0, open_lo=True, open_hi=True)
     f = np.asarray(f, float)
     if f.shape != (grid.n_cells,):
         raise ValueError(f"expected {grid.n_cells} cell values, got shape {f.shape}")
@@ -389,8 +418,7 @@ def maximal(
     (avg_B |f|^{p0})^{1/p0}, averages taken in the measure base dx
     (UNIT_WEIGHT: Lebesgue measure); p0 must be finite and > 0.
     """
-    if not 0 < p0 < np.inf:
-        raise ValueError(f"maximal requires finite p0 > 0, got {p0}")
+    number("p0", p0, 0, open_lo=True, open_hi=True)
     f = np.asarray(f, float)
     mu = base.sample(grid) * grid.cell_volume
     g = np.abs(f) ** p0 * mu

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import Grid, WeightModel
+from .mesh import Grid, WeightModel, number
 
 __all__ = [
     "CoefficientField",
@@ -124,12 +124,10 @@ class CoefficientField:
     def __post_init__(self):
         text = (str, bytes)
         raw = self.entries if isinstance(self.entries, text) else tuple(self.entries)
-        # float() would read a string one character per axis, or parse it
-        if isinstance(raw, text) or any(isinstance(e, text) for e in raw):
+        # a string would be read one character per axis; text entries are named alike
+        if not raw or isinstance(raw, text) or any(isinstance(e, text) for e in raw):
             raise ValueError(f"entries must be numbers, one per axis, got {self.entries!r}")
-        d = tuple(float(e) for e in raw)
-        if not d or not all(math.isfinite(e) and e > 0 for e in d):
-            raise ValueError(f"diagonal entries must be finite and positive, got {d}")
+        d = tuple(float(number("entries", e, 0, open_lo=True, open_hi=True)) for e in raw)
         object.__setattr__(self, "entries", d)
 
     @classmethod

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import Grid
+from .mesh import Grid, number
 from .operator import SpectralOperator, _take
 
 __all__ = [
@@ -107,10 +107,9 @@ class TimeLadder:
     ratio: float
 
     def __post_init__(self):
-        if not (0 < self.t_min <= self.t_max):
-            raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
-        if not self.ratio > 1:
-            raise ValueError(f"ratio must exceed 1, got {self.ratio}")
+        number("t_min", self.t_min, 0, open_lo=True, open_hi=True)
+        number("t_max", self.t_max, self.t_min, open_hi=True)
+        number("ratio", self.ratio, 1, open_lo=True, open_hi=True)
         if not self._span() < LADDER_CAP:
             raise ValueError(
                 f"ladder ({self.t_min}, {self.t_max}, ratio {self.ratio}) needs "
@@ -122,7 +121,7 @@ class TimeLadder:
         cls, grid: Grid, ratio: float = 2 ** (1 / 16), t_max: float = 1.0
     ) -> "TimeLadder":
         """The ladder from h / LADDER_START_DIVISOR up to t_max."""
-        return cls(grid.h / LADDER_START_DIVISOR, float(t_max), float(ratio))
+        return cls(grid.h / LADDER_START_DIVISOR, t_max, ratio)
 
     def _span(self) -> float:
         """log_ratio(t_max / t_min) plus a 1e-12 guard, so that count is
@@ -135,7 +134,8 @@ class TimeLadder:
 
     @property
     def nodes(self) -> NDArray:
-        return self.t_min * self.ratio ** np.arange(self.count)
+        # a float power: an integer ratio's powers would wrap past 2^63
+        return self.t_min * float(self.ratio) ** np.arange(self.count)
 
     @property
     def node_weight(self) -> float:
@@ -187,14 +187,16 @@ def multiplier_tables(op: SpectralOperator, semigroup: str, order: int,
     in the operator's block order."""
     if semigroup not in _SEMIGROUPS:
         raise ValueError(f"unknown semigroup {semigroup!r}; expected 'heat' or 'poisson'")
-    if isinstance(order, (bool, np.bool_)) or not (0 <= int(order) == order <= ORDER_CAP):
-        raise ValueError(f"power must be an integer in [0, {ORDER_CAP}], got {order}")
-    t = np.asarray(t, float)
+    number("power", order, 0, ORDER_CAP, integer=True)
+    t = np.asarray(t)
     if t.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
-    finite = (t >= 0) & (t < np.inf)
-    if not np.all(finite):
-        raise ValueError(f"time must be finite and nonnegative, got {t[~finite].flat[0]}")
+    # numeric times are tested at once, and the checker sees the first bad
+    # one; bools, text and objects go to the checker node by node
+    suspects = t[~((t >= 0) & (t < np.inf))] if t.dtype.kind in "iuf" else t.ravel()
+    for node in suspects.tolist():
+        number("t", node, 0, open_hi=True)
+    t = np.asarray(t, float)
     factor, rate = _SEMIGROUPS[semigroup]
     lam = op.block_eigenvalues
     coeffs = op.project_blocks(f)
@@ -276,8 +278,7 @@ def subordination_factors(lam: NDArray, t: float) -> NDArray:
     The trapezoid rule in v = log u for
     (1/sqrt(pi)) int e^{-u + v/2 - (t^2/4u) lam} dv, with the exponentials
     of each chunk of nodes summed into one buffer of lam's shape."""
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    number("t", t, 0, open_hi=True)
     lam = np.atleast_1d(np.asarray(lam, float))
     if t == 0:
         return np.ones_like(lam)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import Grid
+from .mesh import Grid, number
 from .operator import SpectralOperator
 from .semigroup import (
     ORDER_CAP,
@@ -89,11 +89,8 @@ class SquareFunctionKind:
             raise ValueError(f"unknown square function family {self.family!r}")
         lo, hi = FAMILIES[self.family][4:]
         order = lo if self.order is None else self.order
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-            raise ValueError(f"{self.family} order must be an integer, got {order!r}")
-        if not lo <= order <= hi:
-            raise ValueError(f"{self.family} order must lie in [{lo}, {hi}], got {order}")
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order",
+                           int(number(f"{self.family} order", order, lo, hi, integer=True)))
 
 
 def _integrand(kind: SquareFunctionKind, op: SpectralOperator, f: NDArray,

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import TIE_SLACK, Grid, WeightModel, lp_norm
+from .mesh import TIE_SLACK, Grid, WeightModel, lp_norm, number
 from .semigroup import TimeLadder
 
 __all__ = [
@@ -116,8 +116,7 @@ def _cone_sq(fld: HalfSpaceField, count: int, alpha: float) -> NDArray:
 
 def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
     """A_w^alpha F at every cell."""
-    if not alpha > 0:
-        raise ValueError(f"aperture must be positive, got {alpha}")
+    number("alpha", alpha, 0, open_lo=True, open_hi=True)
     return np.sqrt(_cone_sq(fld, fld.ladder.count, alpha))
 
 
@@ -142,8 +141,7 @@ def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDAr
 def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
     """C_{w,p0} F at every cell over the mesh ball family; p0 must be
     finite and > 0."""
-    if not 0 < p0 < np.inf:
-        raise ValueError(f"carleson_p requires finite p0 > 0, got {p0}")
+    number("p0", p0, 0, open_lo=True, open_hi=True)
     grid = fld.grid
     whn = fld.weight_values * grid.cell_volume
     radii, vals = [], []
@@ -179,10 +177,13 @@ def change_of_angle_report(
     cones: dict[float, NDArray] | None = None,
 ) -> AngleReport:
     """Compare ||A^beta F|| / ||A^alpha F|| in L^p(v dw), dw the field's
-    weight, with the class prediction (beta/alpha)^{n r_tilde r / p}.
+    weight, with the class prediction (beta/alpha)^{n r_tilde r / p} for
+    apertures 0 < alpha <= beta and class indices r, r_tilde >= 1.
     `cones` holds cone values of F already computed, by aperture."""
-    if not 0 < alpha <= beta:
-        raise ValueError(f"need 0 < alpha <= beta, got ({alpha}, {beta})")
+    number("alpha", alpha, 0, open_lo=True, open_hi=True)
+    number("beta", beta, alpha, open_hi=True)
+    number("r", r, 1, open_hi=True)
+    number("r_tilde", r_tilde, 1, open_hi=True)
     grid = fld.grid
     cones = cones or {}
 

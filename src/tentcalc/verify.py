@@ -29,7 +29,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +56,7 @@ from .mesh import (
     WeightModel,
     lp_norm,
     maximal,
+    number,
 )
 from .operator import CoefficientField, SpectralOperator, assemble, check_dense_budget
 from .semigroup import LADDER_START_DIVISOR, TimeLadder
@@ -199,24 +199,6 @@ def reports_to_csv(reports: list[SuiteReport]) -> str:
     return buf.getvalue()
 
 
-def _check_int(name: str, value, low: int, high: float = math.inf):
-    """Reject a config field that is not an integer in [low, high] (bools too)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-            or not low <= value <= high:
-        cap = f" and <= {high}" if high < math.inf else ""
-        raise ValueError(f"{name} must be an integer >= {low}{cap}, got {value!r}")
-
-
-def _check_real(name: str, value):
-    """Reject a config field that is not a real number a float can hold
-    (bools too), so that the range checks after it compare numbers.  A
-    bounded range also rejects NaN and infinities; unbounded fields check
-    finiteness themselves."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
-            or isinstance(value, numbers.Integral) and abs(value) > 2**1023:
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 def _named(fields: str, build, *args):
     """build(*args), with a ValueError prefixed by the config fields that
     set its arguments."""
@@ -234,11 +216,10 @@ class ProblemConfig:
 
     The weight is in A_2 exactly when -dim < weight_alpha < dim, and
     each coeff_entries value lies in [COEFF_MAX / COEFF_CONTRAST,
-    COEFF_MAX].  These fields are checked here, each for its type (an int, or a finite real
-    that is not a bool) before its range.  Each extension checks its
-    grid sizes (which also fixes dim in {1, 2}) before calling
-    `__post_init__` here and its own fields after, so a bad config is
-    rejected before anything is allocated.
+    COEFF_MAX].  These fields are checked here, each by `mesh.number`.
+    Each extension checks its grid sizes (which also fixes dim in {1, 2})
+    before calling `__post_init__` here and its own fields after, so a bad
+    config is rejected before anything is allocated.
     """
 
     dim: int = 2
@@ -249,18 +230,15 @@ class ProblemConfig:
     seed: int = 7
 
     def __post_init__(self):
-        _check_int("dim", self.dim, 1)
-        for name in ("weight_alpha", "ladder_ratio", "ladder_t_max"):
-            _check_real(name, getattr(self, name))
-        if not -self.dim < self.weight_alpha < self.dim:
+        number("dim", self.dim, 1, integer=True)
+        # the range of weight_alpha depends on dim; NaN lies outside it
+        if not -self.dim < number("weight_alpha", self.weight_alpha) < self.dim:
             raise ValueError(
                 f"weight_alpha outside (-n, n): weight power {self.weight_alpha} "
                 f"not inside (-{self.dim}, {self.dim})"
             )
-        if not 1.0 < self.ladder_ratio <= 2.0:
-            raise ValueError(f"ladder_ratio must be in (1, 2], got {self.ladder_ratio}")
-        if not 0.0 < self.ladder_t_max <= 8.0:
-            raise ValueError(f"ladder_t_max must be in (0, 8], got {self.ladder_t_max}")
+        number("ladder_ratio", self.ladder_ratio, 1, 2, open_lo=True)
+        number("ladder_t_max", self.ladder_t_max, 0, 8, open_lo=True)
         entries = self.coeff_entries
         if entries is not None:
             if not isinstance(entries, tuple) or len(entries) != self.dim:
@@ -268,14 +246,8 @@ class ProblemConfig:
                     f"coeff_entries must be a list of {self.dim} values, got {entries!r}"
                 )
             for e in entries:
-                _check_real("coeff_entries", e)
-                if not COEFF_MAX / COEFF_CONTRAST <= e <= COEFF_MAX:
-                    raise ValueError(
-                        f"coeff_entries must lie in [{COEFF_MAX / COEFF_CONTRAST:g}, "
-                        f"{COEFF_MAX:g}] (contrast at most {COEFF_CONTRAST:g}), "
-                        f"got {entries!r}"
-                    )
-        _check_int("seed", self.seed, 0)
+                number("coeff_entries", e, COEFF_MAX / COEFF_CONTRAST, COEFF_MAX)
+        number("seed", self.seed, 0, integer=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemConfig":
@@ -330,26 +302,17 @@ class SuiteConfig(ProblemConfig):
         if not isinstance(self.sizes, tuple) or len(self.sizes) != 2:
             raise ValueError(f"sizes must be (coarse, fine), got {self.sizes!r}")
         for n in self.sizes:
-            _check_int("sizes", n, 1)
+            number("sizes", n, 1, integer=True)
         if self.sizes[0] >= self.sizes[1]:
             raise ValueError(f"sizes must be (coarse, fine), got {self.sizes}")
         for n in self.sizes:
             _named("dim, sizes", check_dense_budget, self.dim, n)
         super().__post_init__()
-        _check_int("bank_size", self.bank_size, 1, BANK_CAP)
-        _check_real("drift_limit", self.drift_limit)
-        for name in ("appendix_r", "appendix_s", "appendix_q"):
-            value = getattr(self, name)
-            _check_real(name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not 0.0 < self.drift_limit <= 1.0:
-            raise ValueError(f"drift_limit must be in (0, 1], got {self.drift_limit}")
-        if self.appendix_r < 1.0:
-            raise ValueError(f"appendix_r must be >= 1, got {self.appendix_r}")
-        for name in ("appendix_s", "appendix_q"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        number("bank_size", self.bank_size, 1, BANK_CAP, integer=True)
+        number("drift_limit", self.drift_limit, 0, 1, open_lo=True)
+        number("appendix_r", self.appendix_r, 1, open_hi=True)
+        number("appendix_s", self.appendix_s, 0, open_lo=True, open_hi=True)
+        number("appendix_q", self.appendix_q, 0, open_lo=True, open_hi=True)
         if self.appendix_q > self.appendix_s:
             raise ValueError(
                 f"appendix_q: averaging inequality needs q <= s, got "
@@ -359,11 +322,10 @@ class SuiteConfig(ProblemConfig):
         if not isinstance(alphas, tuple):
             raise ValueError(f"appendix_alphas must be a list, got {alphas!r}")
         for a in alphas:
-            _check_real("appendix_alphas", a)
-        if len(set(alphas)) < 2 or not all(0 < a < math.inf for a in alphas):
+            number("appendix_alphas", a, 0, open_lo=True, open_hi=True)
+        if len(set(alphas)) < 2:
             raise ValueError(
-                f"appendix_alphas needs at least two distinct positive finite "
-                f"values, got {alphas}"
+                f"appendix_alphas needs at least two distinct values, got {alphas}"
             )
         # the finest grid carries the longest ladders
         fine = Grid(self.dim, self.sizes[1])

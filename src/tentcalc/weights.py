@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .mesh import UNIT_WEIGHT, Grid, WeightModel
+from .mesh import UNIT_WEIGHT, Grid, WeightModel, number
 
 __all__ = [
     "ClassKind",
@@ -61,16 +61,10 @@ class ClassKind:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown class family {self.family!r}")
-        if isinstance(self.index, bool):
-            raise ValueError(f"class index must be a number, got {self.index!r}")
-        if self.family == "Ap":
-            if not self.index >= 1:
-                raise ValueError(f"A_p requires p >= 1, got {self.index}")
-            if math.isinf(self.index):
-                raise ValueError("A_p index must be finite")
+        if self.family == "Ap":  # A_p for finite p >= 1, RH_s for 1 < s <= inf
+            number("index", self.index, 1, open_hi=True)
         else:
-            if not self.index > 1:
-                raise ValueError(f"RH_s requires s > 1 (or inf), got {self.index}")
+            number("index", self.index, 1, open_lo=True)
 
 
 def _family_radii(grid: Grid) -> list[float]:
@@ -133,12 +127,12 @@ def _max_product(
 
 def ap_constant(w: WeightModel, p: float, grid: Grid) -> float:
     """[w]_{A_p} over the ball family; p = 1 uses the min form."""
-    return weighted_class_constant(w, UNIT_WEIGHT, ClassKind("Ap", float(p)), grid)
+    return weighted_class_constant(w, UNIT_WEIGHT, ClassKind("Ap", p), grid)
 
 
 def rh_constant(w: WeightModel, s: float, grid: Grid) -> float:
     """[w]_{RH_s} over the ball family; s = inf uses the max form."""
-    return weighted_class_constant(w, UNIT_WEIGHT, ClassKind("RHs", float(s)), grid)
+    return weighted_class_constant(w, UNIT_WEIGHT, ClassKind("RHs", s), grid)
 
 
 def weighted_class_constant(
@@ -218,8 +212,11 @@ def estimate_critical_index(
     verdicts decide which side of the true index it lands on, and that
     side can differ between measures.
     """
+    number("lo", lo)
+    number("hi", hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+    number("iters", iters, 0, integer=True)
     is_ap = family == "Ap"
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

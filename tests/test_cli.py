@@ -150,6 +150,25 @@ class TestExponents:
                                       "--p0", "3/2", "--q0", "4"])
         assert json.loads(result.output)["range_W"] == ["9/4", "4"]
 
+    @pytest.mark.parametrize("q0", ["inf", "Infinity", " +INF", "oo"])
+    def test_range_w_to_infinity(self, runner, q0):
+        # the heat ranges are (p_-, inf), so q0 takes each infinity
+        # spelling that ExtReal reads
+        result = runner.invoke(main, ["exponents", "--alpha", "1", "--n", "2",
+                                      "--p0", "1", "--q0", q0])
+        assert result.exit_code == 0, result.output
+        assert '"range_W": ["3/2", "inf"]' in result.output
+
+    @pytest.mark.parametrize("p0, q0, code", [
+        ("1", "infinite", 2), ("1", "1/0", 2), ("x", "4", 2), ("1", "-1", 1),
+        ("-1/2", "4", 1),
+    ])
+    def test_exponent_flag_exit_codes(self, runner, p0, q0, code):
+        # unparsable text is a usage error, a negative exponent a domain error
+        result = runner.invoke(main, ["exponents", "--alpha", "1", "--n", "2",
+                                      "--p0", p0, "--q0", q0])
+        assert result.exit_code == code, result.output
+
     def test_loads_no_scipy(self):
         # scipy is a test dependency only: neither importing the CLI nor an
         # exponent query loads it

@@ -1,5 +1,6 @@
 """Smoke test: every script in demos/ runs to completion against this
-checkout, exits 0 and prints no traceback."""
+checkout, with RuntimeWarnings as errors, exits 0 and prints no
+traceback."""
 
 import os
 import subprocess
@@ -23,8 +24,10 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + rest if rest else "")
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
-                            capture_output=True, text=True, timeout=300)
+    # the warning policy that pyproject.toml sets for the tests in-process
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            env=env, cwd=tmp_path, capture_output=True, text=True,
+                            timeout=300)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert result.stdout.strip()

@@ -16,6 +16,7 @@ from tentcalc.mesh import (
     PowerWeight,
     lp_norm,
     maximal,
+    number,
 )
 
 RTOL = 1e-12
@@ -29,6 +30,47 @@ def membership(grid, radii):
 def ball_measures(w, grid, radius):
     """w(B(x, radius)) at every center x, summed on the stencil."""
     return grid.stencil.ball_reduce(w.sample(grid) * grid.cell_volume, [radius])[0]
+
+
+class TestNumber:
+    @pytest.mark.parametrize("value", [0.5, 3, np.float64(0.5), np.int64(3), 2**1023])
+    def test_returns_reals_unchanged(self, value):
+        assert number("x", value) is value
+
+    @pytest.mark.parametrize("value, integer", [
+        (True, False), (np.True_, False), (False, True), (np.False_, True), ("2", False),
+        (None, False), (2.0, True), (np.float64(2.0), True), (2**1023 + 1, False),
+        (-(2**1024), False), (1j, False),
+    ])
+    def test_type_message(self, value, integer):
+        kind = "an integer" if integer else "a real number"
+        with pytest.raises(ValueError, match=f"^x must be {kind}, got "):
+            number("x", value, integer=integer)
+
+    def test_big_integers_are_integers(self):
+        assert number("x", 10**400, 1, integer=True) == 10**400
+
+    @pytest.mark.parametrize("value, kwargs, where", [
+        (0.0, dict(lo=0, open_lo=True), "positive"),
+        (math.inf, dict(lo=0, open_lo=True, open_hi=True), "finite and positive"),
+        (-1, dict(lo=0, integer=True), "nonnegative"),
+        (math.nan, dict(lo=0, open_hi=True), "finite and nonnegative"),
+        (0.5, dict(lo=1, open_hi=True), "finite and >= 1"),
+        (1, dict(lo=1, open_lo=True), "> 1"),
+        (2.5, dict(lo=1, hi=2, open_lo=True), r"in \(1, 2\]"),
+        (math.nan, dict(lo=0, hi=1e-4, open_hi=True), r"in \[0, 0.0001\)"),
+        (3, dict(hi=2), "<= 2"),
+        (-math.inf, dict(open_lo=True, open_hi=True), "finite"),
+    ])
+    def test_range_message(self, value, kwargs, where):
+        with pytest.raises(ValueError, match=rf"^x must be {where}, got {value!r}$"):
+            number("x", value, **kwargs)
+
+    def test_closed_infinite_ends(self):
+        # with both ends infinite and closed only the type is checked
+        assert math.isnan(number("x", math.nan))
+        assert number("x", -math.inf) == -math.inf
+        assert number("x", math.inf, 1, open_lo=True) == math.inf
 
 
 class TestGrid:

@@ -94,6 +94,12 @@ class TestTimeLadder:
         ladder = TimeLadder(0.125, 1.0, 2.0)
         npt.assert_allclose(ladder.nodes, [0.125, 0.25, 0.5, 1.0])
 
+    def test_integer_ratio_past_63_nodes(self):
+        # 2 ** 63 wraps in int64; the nodes are the float ratio's powers
+        ladder = TimeLadder(1e-30, 1e30, 2)
+        assert ladder.count == 200
+        npt.assert_array_equal(ladder.nodes, TimeLadder(1e-30, 1e30, 2.0).nodes)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeLadder(0.0, 1.0, 2.0)

@@ -47,7 +47,7 @@ class TestClassKind:
 
     @pytest.mark.parametrize("family", ["Ap", "RHs"])
     def test_rejects_bool_index(self, family):
-        with pytest.raises(ValueError, match="index must be a number"):
+        with pytest.raises(ValueError, match="index must be a real number"):
             ClassKind(family, True)
 
     def test_rh_infinity_allowed(self):
