@@ -123,9 +123,13 @@ class CoefficientField:
 
     def __post_init__(self):
         text = (str, bytes)
-        raw = self.entries if isinstance(self.entries, text) else tuple(self.entries)
-        # a string would be read one character per axis; text entries are named alike
-        if not raw or isinstance(raw, text) or any(isinstance(e, text) for e in raw):
+        # a string would be read one character per axis; text entries, a
+        # scalar and None are named alike
+        try:
+            raw = () if isinstance(self.entries, text) else tuple(self.entries)
+        except TypeError:
+            raw = ()
+        if not raw or any(isinstance(e, text) for e in raw):
             raise ValueError(f"entries must be numbers, one per axis, got {self.entries!r}")
         d = tuple(float(number("entries", e, 0, open_lo=True, open_hi=True)) for e in raw)
         object.__setattr__(self, "entries", d)

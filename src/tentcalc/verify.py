@@ -102,10 +102,11 @@ MODAL_L2_TOL = 1e-4
 # band, so none of them is taken for kernel.
 COEFF_MAX = 1e2
 COEFF_CONTRAST = 1e6
-# most bank functions a suite run takes: each adds about 0.04 s at the
-# default sizes (16, 32) and 0.25 s and 0.9 MB at sizes (32, 64) in dim 2
-# (CLI runs at banks 2 and 12, and 3 and 9, on 2 cores), so a run at the
-# cap stays within about half a minute
+# most bank functions a suite run takes: each adds about 0.05 s at the
+# default sizes (16, 32) and 0.25 s at sizes (32, 64) in dim 2, and under
+# 0.05 MB of peak memory at either, since a run keeps no field (CLI runs
+# at banks 2 and 12, and 3 and 9, on 2 cores), so a run at the cap stays
+# within about half a minute
 BANK_CAP = 100
 
 
@@ -400,23 +401,21 @@ class SuiteContext:
     coarse grid never assembles the fine one.  A source is a bank index,
     "phi" (the first non-constant eigenmode) or "constant"; a kind is a
     family with its order, as "S_H1" for S_{1,H}.  Memoized values are
-    read-only, since all suites of the run share them.  `field` keeps
-    each half-space field it builds.  The angles suite reads the fields
-    in KEPT_FIELDS whole, so their values are taken from those kept
-    fields and each is built once; every other field is dropped after
-    its cone.  Every norm is in L^2(v dw), with dw the operator's weight.
-    A cone is built only where a pointwise value or a weighted norm is
-    read: `norm` takes every unweighted norm from `l2_norm_sq`.
+    read-only, since all suites of the run share them.  The memo holds
+    only per-cell values and norms: no half-space field outlives the code
+    that reads it.  `field` builds a fresh field on every call and, when
+    its aperture-1 cone is not yet memoized, stores that cone from the
+    field it built, so a suite that reads both builds the field once.
+    Every norm is in L^2(v dw), with dw the operator's weight.  A cone is
+    built only where a pointwise value or a weighted norm is read: `norm`
+    takes every unweighted norm from `l2_norm_sq`.
     """
-
-    KEPT_FIELDS = frozenset(("S_H1", i) for i in range(ANGLE_SAMPLE))
 
     def __init__(self, config: SuiteConfig, n: int):
         self.config = config
         self.n = n
         self._memo: dict[tuple[str, int | str], NDArray] = {}
         self._l2: dict[tuple[str, int | str, bool], float] = {}
-        self._fields: dict[tuple[str, int | str], HalfSpaceField] = {}
 
     @cached_property
     def op(self) -> SpectralOperator:
@@ -454,23 +453,23 @@ class SuiteContext:
         default ladder; evaluated once per run."""
         key = (kind, source)
         if key not in self._memo:
-            if key in self.KEPT_FIELDS:
-                values = cone_all(self.field(kind, source), 1.0)
-            else:
-                values = evaluate(_sqf(kind), self.op, self.source(source), self.ladder)
+            values = evaluate(_sqf(kind), self.op, self.source(source), self.ladder)
             values.flags.writeable = False
             self._memo[key] = values
         return self._memo[key]
 
     def field(self, kind: str, source: int | str) -> HalfSpaceField:
         """The half-space field of a cone kind on the default ladder,
-        built once per run; its values are read-only."""
+        built afresh on every call; its values are read-only.  Its
+        aperture-1 cone goes into the `values` memo if not there yet."""
         key = (kind, source)
-        if key not in self._fields:
-            fld = build_field(_sqf(kind), self.op, self.source(source), self.ladder)
-            fld.values.flags.writeable = False
-            self._fields[key] = fld
-        return self._fields[key]
+        fld = build_field(_sqf(kind), self.op, self.source(source), self.ladder)
+        fld.values.flags.writeable = False
+        if key not in self._memo:
+            values = cone_all(fld, 1.0)
+            values.flags.writeable = False
+            self._memo[key] = values
+        return fld
 
     def norm(self, kind: str | None, source: int | str, v: WeightModel = UNIT_WEIGHT,
              wide: bool = False) -> float:
@@ -726,13 +725,44 @@ def suite_boundedness(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
 
 
 def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
-    """Cone aperture and Carleson functional checks."""
-    rng = np.random.default_rng(config.seed + 1)
-    coarse = contexts[0]
-    grid, ladder, weight = coarse.op.grid, coarse.ladder, coarse.op.weight
+    """Cone aperture and Carleson functional checks.
+
+    The fine grid's sampled S_{1,H} fields are read first, one at a time,
+    so no fine field is alive beside the coarse ones."""
+    coarse, fine = contexts
+    sample = range(min(ANGLE_SAMPLE, config.bank_size))
+
+    def norm_ratios(ctx, functionals):
+        """Largest Carleson-over-cone norm ratio and largest measured over
+        predicted change-of-angle ratio over the sampled bank fields;
+        functionals(i) gives bank field i with its p0 = 1 Carleson
+        functional and aperture-2 cone."""
+        equiv, angle = [], []
+        for i in sample:
+            fld, carl, wide_area = functionals(i)
+            na = ctx.norm("S_H1", i)
+            nc = lp_norm(carl, 2.0, UNIT_WEIGHT, ctx.op.weight, ctx.op.grid)
+            if na > 0:
+                equiv.append(nc / na)
+            rep = change_of_angle_report(
+                fld, 1.0, 2.0, 2.0, UNIT_WEIGHT, r=2.0, r_tilde=2.0,
+                cones={1.0: ctx.values("S_H1", i), 2.0: wide_area},
+            )
+            if rep.ratio is not None:
+                angle.append(rep.ratio / rep.predicted_increase)
+            # field i is dropped before field i + 1 is built
+            del fld
+        return max(equiv), max(angle)
+
+    def fine_functionals(i):
+        fld = fine.field("S_H1", i)
+        return fld, carleson_p_all(fld, 1.0), cone_all(fld, 2.0)
+
+    equiv_f, revalidated = norm_ratios(fine, fine_functionals)
 
     # three random fields, then the S_{1,H} fields of the sampled bank
-    sample = range(min(ANGLE_SAMPLE, config.bank_size))
+    rng = np.random.default_rng(config.seed + 1)
+    grid, ladder, weight = coarse.op.grid, coarse.ladder, coarse.op.weight
     shape = (ladder.count, grid.n_cells)
     fields = [HalfSpaceField(grid, ladder, weight, np.abs(rng.standard_normal(shape)))
               for _ in range(3)]
@@ -762,34 +792,9 @@ def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
     )
     checks.append(_pass_fail("carleson-below-maximal", worst, POINTWISE_TOL))
 
-    def norm_ratios(
-        ctx: SuiteContext, carleson_1: list[NDArray], wide: list[NDArray]
-    ) -> tuple[float, float]:
-        """Largest Carleson-over-cone norm ratio and largest measured over
-        predicted change-of-angle ratio over the sampled bank fields, given
-        their p0 = 1 Carleson functionals and aperture-2 cones."""
-        equiv, angle = [], []
-        for i, carl, wide_area in zip(sample, carleson_1, wide):
-            na = ctx.norm("S_H1", i)
-            nc = lp_norm(carl, 2.0, UNIT_WEIGHT, ctx.op.weight, ctx.op.grid)
-            if na > 0:
-                equiv.append(nc / na)
-            rep = change_of_angle_report(
-                ctx.field("S_H1", i), 1.0, 2.0, 2.0, UNIT_WEIGHT, r=2.0, r_tilde=2.0,
-                cones={1.0: ctx.values("S_H1", i), 2.0: wide_area},
-            )
-            if rep.ratio is not None:
-                angle.append(rep.ratio / rep.predicted_increase)
-        return max(equiv), max(angle)
-
     # the coarse bank fields follow the three random ones
-    equiv_c, calibrated = norm_ratios(coarse, carleson[1.0][3:], wide_areas[3:])
-    fine_fields = [contexts[1].field("S_H1", i) for i in sample]
-    equiv_f, revalidated = norm_ratios(
-        contexts[1],
-        [carleson_p_all(fld, 1.0) for fld in fine_fields],
-        [cone_all(fld, 2.0) for fld in fine_fields],
-    )
+    equiv_c, calibrated = norm_ratios(
+        coarse, lambda i: (fields[3 + i], carleson[1.0][3 + i], wide_areas[3 + i]))
     checks.append(_drift_check(
         "carleson-vs-cone-norms", equiv_c, equiv_f,
         config, "norm equivalence, doubling-calibrated band",

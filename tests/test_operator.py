@@ -76,6 +76,12 @@ class TestCoefficientField:
         with pytest.raises(ValueError, match="entries must be numbers"):
             CoefficientField(entries)
 
+    @pytest.mark.parametrize("entries", [5, 2.0, None, np.float64(2.0)],
+                             ids=["int", "float", "none", "numpy-scalar"])
+    def test_rejects_non_iterable_entries(self, entries):
+        with pytest.raises(ValueError, match="entries must be numbers, one per axis"):
+            CoefficientField(entries)
+
 
 class TestAssemble:
     @pytest.mark.parametrize("dim, n", [(1, 129), (2, 72)])

@@ -39,6 +39,26 @@ HEADER = {"version": "0.1.0", "config_hash": "0123456789ab", "seed": SMALL.seed}
 DIM1 = SuiteConfig(dim=1, weight_alpha=0.5, sizes=(16, 32), bank_size=3)
 
 
+def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls of each named kernel of `squarefn` or `tent` from
+    now on, through every module binding the suites reach it by; the
+    returned dict holds the running counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in names:
+        bindings = [module for module in (squarefn, tent, verify) if hasattr(module, name)]
+        wrapper = counter(name, getattr(bindings[0], name))
+        for binding in bindings:
+            monkeypatch.setattr(binding, name, wrapper)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def small_reports():
     return run_suites(SMALL)
@@ -291,47 +311,22 @@ class TestRunMemo:
             assert all(r == reports[0] for r in reports), name
 
     def test_build_field_calls_reused(self, monkeypatch):
-        counts = {"build_field": 0, "cone_all": 0}
-
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        # every binding the suites reach each function through
-        for name, module in (("build_field", squarefn), ("cone_all", tent)):
-            wrapper = counting(name, getattr(module, name))
-            for binding in (module, squarefn, verify):
-                if hasattr(binding, name):
-                    monkeypatch.setattr(binding, name, wrapper)
+        counts = count_calls(monkeypatch, "build_field", "cone_all")
         run_suites(SMALL)
         # fields and cones only where a pointwise value or a weighted norm
         # is read.  Coarse grid: the pointwise checks' 5 heat and 2 Poisson
         # kinds of 6 bank functions and 2 kinds each of the constant, the
         # S_{1,P} fields of the weighted norms; fine grid: the S_{1,H} and
-        # S_{1,P} fields of the weighted norms.  The angles suite adds 22
-        # cones of its own (3 random areas, apertures 1/2 and 2 of 7 coarse
-        # fields, 4 fine aperture-2 cones, the zero field)
-        assert counts == {"build_field": 64, "cone_all": 64 + 22}
+        # S_{1,P} fields of the weighted norms.  That is 64 fields; the run
+        # keeps none, so the angles suite builds its 4 coarse and 4 fine
+        # sampled S_{1,H} fields again, and their aperture-1 cones come
+        # from the memo.  The angles suite adds 22 cones of its own (3
+        # random areas, apertures 1/2 and 2 of 7 coarse fields, 4 fine
+        # aperture-2 cones, the zero field)
+        assert counts == {"build_field": 64 + 8, "cone_all": 64 + 22}
 
     def test_angles_suite_computes_each_functional_once(self, monkeypatch):
-        counts = {"build_field": 0, "cone_all": 0, "carleson_p_all": 0}
-
-        def counting(name, module):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        for name, module in (("build_field", squarefn), ("cone_all", tent),
-                             ("carleson_p_all", tent)):
-            wrapper = counting(name, module)
-            for binding in (module, squarefn, verify, tent):
-                if hasattr(binding, name):
-                    monkeypatch.setattr(binding, name, wrapper)
+        counts = count_calls(monkeypatch, "build_field", "cone_all", "carleson_p_all")
         run_suites(SMALL, ["angles_carleson"])
         # 4 sampled bank fields per grid; cones: 3 random areas, apertures
         # 1/2 and 2 of 7 coarse fields, 4 fine areas and aperture-2 cones,
