@@ -86,12 +86,6 @@ class ExtReal:
             raise ValueError(f"ExtReal must be nonnegative, got {frac}")
         self._frac = frac
 
-    @classmethod
-    def infinite(cls) -> "ExtReal":
-        obj = cls.__new__(cls)
-        obj._frac = None
-        return obj
-
     @property
     def is_inf(self) -> bool:
         return self._frac is None
@@ -151,7 +145,7 @@ class ExtReal:
         return f"ExtReal({str(self)!r})"
 
 
-INF = ExtReal.infinite()
+INF = ExtReal("inf")
 ZERO = ExtReal(0)
 ONE = ExtReal(1)
 
@@ -422,9 +416,7 @@ def corollary_ranges(kind: str, params: dict) -> dict:
         }
 
     if kind in ("heat_Lp", "poisson_Lp"):
-        r = Fraction(params.get("r", 1))
-        if not (1 <= r <= 2):
-            raise ValueError(f"r outside [1, 2]: {r}")
+        r = _require_r(params, n, Fraction(2))
         nr = n * r
         if r == 1:
             p_lo, lo_closed = Fraction(2 * n, n + 2), False

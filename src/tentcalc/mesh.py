@@ -23,11 +23,11 @@ the grid, never as FFT convolutions or differences of prefix sums: with
 non-negative terms, a fixed order makes every sum over a larger ball at
 least the sum over a smaller one in floating point too, which the
 tolerance-0 aperture-monotonicity check relies on.  Geometry memory is
-O(M); no pairwise distance matrix is formed.  A reduction nested over a
-ladder of radii (cones, Carleson cuts, the maximal sup) works in one
-(radii, M) buffer: its suffix sums over the ladder are taken in place,
-and each row offset gathers its rows modulo the side, so no plane is
-doubled and no identity layer is stored.
+O(M); no pairwise distance matrix is formed.  The one reduction nested
+over a ladder of radii (cones, Carleson cuts, the maximal sup) works in
+the (radii, M) buffer its caller gives up: its suffix sums over the
+ladder are taken in place, and each row offset gathers its rows modulo
+the side, so no plane is doubled and no identity layer is stored.
 
 Weighted measures and norms use the cell quadrature
 
@@ -271,7 +271,6 @@ class BallStencil:
         a = 0, +-1, ..., +-k (rows k and N-k in one step) serves every
         radius: after step k, each ball takes T_k at its columns of
         extent k, outermost first, starting from the identity of ufunc.
-        Radii with the same extents in every column share one result.
         """
         values = np.asarray(values, float)
         if ufunc not in _IDENTITY:
@@ -282,10 +281,7 @@ class BallStencil:
         quarter = self._half_distances[: n_rows // 2 + 1]
         inside = quarter < bounds if strict else quarter <= bounds
         extents = inside.sum(axis=1) - 1
-        # radii are sorted, so radii with equal extents are neighbours
-        fresh = np.r_[True, np.any(extents[1:] != extents[:-1], axis=1)]
-        out = np.empty((len(extents), *values.shape))
-        out[fresh] = _IDENTITY[ufunc]
+        out = np.full((len(extents), *values.shape), _IDENTITY[ufunc])
         balls = out.reshape(out.shape[:-1] + self._plane)
         plane = values.reshape(values.shape[:-1] + self._plane)
         rows = np.concatenate([plane, plane], axis=-2)
@@ -297,24 +293,22 @@ class BallStencil:
                 if 2 * k != n_rows:
                     ufunc(now, rows[..., n_rows - k : 2 * n_rows - k, :], out=now)
                 acc[..., n:] = now
-            pairs = np.nonzero(fresh[:, None] & (extents == k))
+            pairs = np.nonzero(extents == k)
             for i, b in zip(pairs[0][::-1].tolist(), pairs[1][::-1].tolist()):
                 self._column_step(balls[i], acc, b, ufunc)
-        for i in np.flatnonzero(~fresh).tolist():
-            out[i] = out[i - 1]
         return out
 
     def nested_reduce(
-        self, values: NDArray, radii, strict: bool = False, ufunc=np.add
+        self, buf: NDArray, radii, strict: bool = False, ufunc=np.add
     ) -> NDArray:
-        """out(x) = ufunc over i and y in B(x, radii[i]) of values[i](y),
-        for ufunc np.add or np.maximum.
+        """out(x) = ufunc over i and y in B(x, radii[i]) of buf[i](y), for
+        ufunc np.add or np.maximum.
 
-        `values` has shape (len(radii), M) and is not written to: the
-        reduction runs in one working buffer of that shape, a copy of
-        `values`.  Offset o lies in the balls of radii[i] for
-        i >= layer(o), so the suffix reductions S over i are taken first,
-        in place, and o contributes S[layer(o)](x + o).  The row sums
+        `buf` is a float64 array of shape (len(radii), M) that the caller
+        gives up: the reduction works in it and overwrites it.  Offset o
+        lies in the balls of radii[i] for i >= layer(o), so the suffix
+        reductions S over i are taken first, in place, and o contributes
+        S[layer(o)](x + o).  The row sums
 
             R_b(y) = ufunc over a of S[layer(a, b)](y_1 + a, y_2)
 
@@ -326,16 +320,13 @@ class BallStencil:
         np.maximum).  For non-negative values a suffix only grows as its
         layer falls, so growing the radii grows every leaf.  By ball
         symmetry, ufunc = np.maximum gives at each x the sup of
-        values[i](c) over all balls B(c, radii[i]) that contain x.
+        buf[i](c) over all balls B(c, radii[i]) that contain x.
         """
-        return self._nested_reduce(np.array(values, float), radii, strict, ufunc)
-
-    def _nested_reduce(self, buf: NDArray, radii, strict: bool, ufunc) -> NDArray:
-        """`nested_reduce` with `buf`, a (len(radii), M) float array that
-        the caller gives up, as the working buffer; overwrites `buf`."""
         bounds = self._bounds(radii)
-        if buf.shape != (bounds.size, self.offset_distances.size):
-            raise ValueError(f"values shape {buf.shape}: need one row per radius")
+        if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64
+                and buf.shape == (bounds.size, self.offset_distances.size)):
+            raise ValueError(f"need a float64 buf with one row per radius, got "
+                             f"{getattr(buf, 'dtype', type(buf))} {np.shape(buf)}")
         if ufunc not in (np.add, np.maximum):
             raise ValueError(f"nested_reduce supports np.add and np.maximum, got {ufunc}")
         layer = np.searchsorted(
@@ -425,4 +416,4 @@ def maximal(
     radii = grid.dyadic_radii(0.5)
     sums = grid.stencil.ball_reduce(np.stack([g, mu]), radii)
     avg = sums[:, 0] / sums[:, 1]
-    return grid.stencil._nested_reduce(avg, radii, False, np.maximum) ** (1.0 / p0)
+    return grid.stencil.nested_reduce(avg, radii, ufunc=np.maximum) ** (1.0 / p0)

@@ -111,7 +111,7 @@ def _cone_sq(fld: HalfSpaceField, count: int, alpha: float) -> NDArray:
     buf = np.square(fld.values[:count])
     buf *= _cone_factors(fld.grid, fld.weight, fld.ladder)[:count]
     radii = alpha * fld.ladder.nodes[:count]
-    return fld.grid.stencil._nested_reduce(buf, radii, True, np.add)
+    return fld.grid.stencil.nested_reduce(buf, radii, strict=True)
 
 
 def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
@@ -128,14 +128,6 @@ def fubini_norm_sq(fld: HalfSpaceField) -> float:
 def _truncation_index(ladder: TimeLadder, r: float) -> int:
     """Number of ladder nodes with t_j strictly below r."""
     return int(np.sum(ladder.nodes < r * (1.0 - TIE_SLACK)))
-
-
-def _sup_over_balls(grid: Grid, radii: list[float], vals: list[NDArray]) -> NDArray:
-    """At each cell, the max of vals[i](c) over the closed balls
-    B(c, radii[i]) containing it; 0 when no radius contributes."""
-    if not radii:
-        return np.zeros(grid.n_cells)
-    return grid.stencil._nested_reduce(np.array(vals), radii, False, np.maximum)
 
 
 def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
@@ -155,7 +147,11 @@ def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
         )[0]
         radii.append(r)
         vals.append((mass / wb) ** (1.0 / p0))
-    return _sup_over_balls(grid, radii, vals)
+    # at each cell, the max of vals[i](c) over the closed balls B(c, radii[i])
+    # containing it; 0 when no radius contributes
+    if not radii:
+        return np.zeros(grid.n_cells)
+    return grid.stencil.nested_reduce(np.array(vals), radii, ufunc=np.maximum)
 
 
 @dataclass(frozen=True)

@@ -818,17 +818,16 @@ def suite_angles_carleson(config: SuiteConfig, contexts: Contexts) -> SuiteRepor
 
 
 def _g_alpha_functional(
-    grid: Grid, w_values: NDArray, h_values: NDArray, v_values: NDArray,
-    alpha: float, t: float, q: float,
+    grid: Grid, w_values: NDArray, h_values: NDArray, alpha: float, t: float, q: float,
 ) -> float:
-    """The v dw integral of the q-th root of the alpha-aperture average
+    """The dw integral of the q-th root of the alpha-aperture average
     of |h| against the normalized ball measure dw(y)/w(B(y, alpha t))."""
     radii = [alpha * t]
     whn = w_values * grid.cell_volume
     wball = grid.stencil.ball_reduce(whn, radii, strict=True)[0]
     payload = np.abs(h_values) * whn / wball
     g = grid.stencil.ball_reduce(payload, radii, strict=True)[0]
-    return float(np.sum(g ** (1.0 / q) * v_values * whn))
+    return float(np.sum(g ** (1.0 / q) * whn))
 
 
 def suite_appendix_q(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
@@ -839,23 +838,21 @@ def suite_appendix_q(config: SuiteConfig, contexts: Contexts) -> SuiteReport:
     op = contexts[0].op
     grid = op.grid
     w_values = op.weight_values
-    v_values = np.ones(grid.n_cells)
     h_values = np.abs(rng.standard_normal(grid.n_cells))
     t = 0.25
 
-    # at q = 1, v = 1 the ball normalizations cancel by symmetry of the
+    # at q = 1 the ball normalizations cancel by symmetry of the
     # distance, so the functional equals the plain mass at every aperture
     mass = float(np.sum(np.abs(h_values) * w_values * grid.cell_volume))
     worst = max(
-        abs(_g_alpha_functional(grid, w_values, h_values, v_values, a, t, 1.0)
-            / mass - 1.0)
+        abs(_g_alpha_functional(grid, w_values, h_values, a, t, 1.0) / mass - 1.0)
         for a in config.appendix_alphas
     )
     checks.append(_pass_fail("mass-identity-q1", worst, FUBINI_TOL))
 
     def slope(q: float, weight_values: NDArray) -> float:
         vals = [
-            _g_alpha_functional(grid, weight_values, h_values, v_values, a, t, q)
+            _g_alpha_functional(grid, weight_values, h_values, a, t, q)
             for a in config.appendix_alphas
         ]
         ref = vals[0]

@@ -9,10 +9,11 @@ defining products are
     RH_s(w):  (avg_B v^s)^{1/s} / (avg_B v),             1 < s < inf,
     RH_oo(w): (max_B v) / (avg_B v),
 
-each >= 1 by Jensen.  The plain classes A_p and RH_s are those in the
-measure w = UNIT_WEIGHT.  The class constant is the sup over balls,
-realized here as the max over the finite family {all cell centers} x
-{dyadic radii <= 1/4}.
+each >= 1 by Jensen: avg_B v times or over a ball extreme of v, or a
+ball average of v^power raised to the root p - 1 or 1/s.  The plain
+classes A_p and RH_s are those in the measure w = UNIT_WEIGHT.  The
+class constant is the sup over balls, realized here as the max over
+the finite family {all cell centers} x {dyadic radii <= 1/4}.
 
 Membership in a class is a statement about all balls at all scales, so no
 single grid decides it.  It is diagnosed by refinement across N in
@@ -67,10 +68,6 @@ class ClassKind:
             number("index", self.index, 1, open_lo=True)
 
 
-def _family_radii(grid: Grid) -> list[float]:
-    return grid.dyadic_radii(0.25)
-
-
 # exp overflows past ~709.8; the margin leaves room for the ball sums
 _LOG_SAFE = 700.0
 
@@ -86,7 +83,7 @@ def _max_product(
     p_or_s = kind.index
     is_ap = kind.family == "Ap"
     stencil = grid.stencil
-    radii = _family_radii(grid)
+    radii = grid.dyadic_radii(0.25)
     # the power of v averaged beside v: the dual -1/(p-1) for A_p, s for
     # RH_s; A_1 and RH_oo take the ball min / max instead
     if is_ap:
@@ -101,24 +98,18 @@ def _max_product(
     sums = stencil.ball_reduce(np.stack(rows), radii)
     mass = sums[:, 0]
     avg_v = sums[:, 1] / mass
-    if log_pow is not None and not direct:
-        # log of the ball average of v^power; np.logaddexp stays in range
-        log_sums = stencil.ball_reduce(log_pow + np.log(base), radii, ufunc=np.logaddexp)
-        log_avg = log_sums - np.log(mass)
-    if is_ap:
-        if power is None:
-            per_ball = avg_v / stencil.ball_reduce(values, radii, ufunc=np.minimum)
-        elif direct:
-            per_ball = avg_v * (sums[:, 2] / mass) ** (p_or_s - 1.0)
-        else:
-            per_ball = avg_v * np.exp((p_or_s - 1.0) * log_avg)
+    if power is None:
+        extreme = stencil.ball_reduce(values, radii, ufunc=np.minimum if is_ap else np.maximum)
+        per_ball = avg_v / extreme if is_ap else extreme / avg_v
     else:
-        if power is None:
-            per_ball = stencil.ball_reduce(values, radii, ufunc=np.maximum) / avg_v
-        elif direct:
-            per_ball = (sums[:, 2] / mass) ** (1.0 / p_or_s) / avg_v
+        root = p_or_s - 1.0 if is_ap else 1.0 / p_or_s
+        if direct:
+            mean = (sums[:, 2] / mass) ** root
         else:
-            per_ball = np.exp(log_avg / p_or_s) / avg_v
+            # from the log of the ball average; np.logaddexp stays in range
+            log_sums = stencil.ball_reduce(log_pow + np.log(base), radii, ufunc=np.logaddexp)
+            mean = np.exp(root * (log_sums - np.log(mass)))
+        per_ball = avg_v * mean if is_ap else mean / avg_v
     best = 0.0
     for row in per_ball:  # one radius at a time: a NaN row is skipped
         best = max(best, float(row.max()))

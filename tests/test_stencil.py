@@ -96,13 +96,37 @@ class TestGeometry:
                     npt.assert_array_equal(maxs[i], dense.ball_max(v, mask))
                     assert_close(lses[i], dense.ball_logsumexp(logs, mask))
 
+    def test_ball_reduce_equal_extents_give_equal_rows(self, fld):
+        # radii below h/2 hold the center alone and radii between h and
+        # sqrt(2) h the same offsets, so each group's rows are equal bit
+        # for bit, and each row is its ball's dense reduction
+        grid = fld.grid
+        h = grid.h
+        radii = [0.1 * h, 0.2 * h, 0.3 * h, 0.4 * h, 1.1 * h, 1.3 * h]
+        v, logs = fld.values[3], 400.0 * (fld.values[4] - 1.0)
+        refs = [
+            (np.add, v, lambda m: m @ v, assert_close),
+            (np.minimum, v, lambda m: dense.ball_min(v, m), npt.assert_array_equal),
+            (np.maximum, v, lambda m: dense.ball_max(v, m), npt.assert_array_equal),
+            (np.logaddexp, logs, lambda m: dense.ball_logsumexp(logs, m), assert_close),
+        ]
+        for strict in (False, True):
+            masks = [dense.ball_mask(grid, r, strict) for r in radii]
+            for ufunc, x, dense_reduce, check in refs:
+                out = grid.stencil.ball_reduce(x, radii, strict, ufunc=ufunc)
+                for row, mask in zip(out, masks):
+                    check(row, dense_reduce(mask))
+                for row in out[1:4]:
+                    npt.assert_array_equal(row, out[0])
+                npt.assert_array_equal(out[5], out[4])
+
     def test_sup_over_balls_matches_dense_scatter(self, fld):
         grid = fld.grid
         radii = grid.dyadic_radii(0.5)
         vals = fld.values[: len(radii)]
         masks = [dense.ball_mask(grid, r) for r in radii]
         npt.assert_array_equal(
-            grid.stencil.nested_reduce(vals, radii, ufunc=np.maximum),
+            grid.stencil.nested_reduce(vals.copy(), radii, ufunc=np.maximum),
             dense.scatter_max(masks, vals, grid.n_cells),
         )
 
@@ -129,11 +153,11 @@ class TestNestedReduce:
             vals = rng.random((len(radii), grid.n_cells))
             masks = [dense.ball_mask(grid, r, strict) for r in radii]
             npt.assert_array_equal(
-                grid.stencil.nested_reduce(vals, radii, strict, ufunc=np.maximum),
+                grid.stencil.nested_reduce(vals.copy(), radii, strict, ufunc=np.maximum),
                 dense.scatter_max(masks, vals, grid.n_cells),
             )
             assert_close(
-                grid.stencil.nested_reduce(vals, radii, strict),
+                grid.stencil.nested_reduce(vals.copy(), radii, strict),
                 dense.scatter_sum(masks, vals),
             )
 
@@ -155,7 +179,7 @@ class TestNestedReduce:
         sums = []
         for scale in sorted(scales):
             radii = scale * ladder
-            got = grid.stencil.nested_reduce(vals, radii, strict)
+            got = grid.stencil.nested_reduce(vals.copy(), radii, strict)
             # a cell that no ball reaches with a nonzero value is exactly 0
             masks = [dense.ball_mask(grid, r, strict) for r in radii]
             reach = dense.scatter_sum(masks, (vals != 0).astype(float))
@@ -167,14 +191,23 @@ class TestNestedReduce:
         zero = grid.stencil.nested_reduce(np.zeros_like(vals), ladder, strict)
         npt.assert_array_equal(zero, 0.0)
 
-    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
-    def test_leaves_values_unchanged(self, ufunc):
-        grid = Grid(2, 9)
-        radii = [grid.h, 0.3, 0.5]
-        vals = np.random.default_rng(2).random((len(radii), grid.n_cells))
-        kept = vals.copy()
-        grid.stencil.nested_reduce(vals, radii, ufunc=ufunc)
-        npt.assert_array_equal(vals, kept)
+    def test_callers_leave_inputs_unchanged(self):
+        # nested_reduce overwrites its buffer, so each caller hands it one
+        # of its own
+        fld = make_field(2, 9, seed=2)
+        kept = fld.values.copy()
+        f = fld.values[5] - 0.5
+        kept_f = f.copy()
+        cone_all(fld, 2.0)
+        carleson_p_all(fld, 1.5)
+        maximal(f, fld.grid, 1.5, base=fld.weight)
+        npt.assert_array_equal(fld.values, kept)
+        npt.assert_array_equal(f, kept_f)
+
+    def test_rejects_integer_buffer(self):
+        grid = Grid(1, 8)
+        with pytest.raises(ValueError, match="float64"):
+            grid.stencil.nested_reduce(np.ones((1, 8), dtype=int), [0.25])
 
     def test_rejects_other_reductions(self):
         grid = Grid(1, 8)
@@ -236,11 +269,11 @@ class TestClassConstants:
 
 def test_g_alpha_functional(fld):
     grid = fld.grid
-    args = (grid, fld.weight_values, fld.values[0] - 0.5, PowerWeight(0.5).sample(grid))
+    args = (grid, fld.weight_values, fld.values[0] - 0.5)
     for alpha in (1.0, 0.5, 0.25):
         assert_close(
             _g_alpha_functional(*args, alpha, 0.25, 1.5),
-            dense.g_alpha_functional(*args, alpha, 0.25, 1.5),
+            dense.g_alpha_functional(*args, np.ones(grid.n_cells), alpha, 0.25, 1.5),
         )
 
 

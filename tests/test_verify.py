@@ -180,10 +180,9 @@ class TestGAlphaFunctional:
         rng = np.random.default_rng(0)
         w = PowerWeight(1.0).sample(grid)
         h = np.abs(rng.standard_normal(grid.n_cells))
-        ones = np.ones(grid.n_cells)
         mass = float(np.sum(np.abs(h) * w * grid.cell_volume))
         for alpha in (1.0, 0.5, 0.25):
-            got = _g_alpha_functional(grid, w, h, ones, alpha, 0.25, 1.0)
+            got = _g_alpha_functional(grid, w, h, alpha, 0.25, 1.0)
             assert got == pytest.approx(mass, rel=1e-12)
 
     def test_concavity_raises_value_for_larger_aperture(self):
@@ -191,9 +190,8 @@ class TestGAlphaFunctional:
         rng = np.random.default_rng(1)
         w = np.ones(grid.n_cells)
         h = np.abs(rng.standard_normal(grid.n_cells))
-        ones = np.ones(grid.n_cells)
-        small = _g_alpha_functional(grid, w, h, ones, 0.25, 0.25, 2.0)
-        large = _g_alpha_functional(grid, w, h, ones, 1.0, 0.25, 2.0)
+        small = _g_alpha_functional(grid, w, h, 0.25, 0.25, 2.0)
+        large = _g_alpha_functional(grid, w, h, 1.0, 0.25, 2.0)
         assert large >= small
 
 
