@@ -48,12 +48,18 @@ square (even, even) and (odd, odd) blocks each split once more: the
 symmetric part holds the diagonal cells u_ii and (u_ij + u_ji)/sqrt(2),
 the antisymmetric part (u_ij - u_ji)/sqrt(2), for i < j.  Each part is
 assembled from the stencil nonzeros and decomposed by its own `eigh`, and
-its modes are scattered back to block coordinates, so the stored bases
-stay per parity block.  The sign rule runs once per parity block in its
-coordinates, so a simple mode keeps its sign whichever way its block was
-solved.  At N = 64 that is one 1024^2 and four ~512^2 `eigh`s instead of
-four 1024^2.  Every `eigh` is numpy's, LAPACK's divide-and-conquer
-driver.
+its basis is stored as `eigh` returns it, one row per part row, so a
+square block keeps two bases of about half its size each.  Its transform
+takes one more unscaled fold, over the mirror pairs i < j: the symmetric
+part reads u_ii and u_ij + u_ji, the antisymmetric part u_ij - u_ji, and
+reconstruction writes back u_ii = s_ii, u_ij = s_ij + a_ij and
+u_ji = s_ij - a_ij.  The sign rule weights each part row by its
+|coefficient| and reads the rows in the order of their first cells, which
+is the rule of the parity block scanned in its own coordinates, so a
+simple mode keeps its sign whichever way its block was solved.  At
+N = 64 that is one 1024^2 and four ~512^2 `eigh`s instead of four
+1024^2, and 16 MiB of stored bases instead of 24.  Every `eigh` is
+numpy's, LAPACK's divide-and-conquer driver.
 
 Global modes are ordered by eigenvalue.  Eigenvalues whose adjacent gaps
 stay within CLUSTER_RTOL * lambda_max form a cluster, and inside a cluster
@@ -67,6 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -257,6 +264,60 @@ def _swap_maps(m: int) -> list[tuple[NDArray, NDArray, int]]:
     return [sym, anti]
 
 
+@lru_cache(maxsize=8)
+def _swap_fold(m: int) -> tuple[tuple[NDArray, NDArray], NDArray, NDArray, NDArray]:
+    """Where the cells of an m x m block grid go in its axis-swap parts,
+    read off `_swap_maps`; one per side per process.  The rows of each
+    part run in the row-major order of their first cells, (i, i) or
+    (i, j) with i < j, where the coefficient is positive.  Returns
+    (firsts, lower, pair_rows, unfold): per part, the first cell of each
+    row (the cells i <= j, then the pairs' cells (i, j), i < j); the cells
+    (j, i) of the same pairs; the symmetric rows of the pairs; and each
+    cell's column in [symmetric rows, pair sums, pair differences]."""
+    (_, sym_q, n_sym), (_, _, n_pairs) = _swap_maps(m)
+    i, j = np.divmod(np.arange(m * m), m)
+    upper = np.flatnonzero(i < j)
+    lower = (upper % m) * m + upper // m
+    unfold = sym_q.copy()
+    unfold[upper] = n_sym + np.arange(n_pairs)
+    unfold[lower] = n_sym + n_pairs + np.arange(n_pairs)
+    return (np.flatnonzero(i <= j), upper), lower, sym_q[upper], unfold
+
+
+def _swap_inputs(g: NDArray) -> tuple[NDArray, NDArray]:
+    """The unscaled axis-swap fold of a (..., m*m) stack of block grids:
+    its symmetric part (g_ii, g_ij + g_ji) and antisymmetric part
+    g_ij - g_ji, in part row order."""
+    (cells, upper), lower, pair_rows, _ = _swap_fold(math.isqrt(g.shape[-1]))
+    sym = g[..., cells]
+    low = g[..., lower]
+    sym[..., pair_rows] += low
+    anti = g[..., upper]
+    anti -= low
+    return sym, anti
+
+
+def _swap_products_into(coeffs: NDArray, parts: tuple[NDArray, NDArray], out: NDArray):
+    """One product per axis-swap part of a square block's (..., m*m)
+    stack of coefficients, symmetric modes first, then the unfold
+    u_ii = s_ii, u_ij = s_ij + a_ij, u_ji = s_ij - a_ij into `out`, a
+    (..., m*m) stack of block grids.  The symmetric products, the pair
+    sums (written over the antisymmetric products) and the pair
+    differences lie side by side in one buffer, and one gather puts
+    every cell in place."""
+    sym, anti = parts
+    _, _, pair_rows, unfold = _swap_fold(math.isqrt(out.shape[-1]))
+    n_sym, n_pairs = sym.shape[0], anti.shape[0]
+    packed = np.empty(coeffs.shape[:-1] + (n_sym + 2 * n_pairs,))
+    s = np.matmul(coeffs[..., :n_sym], sym.T, out=packed[..., :n_sym])
+    a = np.matmul(coeffs[..., n_sym:], anti.T, out=packed[..., n_sym:n_sym + n_pairs])
+    pairs = s[..., pair_rows]
+    np.subtract(pairs, a, out=packed[..., n_sym + n_pairs:])
+    a += pairs
+    del pairs
+    out[...] = packed[..., unfold]
+
+
 def _block_matrix(stencil, coef: NDArray, local: NDArray, m: int) -> NDArray:
     """The m x m block of S whose row r is the sum over cells x with
     local[x] = r of coef[x] u(x), from the stencil nonzeros."""
@@ -268,7 +329,9 @@ def _block_matrix(stencil, coef: NDArray, local: NDArray, m: int) -> NDArray:
         weights=cr[keep] * vals[keep] * cc[keep],
         minlength=m * m,
     ).reshape(m, m)
-    return 0.5 * (block + block.T)
+    sym = np.add(block, block.T)
+    sym *= 0.5
+    return sym
 
 
 def _block_eigh(block: NDArray) -> tuple[NDArray, NDArray]:
@@ -286,30 +349,29 @@ def _block_eigh(block: NDArray) -> tuple[NDArray, NDArray]:
     eigvals[np.abs(eigvals) < EIG_ZERO_BAND * top] = 0.0
 
     # psi is orthonormal exactly when the modes it gives are w-orthonormal
-    resid = np.max(np.abs(psi.T @ psi - np.eye(psi.shape[1])))
+    gram = psi.T @ psi
+    gram.flat[:: psi.shape[1] + 1] -= 1.0
+    resid = np.max(np.abs(gram, out=gram))
     if resid > ORTHO_TOL:
         raise ValueError(f"w-orthonormalization residual {resid} exceeds {ORTHO_TOL}")
     return eigvals, psi
 
 
-def _swap_eigh(stencil, coef: NDArray, local: NDArray, side: int):
-    """Eigenpairs of a square parity block (side x side local grid) from
-    one `_block_eigh` per axis-swap part, with the modes scattered back to
-    block coordinates: the symmetric part's modes first, each part in
-    ascending order."""
-    lams, psis = [], []
-    for c, q, size in _swap_maps(side):
-        lam, psi = _block_eigh(_block_matrix(stencil, coef * c[local], q[local], size))
-        lams.append(lam)
-        psis.append(c[:, None] * psi[q])
-    return np.concatenate(lams), np.hstack(psis)
-
-
-def _signs(psi: NDArray) -> NDArray:
+def _signs(psi: NDArray, scale: NDArray | None = None,
+           order: NDArray | None = None) -> NDArray:
     """The deterministic sign of each column of psi: the one that makes
-    its first entry of near-largest magnitude positive."""
+    its first entry of near-largest magnitude positive, the magnitudes
+    weighted by the row factors `scale` and the rows read in `order`
+    (unweighted and in stored order when None)."""
     mag = np.abs(psi)
-    lead = np.argmax(mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0), axis=0)
+    if scale is not None:
+        mag *= scale[:, None]
+    near = mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0)
+    del mag
+    if order is None:
+        lead = np.argmax(near, axis=0)
+    else:
+        lead = order[np.argmax(near[order], axis=0)]
     signs = np.sign(psi[lead, np.arange(psi.shape[1])])
     signs[signs == 0] = 1.0
     return signs
@@ -333,7 +395,12 @@ class SpectralOperator:
     (odd, even) block holds the (even, odd) basis itself, read in
     transposed local coordinates, and its modes differ from that basis
     by `mode_signs` (+-1 per mode in block order, 1 outside that block),
-    which only the global-order methods apply."""
+    which only the global-order methods apply.  The (even, even) and
+    (odd, odd) blocks then hold a (symmetric, antisymmetric) pair of
+    bases, one row per part row, each scaled by the row's |coefficient|
+    in its part times the block's row factor at its first cell (w is
+    swap-symmetric, so both cells of a pair share that factor); their
+    modes are the symmetric part's, then the antisymmetric part's."""
 
     grid: Grid
     weight: WeightModel
@@ -341,7 +408,7 @@ class SpectralOperator:
     eigenvalues: NDArray = field(repr=False)  # >= 0, ascending up to clusters
     weight_values: NDArray = field(repr=False)
     swap: bool
-    block_vectors: tuple[NDArray, ...] = field(repr=False)
+    block_vectors: tuple[NDArray | tuple[NDArray, NDArray], ...] = field(repr=False)
     block_eigenvalues: NDArray = field(repr=False)
     block_modes: tuple[NDArray, ...] = field(repr=False)
     mode_signs: NDArray = field(repr=False)
@@ -360,26 +427,39 @@ class SpectralOperator:
     def project_blocks(self, f: NDArray) -> NDArray:
         """Coefficients <f, phi_k>_w of a (..., M) stack in block order,
         as `block_eigenvalues`: the unscaled fold of f w h^dim, then one
-        product per block."""
+        product per block, or under the swap split the unscaled fold over
+        the mirror pairs and one product per part of a square block."""
         f = np.asarray(f, float)
         grids = _to_blocks(f * (self.weight_values * self.grid.cell_volume),
                            self.grid.n_side, self.grid.dim)
         if self.swap:
             grids[2] = grids[2].swapaxes(-1, -2)
-        return np.concatenate([g.reshape(f.shape[:-1] + (-1,)) @ phi
-                               for g, phi in zip(grids, self.block_vectors)], axis=-1)
+        coeffs = []
+        for g, phi in zip(grids, self.block_vectors):
+            flat = g.reshape(f.shape[:-1] + (-1,))
+            if isinstance(phi, tuple):
+                sym, anti = _swap_inputs(flat)
+                coeffs += [sym @ phi[0], anti @ phi[1]]
+            else:
+                coeffs.append(flat @ phi)
+        return np.concatenate(coeffs, axis=-1)
 
     def reconstruct_blocks(self, coeffs: NDArray, out: NDArray | None = None) -> NDArray:
         """sum_k c_k phi_k of a (..., M) stack of coefficients in block
-        order: one product per block into one buffer, then the unscaled
-        butterflies into `out`, a new (..., M) array when None.  `out` may
-        be `coeffs` itself, which the products have read by then."""
+        order: one product per block (per part of a square block under the
+        swap split, then the sum/difference unfold over its mirror pairs)
+        into one buffer, then the unscaled butterflies into `out`, a new
+        (..., M) array when None.  `out` may be `coeffs` itself, which the
+        products have read by then."""
         coeffs = np.asarray(coeffs, float)
-        cuts = np.cumsum([phi.shape[1] for phi in self.block_vectors])[:-1]
+        cuts = np.cumsum([modes.size for modes in self.block_modes])[:-1]
         values = np.empty(coeffs.shape)
-        parts = [np.matmul(c, phi.T, out=v) for c, v, phi in zip(
-            np.split(coeffs, cuts, axis=-1), np.split(values, cuts, axis=-1),
-            self.block_vectors)]
+        parts = np.split(values, cuts, axis=-1)
+        for c, v, phi in zip(np.split(coeffs, cuts, axis=-1), parts, self.block_vectors):
+            if isinstance(phi, tuple):
+                _swap_products_into(c, phi, v)
+            else:
+                np.matmul(c, phi.T, out=v)
         out = np.empty(coeffs.shape) if out is None else out
         n = self.grid.n_side
         _unfold_into(self._grids(parts), n, out.reshape(out.shape[:-1] + (n,) * self.grid.dim),
@@ -402,7 +482,8 @@ class SpectralOperator:
             coeffs[..., np.concatenate(self.block_modes)] * self.mode_signs)
 
     def mode(self, k: int) -> NDArray:
-        """The eigenmode phi_k at every cell."""
+        """The eigenmode phi_k at every cell, for an integer k in [0, M)."""
+        number("k", k, 0, self.grid.n_cells - 1, integer=True)
         unit = np.zeros(self.grid.n_cells)
         unit[k] = 1.0
         return self.reconstruct(unit)
@@ -426,34 +507,42 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
             and np.array_equal(w_grid, w_grid.T))
     stencil = _scaled_stencil(grid, coeff, wv)
     h = n // 2
-    maps = _block_maps(n, grid.dim)
+    density_root = np.sqrt(wv * grid.cell_volume)
     eigs, vectors, signs = [], [], []
-    for b, (coef, local, m) in enumerate(maps):
+    for b, (coef, local, m) in enumerate(_block_maps(n, grid.dim)):
         if swap and b == 2:
-            # the swap carries (even, odd) onto (odd, even): the same
-            # spectrum and basis, in transposed local coordinates; only
-            # the sign rule, applied in this block's row order, is its own
             eigs.append(eigs[1])
             vectors.append(vectors[1])
-            signs.append(_signs(vectors[1].reshape(n - h, h, m).transpose(1, 0, 2)
-                                .reshape(m, m)))
+            signs.append(mirror_signs)
             continue
+        # to block coordinates of the unscaled fold: every cell of a mirror
+        # orbit gives its row the same factor, since w is equal on the orbit
+        rows = np.empty(m)
+        rows[local] = np.abs(coef) / density_root
         if swap and b in (0, 3):
-            lam, psi = _swap_eigh(stencil, coef, local, n - h if b == 0 else h)
+            side = n - h if b == 0 else h
+            lams, parts = [], []
+            for (c, q, size), first in zip(_swap_maps(side), _swap_fold(side)[0]):
+                scale = np.abs(c[first])
+                lam, psi = _block_eigh(_block_matrix(stencil, coef * c[local], q[local], size))
+                psi *= _signs(psi, scale)
+                psi *= (scale * rows[first])[:, None]
+                lams.append(lam)
+                parts.append(psi)
+            eigs.append(np.concatenate(lams))
+            vectors.append(tuple(parts))
         else:
             lam, psi = _block_eigh(_block_matrix(stencil, coef, local, m))
-        psi *= _signs(psi)
-        eigs.append(lam)
-        vectors.append(psi)
+            psi *= _signs(psi)
+            if swap and b == 1:
+                # the swap carries (even, odd) onto (odd, even): the same
+                # spectrum and basis, in transposed local coordinates; only
+                # the sign rule, read in that block's row order, is its own
+                mirror_signs = _signs(psi, order=np.arange(m).reshape(n - h, h).T.ravel())
+            psi *= rows[:, None]
+            eigs.append(lam)
+            vectors.append(psi)
         signs.append(np.ones(m))
-    # to block coordinates of the unscaled fold: every cell of a mirror
-    # orbit gives its row the same factor, since w is equal on the orbit
-    density_root = np.sqrt(wv * grid.cell_volume)
-    for b, ((coef, local, m), phi) in enumerate(zip(maps, vectors)):
-        if not (swap and b == 2):
-            rows = np.empty(m)
-            rows[local] = np.abs(coef) / density_root
-            phi *= rows[:, None]
 
     lam = np.concatenate(eigs)
     block_id = np.concatenate([np.full(e.size, b) for b, e in enumerate(eigs)])

@@ -8,7 +8,10 @@ beyond its input.  A gradient norm or G field holds at most the image
 table and the reconstruction's block products, and then the image and
 its summed squared differences; a Gcal field also holds its t d_t image.
 A verify run keeps no half-space field, so its traced peak at bank 4 is
-within half such an array of its peak at bank 1.
+within half such an array of its peak at bank 1.  The operator with
+A = I takes the axis-swap split, which every default config takes, and
+its square blocks reconstruct through a packed buffer of their parts; it
+is held to the same bounds.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ def op():
     return assemble(GRID, CoefficientField([1.0, 2.0]), PowerWeight(0.5))
 
 
+@pytest.fixture(scope="module")
+def swap_op():
+    return assemble(GRID, CoefficientField.identity(GRID), PowerWeight(0.5))
+
+
 def test_cone_holds_one_buffer(fld):
     assert traced_peak(lambda: cone_all(fld)) <= 2.0
 
@@ -83,6 +91,19 @@ def test_gcal_cone_holds_field_and_two_buffers(op, family, order):
     kind = SquareFunctionKind(family, order)
     f = np.random.default_rng(7).standard_normal(GRID.n_cells)
     assert traced_peak(lambda: evaluate(kind, op, f, LADDER)) <= 4.0
+
+
+@pytest.mark.parametrize("family, order, call, bound", [
+    ("S_H", 1, evaluate, 3.0),
+    ("G_H", 1, evaluate, 3.0),
+    ("Gcal_H", 1, evaluate, 4.0),
+    ("G_H", 1, l2_norm_sq, 3.0),
+], ids=["S_H1-evaluate", "G_H1-evaluate", "Gcal_H1-evaluate", "G_H1-l2_norm_sq"])
+def test_swap_split_holds_the_same_buffers(swap_op, family, order, call, bound):
+    assert swap_op.swap
+    kind = SquareFunctionKind(family, order)
+    f = np.random.default_rng(8).standard_normal(GRID.n_cells)
+    assert traced_peak(lambda: call(kind, swap_op, f, LADDER)) <= bound
 
 
 def test_verify_run_peak_does_not_grow_with_bank():

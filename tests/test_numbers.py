@@ -52,6 +52,7 @@ ENTRY_POINTS = [
     ("maximal.p0", lambda v: maximal(F, GRID, v), 1.0, "p0", [0.0, -2.0], [], False),
     ("CoefficientField.entries", lambda v: CoefficientField([v]), 1.5, "entries",
      [0.0, -1.0], [], False),
+    ("SpectralOperator.mode", OP.mode, 3, "k", [-1, 8, 2.0], [], True),
     ("TimeLadder.t_min", lambda v: TimeLadder(v, 1.0, 2.0), 0.1, "t_min", [0.0, -0.1],
      [], False),
     ("TimeLadder.t_max", lambda v: TimeLadder(0.1, v, 2.0), 1.0, "t_max", [0.05, -1.0],

@@ -426,7 +426,89 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+def sign_rule(psi):
+    """The sign rule on a basis read in its own row order: each column's
+    first entry of near-largest magnitude is made positive."""
+    mag = np.abs(psi)
+    lead = np.argmax(mag >= (1.0 - operator_module.SIGN_RTOL) * mag.max(axis=0), axis=0)
+    signs = np.sign(psi[lead, np.arange(psi.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def scattered_swap_reference(op):
+    """The square blocks of a swap-split operator as square bases in block
+    coordinates, and the (odd, even) mode signs: each part solved by the
+    same `eigh`, its modes scattered to the block's cells by `_swap_maps`,
+    the sign rule applied to the scattered block in its row order, then
+    each row scaled by its fold factors over sqrt(w h^dim).  Returns
+    {block: (eigenvalues, basis)} and the (odd, even) signs, taken from the
+    (even, odd) basis with its rows in transposed order."""
+    g, om = op.grid, operator_module
+    n, h = g.n_side, g.n_side // 2
+    stencil = om._scaled_stencil(g, op.coeff, op.weight_values)
+    density_root = np.sqrt(op.weight_values * g.cell_volume)
+    blocks = {}
+    for b, (coef, local, m) in enumerate(om._block_maps(n, 2)):
+        if b == 1:
+            _, psi = om._block_eigh(om._block_matrix(stencil, coef, local, m))
+            psi *= sign_rule(psi)
+            mirror = sign_rule(psi.reshape(n - h, h, m).transpose(1, 0, 2).reshape(m, m))
+        if b not in (0, 3):
+            continue
+        lams, psis = [], []
+        for c, q, size in om._swap_maps(n - h if b == 0 else h):
+            lam, psi = om._block_eigh(om._block_matrix(stencil, coef * c[local], q[local], size))
+            lams.append(lam)
+            psis.append(c[:, None] * psi[q])
+        psi = np.hstack(psis)
+        psi *= sign_rule(psi)
+        rows = np.empty(m)
+        rows[local] = np.abs(coef) / density_root
+        blocks[b] = np.concatenate(lams), psi * rows[:, None]
+    return blocks, mirror
+
+
 class TestSwapSplit:
+    @pytest.fixture(scope="class")
+    def traced_n64(self):
+        g = Grid(2, 64)
+        tracemalloc.start()
+        try:
+            op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return op, peak
+
+    def test_stored_bases_at_n64(self, traced_n64):
+        # (odd, even) reads the (even, odd) basis; each square block keeps
+        # its symmetric and antisymmetric parts, 528^2 and 496^2, and no
+        # 1024^2 scatter of them
+        op, _ = traced_n64
+        stored = {id(p): p for phi in op.block_vectors
+                  for p in (phi if isinstance(phi, tuple) else (phi,))}
+        assert sum(p.size for p in stored.values()) <= 2 * (528**2 + 496**2) + 1024**2
+
+    def test_assembly_traced_peak_at_n64(self, traced_n64):
+        assert traced_n64[1] <= 34 * 2**20
+
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    def test_parts_match_scattered_reference(self, n):
+        g = Grid(2, n)
+        op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
+        blocks, mirror = scattered_swap_reference(op)
+        starts = np.cumsum([0] + [modes.size for modes in op.block_modes])
+        npt.assert_array_equal(op.mode_signs[starts[2]:starts[3]], mirror)
+        n_side = {0: n - n // 2, 3: n // 2}
+        for b, (lam, ref) in blocks.items():
+            npt.assert_array_equal(op.block_eigenvalues[starts[b]:starts[b + 1]], lam)
+            ours = np.hstack([np.sign(c)[:, None] * part[q] for (c, q, _), part in
+                              zip(operator_module._swap_maps(n_side[b]), op.block_vectors[b])])
+            # the same signs, and every entry within rounding of the reference
+            npt.assert_array_equal(np.sign(ours), np.sign(ref))
+            npt.assert_allclose(ours, ref, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("n", [8, 9, 16])
     @pytest.mark.parametrize("a", [1.0, 2.0])
     @pytest.mark.parametrize("alpha", [-1.2, 0.0, 1.0, 1.5])
