@@ -35,8 +35,15 @@ middle cell) are folded into each block's rows once, at assembly.
 `project` is then the unscaled fold (u_i + u_{N-1-i}, u_i - u_{N-1-i})
 of f w h^dim and one product per block, and `reconstruct` one product
 per block and the unscaled sum/difference butterflies into one array.
-The semigroup works in block order throughout; only the public
-`project`, `reconstruct` and `mode` use the global order.
+Reconstruction takes the blocks in pairs that differ only in the
+last-axis parity: the pair's products go into one buffer as wide as the
+pair, and its last-axis butterfly writes straight into the pair's own
+grid rows, the even half of the leading axes or the odd half reversed,
+which are also the pair's own coefficient columns.  So the result may
+overwrite the coefficients, and a (J, M) stack needs a second buffer of
+about (J, M/2) in dim 2, which the leading-axis butterfly then takes as
+its scratch.  The semigroup works in block order throughout; only the
+public `project`, `reconstruct` and `mode` use the global order.
 
 Axis-swap split.  In dim 2, when also A = a I and the sampled weight
 equals its transpose exactly, S commutes with the swap (x, y) -> (y, x).
@@ -181,28 +188,28 @@ def _to_blocks(values: NDArray, n: int, dim: int) -> list[NDArray]:
     return parts
 
 
-def _unfold_into(parts: list[NDArray], n: int, out: NDArray, scratch: NDArray):
-    """Inverse of the unscaled fold along every axis of `out`, a
-    (..., n, ..., n) grid stack: the field whose block parts are `parts`,
-    grids in their blocks' local coordinates each already divided by its
-    fold factors, written into `out` by sum/difference butterflies.
-
-    The last (contiguous) axis is combined from the parts straight into
-    `out`, the odd part of every leading axis reversed onto its mirror
-    cells; each leading axis then takes one butterfly in place, its
-    differences held in `scratch`, a flat buffer of at least half of
-    `out` that the parts may share."""
-    dim = len(parts).bit_length() - 1
+def _unfold_pair_into(even: NDArray, odd: NDArray, region: NDArray):
+    """Inverse of the unscaled fold along the last axis: the grid stack
+    `region` (..., n) whose last-axis parts are the grids `even` and
+    `odd`, each already divided by its fold factors, written by one
+    sum/difference butterfly with the odd part reversed onto its mirror
+    cells; for odd n the middle cell is the even part's last."""
+    n = region.shape[-1]
     h = n // 2
-    a = n - h
     lo, hi = slice(0, h), slice(n - 1, n - 1 - h, -1)
-    halves = (slice(0, a), slice(n - 1, a - 1, -1))
-    for r, rest in enumerate(itertools.product((0, 1), repeat=dim - 1)):
-        even, odd = parts[2 * r], parts[2 * r + 1]
-        region = out[(Ellipsis,) + tuple(halves[p] for p in rest) + (slice(None),)]
-        np.add(even[..., lo], odd, out=region[..., lo])
-        np.subtract(even[..., lo], odd, out=region[..., hi])
-        region[..., h:a] = even[..., h:a]
+    np.add(even[..., lo], odd, out=region[..., lo])
+    np.subtract(even[..., lo], odd, out=region[..., hi])
+    region[..., h:n - h] = even[..., h:n - h]
+
+
+def _unfold_leading(out: NDArray, dim: int, scratch: NDArray):
+    """Inverse of the unscaled fold along every leading axis of `out`, a
+    (..., n, ..., n) grid stack already unfolded along its last axis: one
+    butterfly in place per axis, its differences held in `scratch`, a
+    flat buffer of at least half of `out`."""
+    n = out.shape[-1]
+    h = n // 2
+    lo, hi = slice(0, h), slice(n - 1, n - 1 - h, -1)
     for axis in range(-dim, -1):
         x, y = _take(out, axis, lo), _take(out, axis, hi)
         diff = np.subtract(x, y, out=scratch[: x.size].reshape(x.shape))
@@ -301,10 +308,10 @@ def _swap_products_into(coeffs: NDArray, parts: tuple[NDArray, NDArray], out: ND
     """One product per axis-swap part of a square block's (..., m*m)
     stack of coefficients, symmetric modes first, then the unfold
     u_ii = s_ii, u_ij = s_ij + a_ij, u_ji = s_ij - a_ij into `out`, a
-    (..., m*m) stack of block grids.  The symmetric products, the pair
-    sums (written over the antisymmetric products) and the pair
+    contiguous (..., m*m) stack of block grids.  The symmetric products,
+    the pair sums (written over the antisymmetric products) and the pair
     differences lie side by side in one buffer, and one gather puts
-    every cell in place."""
+    every cell in place, straight into `out`."""
     sym, anti = parts
     _, _, pair_rows, unfold = _swap_fold(math.isqrt(out.shape[-1]))
     n_sym, n_pairs = sym.shape[0], anti.shape[0]
@@ -315,7 +322,7 @@ def _swap_products_into(coeffs: NDArray, parts: tuple[NDArray, NDArray], out: ND
     np.subtract(pairs, a, out=packed[..., n_sym + n_pairs:])
     a += pairs
     del pairs
-    out[...] = packed[..., unfold]
+    np.take(packed, unfold, axis=-1, out=out, mode="clip")
 
 
 def _block_matrix(stencil, coef: NDArray, local: NDArray, m: int) -> NDArray:
@@ -357,21 +364,25 @@ def _block_eigh(block: NDArray) -> tuple[NDArray, NDArray]:
     return eigvals, psi
 
 
-def _signs(psi: NDArray, scale: NDArray | None = None,
-           order: NDArray | None = None) -> NDArray:
-    """The deterministic sign of each column of psi: the one that makes
-    its first entry of near-largest magnitude positive, the magnitudes
-    weighted by the row factors `scale` and the rows read in `order`
-    (unweighted and in stored order when None)."""
+def _lead_rows(psi: NDArray, scale: NDArray | None = None,
+               orders: tuple[NDArray | None, ...] = (None,)) -> list[NDArray]:
+    """The lead row of each column of psi once per row order in `orders`:
+    its first row of near-largest magnitude, the magnitudes weighted by
+    the row factors `scale` (unweighted when None) and the rows read in
+    the order (stored order when None).  One |psi| pass and one near-max
+    mask serve every order."""
     mag = np.abs(psi)
     if scale is not None:
         mag *= scale[:, None]
     near = mag >= (1.0 - SIGN_RTOL) * mag.max(axis=0)
     del mag
-    if order is None:
-        lead = np.argmax(near, axis=0)
-    else:
-        lead = order[np.argmax(near[order], axis=0)]
+    return [np.argmax(near, axis=0) if order is None
+            else order[np.argmax(near[order], axis=0)] for order in orders]
+
+
+def _signs(psi: NDArray, lead: NDArray) -> NDArray:
+    """The deterministic sign of each column of psi: the one that makes
+    its entry in its lead row positive."""
     signs = np.sign(psi[lead, np.arange(psi.shape[1])])
     signs[signs == 0] = 1.0
     return signs
@@ -413,16 +424,16 @@ class SpectralOperator:
     block_modes: tuple[NDArray, ...] = field(repr=False)
     mode_signs: NDArray = field(repr=False)
 
-    def _grids(self, parts: list[NDArray]) -> list[NDArray]:
-        """Block parts (..., m_b) as grids in each block's local
+    def _block_grid(self, b: int, part: NDArray) -> NDArray:
+        """Block b's part (..., m_b) as a grid in the block's local
         coordinates; the (odd, even) part of a swap split is transposed
         from the (even, odd) layout."""
         n, h = self.grid.n_side, self.grid.n_side // 2
-        shapes = itertools.product((n - h, h), repeat=self.grid.dim)
-        grids = [p.reshape(p.shape[:-1] + shape) for p, shape in zip(parts, shapes)]
-        if self.swap:
-            grids[2] = parts[2].reshape(parts[2].shape[:-1] + (n - h, h)).swapaxes(-1, -2)
-        return grids
+        dim = self.grid.dim
+        if self.swap and b == 2:
+            return part.reshape(part.shape[:-1] + (n - h, h)).swapaxes(-1, -2)
+        shape = tuple(h if b >> (dim - 1 - k) & 1 else n - h for k in range(dim))
+        return part.reshape(part.shape[:-1] + shape)
 
     def project_blocks(self, f: NDArray) -> NDArray:
         """Coefficients <f, phi_k>_w of a (..., M) stack in block order,
@@ -446,24 +457,46 @@ class SpectralOperator:
 
     def reconstruct_blocks(self, coeffs: NDArray, out: NDArray | None = None) -> NDArray:
         """sum_k c_k phi_k of a (..., M) stack of coefficients in block
-        order: one product per block (per part of a square block under the
-        swap split, then the sum/difference unfold over its mirror pairs)
-        into one buffer, then the unscaled butterflies into `out`, a new
-        (..., M) array when None.  `out` may be `coeffs` itself, which the
-        products have read by then."""
+        order, into `out`, a new (..., M) array when None.
+
+        The blocks are taken in pairs (2r, 2r+1) that differ in the
+        last-axis parity alone: one product per block (per part of a
+        square block under the swap split, then the sum/difference unfold
+        over its mirror pairs) into one buffer as wide as the pair, then
+        the last-axis butterfly straight into the pair's own grid rows of
+        `out`.  Those rows are the pair's own coefficient columns, so
+        `out` may be `coeffs` itself.  The leading-axis butterflies then
+        take the same buffer as their scratch: in dim 2 it is about half
+        of `out`."""
         coeffs = np.asarray(coeffs, float)
-        cuts = np.cumsum([modes.size for modes in self.block_modes])[:-1]
-        values = np.empty(coeffs.shape)
-        parts = np.split(values, cuts, axis=-1)
-        for c, v, phi in zip(np.split(coeffs, cuts, axis=-1), parts, self.block_vectors):
-            if isinstance(phi, tuple):
-                _swap_products_into(c, phi, v)
-            else:
-                np.matmul(c, phi.T, out=v)
+        n, dim = self.grid.n_side, self.grid.dim
         out = np.empty(coeffs.shape) if out is None else out
-        n = self.grid.n_side
-        _unfold_into(self._grids(parts), n, out.reshape(out.shape[:-1] + (n,) * self.grid.dim),
-                     values.reshape(-1))
+        grid_out = out.reshape(out.shape[:-1] + (n,) * dim)
+        sizes = [modes.size for modes in self.block_modes]
+        stack = coeffs.shape[:-1]
+        n_stack = math.prod(stack)
+        buf = np.empty(n_stack * (sizes[0] + sizes[1]))
+        # the grid rows of pair r along the leading axes: the even half
+        # first, the odd half reversed onto its mirror rows
+        a = n - n // 2
+        halves = (slice(0, a), slice(n - 1, a - 1, -1))
+        start = 0
+        for r, rest in enumerate(itertools.product((0, 1), repeat=dim - 1)):
+            grids, used = [], 0
+            for b in (2 * r, 2 * r + 1):
+                c = coeffs[..., start:start + sizes[b]]
+                v = buf[used:used + n_stack * sizes[b]].reshape(stack + (sizes[b],))
+                phi = self.block_vectors[b]
+                if isinstance(phi, tuple):
+                    _swap_products_into(c, phi, v)
+                else:
+                    np.matmul(c, phi.T, out=v)
+                grids.append(self._block_grid(b, v))
+                start += sizes[b]
+                used += n_stack * sizes[b]
+            region = grid_out[(Ellipsis,) + tuple(halves[p] for p in rest) + (slice(None),)]
+            _unfold_pair_into(*grids, region)
+        _unfold_leading(grid_out, dim, buf)
         return out
 
     def project(self, f: NDArray) -> NDArray:
@@ -525,7 +558,7 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
             for (c, q, size), first in zip(_swap_maps(side), _swap_fold(side)[0]):
                 scale = np.abs(c[first])
                 lam, psi = _block_eigh(_block_matrix(stencil, coef * c[local], q[local], size))
-                psi *= _signs(psi, scale)
+                psi *= _signs(psi, *_lead_rows(psi, scale))
                 psi *= (scale * rows[first])[:, None]
                 lams.append(lam)
                 parts.append(psi)
@@ -533,12 +566,15 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
             vectors.append(tuple(parts))
         else:
             lam, psi = _block_eigh(_block_matrix(stencil, coef, local, m))
-            psi *= _signs(psi)
-            if swap and b == 1:
-                # the swap carries (even, odd) onto (odd, even): the same
-                # spectrum and basis, in transposed local coordinates; only
-                # the sign rule, read in that block's row order, is its own
-                mirror_signs = _signs(psi, order=np.arange(m).reshape(n - h, h).T.ravel())
+            # the swap carries (even, odd) onto (odd, even): the same
+            # spectrum and basis, in transposed local coordinates; only
+            # the sign rule, read in that block's row order, is its own
+            mirror = swap and b == 1
+            orders = (None, np.arange(m).reshape(n - h, h).T.ravel()) if mirror else (None,)
+            lead, *mirror_lead = _lead_rows(psi, orders=orders)
+            psi *= _signs(psi, lead)
+            if mirror:
+                mirror_signs = _signs(psi, mirror_lead[0])
             psi *= rows[:, None]
             eigs.append(lam)
             vectors.append(psi)

@@ -15,7 +15,8 @@ so the m = 0 heat identity t d_t e^{-t^2 L_w} f = -2 (t^2 L_w) e^{-t^2 L_w} f
 holds at the coefficient level up to rounding.  `grad_eval` and
 `poisson_grad_eval` return the pair [u, t d_t u]; the spatial part
 t grad_y u is never stored, and `spatial_norm_sq` takes its squares from
-centered periodic differences of u.
+centered periodic differences of u, a block of rows at a time, and may
+write them over u.
 
 The factors above are the multiplier tables.  Every evaluator projects
 f once into the operator's block coordinates and builds each table it
@@ -86,9 +87,9 @@ SUBORDINATION_HALF_WIDTH = 60.0
 # nodes per block of the rule's exponentials, so a call holds a
 # (SUBORDINATION_CHUNK, M) table and never one row per node
 SUBORDINATION_CHUNK = 32
-# values per block of the second axis's differences in spatial_norm_sq:
-# 256 KB of scratch, which at N = 32 and 64 also runs about twice as fast
-# as one difference over the whole (J, M) stack
+# values per block of rows in spatial_norm_sq: 256 KB of scratch per
+# axis, which at N = 32 and 64 also runs about twice as fast as one
+# difference over the whole (J, M) stack
 SPATIAL_BLOCK_CELLS = 2**15
 # semigroup factors e^{-s} with s past this are flushed to 0.  Below
 # 1e-304, and below 1e-290 after any power and coefficient, they are
@@ -244,25 +245,31 @@ def _centered_difference(grid: Grid, u: NDArray, axis: int) -> NDArray:
     return out.reshape(u.shape)
 
 
-def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray) -> NDArray:
+def spatial_norm_sq(grid: Grid, t: float | NDArray, u: NDArray,
+                    out: NDArray | None = None) -> NDArray:
     """|t grad_y u|^2 by centered periodic differences, for u at one time
-    (cells,) or at J times t (J, cells): the squared differences summed
-    over the axes in one buffer, then scaled by (t / 2h)^2.  The first
-    axis's differences are that buffer; the other axes' are taken a block
-    of SPATIAL_BLOCK_CELLS values at a time, so no second (J, cells) array
+    (cells,) or at J times t (J, cells), into `out`, a new array when
+    None.  u is taken a block of rows at a time, SPATIAL_BLOCK_CELLS
+    values (at least one row): the block's squared differences are summed
+    over the axes in one block-sized buffer, scaled by (t / 2h)^2 and
+    written over the block's rows of `out`.  A block reads only its own
+    rows of u, so `out` may be u itself, and no second (J, cells) array
     is held."""
     u = np.asarray(u, float)
-    total = _centered_difference(grid, u, 0)
-    np.square(total, out=total)
-    rows, total_rows = u.reshape(-1, grid.n_cells), total.reshape(-1, grid.n_cells)
+    out = np.empty(u.shape) if out is None else out
+    rows, out_rows = u.reshape(-1, grid.n_cells), out.reshape(-1, grid.n_cells)
+    scale = np.square(np.asarray(t, float) / (2 * grid.h))
+    scale = np.broadcast_to(scale, u.shape[:-1]).reshape(-1, 1)
     step = max(1, SPATIAL_BLOCK_CELLS // grid.n_cells)
-    for axis in range(1, grid.dim):
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        total = _centered_difference(grid, rows[block], 0)
+        np.square(total, out=total)
+        for axis in range(1, grid.dim):
             diff = _centered_difference(grid, rows[block], axis)
-            total_rows[block] += np.square(diff, out=diff)
-    total *= np.square(np.asarray(t, float) / (2 * grid.h))[..., None]
-    return total
+            total += np.square(diff, out=diff)
+        np.multiply(total, scale[block], out=out_rows[block])
+    return out
 
 
 def grad_eval(op: SpectralOperator, m: int, t: float | NDArray, f: NDArray) -> list[NDArray]:

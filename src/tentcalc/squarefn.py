@@ -19,8 +19,11 @@ is pure ladder quadrature, independent of subordination quadrature.
 
 A field reads only the images its row names, all ladder nodes at once:
 one image, plus its t d_t image when the row reads the time part.  The
-spatial part is the image's centered periodic differences.  Squared parts
-are summed in one buffer and rooted in place; S kinds keep |u| itself.
+spatial part is the image's centered periodic differences, whose squares
+are written over the image; the time part's squares are added to them.
+`build_field` roots that sum in place, and S kinds keep |u| itself.
+`evaluate` keeps no field: it hands the squared integrand, u^2 or the
+summed squares with no root, to the cone sum, which works in that buffer.
 
 `l2_norm_sq` gives the squared L^2(w) norm of any kind with no field and
 no cone, from the Fubini identity and Parseval's identity in the
@@ -47,7 +50,7 @@ from .semigroup import (
     poisson_grad_eval,
     spatial_norm_sq,
 )
-from .tent import HalfSpaceField, cone_all
+from .tent import HalfSpaceField, cone_from_squares
 
 __all__ = [
     "FAMILIES",
@@ -97,8 +100,8 @@ def _integrand(kind: SquareFunctionKind, op: SpectralOperator, f: NDArray,
                t: NDArray) -> NDArray:
     """The kind's integrand at the J times t, (J, M): |u| for a row that
     reads u alone, not the root of its square, so S fields are exact;
-    otherwise the squares of the parts the row reads, summed in one
-    buffer.
+    otherwise the squares of the parts the row reads, summed in the
+    image's buffer.
 
     The evaluators are looked up per call, so a rebinding of the module's
     names is honoured."""
@@ -110,7 +113,7 @@ def _integrand(kind: SquareFunctionKind, op: SpectralOperator, f: NDArray,
         image = (heat_eval if semigroup == "heat" else poisson_eval)(op, kind.order, t, f)
     if not spatial:
         return np.abs(image, out=image)
-    total = spatial_norm_sq(op.grid, t, image)
+    total = spatial_norm_sq(op.grid, t, image, out=image)
     if time:
         total += np.square(time_part, out=time_part)
     return total
@@ -139,11 +142,21 @@ def evaluate(
 ) -> NDArray:
     """The square function of f at every cell: the cone functional of the
     kind's field, or for a row not summed over the cone the dt/t sum of
-    its squared integrand at the point itself."""
-    if FAMILIES[kind.family][3]:
-        return cone_all(build_field(kind, op, f, ladder), 1.0)
-    total = np.sum(_integrand(kind, op, f, ladder.nodes), axis=0)
-    return np.sqrt(total * ladder.node_weight)
+    its squared integrand at the point itself.
+
+    A cone kind keeps no field: its squared integrand, u^2 or the summed
+    squares, is built in one buffer that the cone sum then works in.  It
+    must be finite, as a field's values must."""
+    integrand = _integrand(kind, op, f, ladder.nodes)
+    spatial, _, cone = FAMILIES[kind.family][1:4]
+    if not cone:
+        total = np.sum(integrand, axis=0)
+        return np.sqrt(total * ladder.node_weight)
+    if not np.all(np.isfinite(integrand)):
+        raise ValueError("field values must be finite")
+    if not spatial:
+        np.square(integrand, out=integrand)
+    return cone_from_squares(op.grid, op.weight, ladder, integrand)
 
 
 def l2_norm_sq(
@@ -175,7 +188,7 @@ def l2_norm_sq(
     total = 0.0
     if spatial:
         op.reconstruct_blocks(image, out=image)
-        grad_sq = spatial_norm_sq(op.grid, t, image)
+        grad_sq = spatial_norm_sq(op.grid, t, image, out=image)
         grad_sq *= op.weight_values * op.grid.cell_volume
         total += float(np.sum(grad_sq))
     for part in parseval:

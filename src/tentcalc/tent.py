@@ -26,7 +26,9 @@ whose strict alpha-cone contains o, and the offsets are summed by rows
 and columns in an order fixed by the grid alone.  The integrand |F|^2
 times the cached factor is written into one (J, M) buffer, and the
 reduction takes its suffix sums in that buffer, so a cone holds one
-ladder-sized array beyond its field.  That order is the same
+ladder-sized array beyond its field.  `cone_from_squares` takes that
+buffer of |F|^2 from its caller, who then needs no field at all;
+`cone_all` squares a field's values into it.  That order is the same
 for every aperture and every term is non-negative, so A^alpha <= A^beta
 for alpha <= beta holds exactly in floating point.  For that reason no
 FFT and no difference of prefix sums is used: either would let rounding
@@ -58,6 +60,7 @@ from .semigroup import TimeLadder
 __all__ = [
     "HalfSpaceField",
     "cone_all",
+    "cone_from_squares",
     "carleson_p_all",
     "fubini_norm_sq",
     "AngleReport",
@@ -104,20 +107,28 @@ def _cone_factors(grid: Grid, weight: WeightModel, ladder: TimeLadder) -> NDArra
     return out
 
 
-def _cone_sq(fld: HalfSpaceField, count: int, alpha: float) -> NDArray:
-    """Squared aperture-alpha cone sum over the first `count` ladder
-    nodes: their integrands |F|^2 w h^dim ln(rho) / w(B(y, t_j)), one
-    (count, M) buffer that the nested reduction then works in."""
-    buf = np.square(fld.values[:count])
-    buf *= _cone_factors(fld.grid, fld.weight, fld.ladder)[:count]
-    radii = alpha * fld.ladder.nodes[:count]
-    return fld.grid.stencil.nested_reduce(buf, radii, strict=True)
+def _cone_sq(grid: Grid, weight: WeightModel, ladder: TimeLadder, squares: NDArray,
+             alpha: float) -> NDArray:
+    """Squared aperture-alpha cone sum over the first len(squares) ladder
+    nodes of the field whose |F|^2 they are: `squares` times the cached
+    factors is the integrand, in that buffer, which the nested reduction
+    then works in."""
+    count = len(squares)
+    squares *= _cone_factors(grid, weight, ladder)[:count]
+    return grid.stencil.nested_reduce(squares, alpha * ladder.nodes[:count], strict=True)
+
+
+def cone_from_squares(grid: Grid, weight: WeightModel, ladder: TimeLadder,
+                      squares: NDArray, alpha: float = 1.0) -> NDArray:
+    """A_w^alpha F at every cell, from |F|^2 on grid x ladder, (J, M); the
+    sum takes `squares` as its buffer and overwrites it."""
+    number("alpha", alpha, 0, open_lo=True, open_hi=True)
+    return np.sqrt(_cone_sq(grid, weight, ladder, squares, alpha))
 
 
 def cone_all(fld: HalfSpaceField, alpha: float = 1.0) -> NDArray:
     """A_w^alpha F at every cell."""
-    number("alpha", alpha, 0, open_lo=True, open_hi=True)
-    return np.sqrt(_cone_sq(fld, fld.ladder.count, alpha))
+    return cone_from_squares(fld.grid, fld.weight, fld.ladder, np.square(fld.values), alpha)
 
 
 def fubini_norm_sq(fld: HalfSpaceField) -> float:
@@ -141,7 +152,7 @@ def carleson_p_all(fld: HalfSpaceField, p0: float) -> NDArray:
         j_cut = _truncation_index(fld.ladder, r)
         if j_cut == 0:
             continue
-        trunc_sq = _cone_sq(fld, j_cut, 1.0)
+        trunc_sq = _cone_sq(grid, fld.weight, fld.ladder, np.square(fld.values[:j_cut]), 1.0)
         wb, mass = grid.stencil.ball_reduce(
             np.stack([whn, trunc_sq ** (p0 / 2) * whn]), [r]
         )[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -612,3 +614,78 @@ class TestBlockCoordinates:
             npt.assert_allclose(op.reconstruct(kept), (f * dens) @ group @ group.T,
                                 rtol=0, atol=1e-9)
         npt.assert_allclose(op.reconstruct(coeffs), f, rtol=0, atol=1e-12)
+
+
+def full_buffer_reconstruct(op, coeffs):
+    """sum_k c_k phi_k of a (..., M) stack in block order by the
+    full-buffer route: every block's products into one (..., M) buffer,
+    then the last-axis butterfly of every pair of blocks and one
+    butterfly per leading axis."""
+    n, dim = op.grid.n_side, op.grid.dim
+    h = n // 2
+    a = n - h
+    stack = coeffs.shape[:-1]
+    cuts = np.cumsum([modes.size for modes in op.block_modes])[:-1]
+    grids = []
+    for b, (c, phi) in enumerate(zip(np.split(coeffs, cuts, axis=-1), op.block_vectors)):
+        if isinstance(phi, tuple):
+            m = math.isqrt(c.shape[-1])
+            s = c[..., :phi[0].shape[0]] @ phi[0].T
+            d = c[..., phi[0].shape[0]:] @ phi[1].T
+            iu, ju = np.triu_indices(m)
+            ip, jp = np.triu_indices(m, 1)
+            sym_row = np.zeros((m, m), dtype=int)
+            sym_row[iu, ju] = np.arange(iu.size)
+            grid = np.empty(stack + (m, m))
+            grid[..., iu, ju] = s
+            grid[..., ip, jp] = d + s[..., sym_row[ip, jp]]
+            grid[..., jp, ip] = s[..., sym_row[ip, jp]] - d
+            grids.append(grid)
+            continue
+        values = c @ phi.T
+        if op.swap and b == 2:
+            grids.append(values.reshape(stack + (a, h)).swapaxes(-1, -2))
+        else:
+            shape = tuple((a, h)[p] for p in list(itertools.product((0, 1), repeat=dim))[b])
+            grids.append(values.reshape(stack + shape))
+    out = np.empty(stack + (n,) * dim)
+    lo, hi = slice(0, h), slice(n - 1, n - 1 - h, -1)
+    halves = (slice(0, a), slice(n - 1, a - 1, -1))
+    for r, rest in enumerate(itertools.product((0, 1), repeat=dim - 1)):
+        even, odd = grids[2 * r], grids[2 * r + 1]
+        region = out[(Ellipsis,) + tuple(halves[p] for p in rest) + (slice(None),)]
+        region[..., lo] = even[..., lo] + odd
+        region[..., hi] = even[..., lo] - odd
+        region[..., h:a] = even[..., h:a]
+    if dim == 2:
+        x, y = out[..., lo, :], out[..., hi, :]
+        diff = x - y
+        x += y
+        y[...] = diff
+    return out.reshape(coeffs.shape)
+
+
+@given(
+    dim=st.sampled_from([1, 2]), n=st.integers(4, 17),
+    alpha=st.sampled_from([-0.8, 0.0, 0.5, 1.3]), isotropic=st.booleans(),
+    rows=st.sampled_from([None, 1, 3, 97]), in_place=st.booleans(), seed=st.integers(0, 999),
+)
+@settings(max_examples=60, deadline=None)
+def test_reconstruct_blocks_equals_full_buffer_route(dim, n, alpha, isotropic, rows, in_place,
+                                                     seed):
+    # the pair-wide buffer changes where the products are held, not one
+    # operation on any value: bit-equal to the full-buffer route for
+    # even and odd sides, the swap split and plain blocks, a single
+    # (M,) row and (J, M) stacks, written into a new array or over coeffs
+    grid = Grid(dim, n)
+    coeff = CoefficientField([1.0] * dim if isotropic else [1.0, 2.0][:dim])
+    op = assemble(grid, coeff, PowerWeight(alpha))
+    shape = (grid.n_cells,) if rows is None else (rows, grid.n_cells)
+    coeffs = np.random.default_rng(seed).standard_normal(shape)
+    want = full_buffer_reconstruct(op, coeffs)
+    if in_place:
+        got = op.reconstruct_blocks(coeffs, out=coeffs)
+        assert got is coeffs
+    else:
+        got = op.reconstruct_blocks(coeffs)
+    assert np.array_equal(got, want)

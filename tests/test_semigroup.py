@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import inner_w, spatial_part
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
-from tentcalc import squarefn
+from tentcalc import semigroup as semigroup_module, squarefn
 from tentcalc.operator import CoefficientField, assemble
 from tentcalc.semigroup import (
     LADDER_CAP,
@@ -464,6 +465,41 @@ def test_spatial_norm_sq_blocks_match_single_times():
     for j in range(t.size):
         assert np.array_equal(stack[j], spatial_norm_sq(grid, t[j], u[j]))
     npt.assert_allclose(stack, np.sum(spatial_part(grid, t, u) ** 2, axis=0), rtol=1e-13)
+
+
+def full_stack_norm_sq(grid, t, u):
+    """|t grad_y u|^2 with each axis's centered differences taken over the
+    whole stack at once: the squares summed in axis order, then scaled."""
+    v = u.reshape(u.shape[:-1] + (grid.n_side,) * grid.dim)
+    total = 0.0
+    for axis in range(-grid.dim, 0):
+        total = total + np.square(np.roll(v, -1, axis) - np.roll(v, 1, axis))
+    total = total.reshape(u.shape)
+    total *= np.square(np.asarray(t, float) / (2 * grid.h))[..., None]
+    return total
+
+
+@given(
+    dim=st.sampled_from([1, 2]), n=st.integers(4, 17),
+    rows=st.sampled_from([None, 1, 7, 40]), ladder=st.booleans(),
+    block_cells=st.sampled_from([1, 64, 300, 2**15]), seed=st.integers(0, 999),
+)
+@settings(max_examples=60, deadline=None)
+def test_spatial_norm_sq_in_place_bit_equal(dim, n, rows, ladder, block_cells, seed):
+    # blocks of rows of any size, written into a new array or over u, give
+    # the whole-stack formula bit for bit, at one time or one per row
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_cells,) if rows is None else (rows, grid.n_cells)
+    u = rng.standard_normal(shape)
+    t = rng.uniform(0.01, 1.0, shape[:-1]) if ladder and rows else 0.375
+    want = full_stack_norm_sq(grid, t, u)
+    with mock.patch.object(semigroup_module, "SPATIAL_BLOCK_CELLS", block_cells):
+        fresh = spatial_norm_sq(grid, t, u)
+        assert np.array_equal(fresh, want)
+        got = spatial_norm_sq(grid, t, u, out=u)
+    assert got is u
+    assert np.array_equal(got, want)
 
 
 # the evaluator whose images the tables of (semigroup, time) reconstruct to

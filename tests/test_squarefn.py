@@ -429,3 +429,37 @@ class TestImagesRead:
             want = np.sqrt(spatial_sq if family.startswith("G_") else spatial_sq + time**2)
         got = build_field(kind, op, f, ladder).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@given(
+    family=st.sampled_from(ALL_CONE_KINDS), order=st.integers(1, 2),
+    dim=st.sampled_from([1, 2]), n=st.integers(4, 17), isotropic=st.booleans(),
+    alpha=st.sampled_from([-0.5, 0.0, 1.0]), seed=st.integers(0, 999),
+)
+@settings(max_examples=40, deadline=None)
+def test_evaluate_equals_cone_of_field(family, order, dim, n, isotropic, alpha, seed):
+    # evaluate keeps no field: it hands the squared integrand to the cone
+    # sum.  S kinds square |u| either way, so they are bit-equal; G and
+    # Gcal kinds skip the field's root and the cone's square
+    grid = Grid(dim, n)
+    op = assemble(grid, CoefficientField([1.0] * dim if isotropic else [1.0, 2.0][:dim]),
+                  PowerWeight(alpha))
+    ladder = TimeLadder.default_for(grid, ratio=2 ** 0.25)
+    kind = SquareFunctionKind(family, order)
+    f = np.random.default_rng(seed).standard_normal(grid.n_cells)
+    got = evaluate(kind, op, f, ladder)
+    want = cone_all(build_field(kind, op, f, ladder), 1.0)
+    if family.startswith("S_"):
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("family, scale", [("S_H", np.inf), ("G_H", np.inf), ("G_H", 1e200)])
+def test_evaluate_rejects_nonfinite_integrand(op_small, small_ladder, family, scale):
+    # as a field must: an S kind's u is checked before it is squared, a G
+    # kind's summed squares as they are, so squares past float range fail
+    f = np.full(op_small.grid.n_cells, scale)
+    kind = SquareFunctionKind(family, 1)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="field values must be finite"):
+        evaluate(kind, op_small, f, small_ladder)

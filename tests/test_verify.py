@@ -309,19 +309,22 @@ class TestRunMemo:
             assert all(r == reports[0] for r in reports), name
 
     def test_build_field_calls_reused(self, monkeypatch):
-        counts = count_calls(monkeypatch, "build_field", "cone_all")
+        # `evaluate` builds a squared integrand and sums its cone with no
+        # field, so integrands and cone sums are counted at the kernels
+        # that every field and every cone goes through
+        counts = count_calls(monkeypatch, "_integrand", "cone_from_squares")
         run_suites(SMALL)
-        # fields and cones only where a pointwise value or a weighted norm
-        # is read.  Coarse grid: the pointwise checks' 5 heat and 2 Poisson
-        # kinds of 6 bank functions and 2 kinds each of the constant, the
-        # S_{1,P} fields of the weighted norms; fine grid: the S_{1,H} and
-        # S_{1,P} fields of the weighted norms.  That is 64 fields; the run
-        # keeps none, so the angles suite builds its 4 coarse and 4 fine
-        # sampled S_{1,H} fields again, and their aperture-1 cones come
-        # from the memo.  The angles suite adds 22 cones of its own (3
-        # random areas, apertures 1/2 and 2 of 7 coarse fields, 4 fine
-        # aperture-2 cones, the zero field)
-        assert counts == {"build_field": 64 + 8, "cone_all": 64 + 22}
+        # integrands and cones only where a pointwise value or a weighted
+        # norm is read.  Coarse grid: the pointwise checks' 5 heat and 2
+        # Poisson kinds of 6 bank functions and 2 kinds each of the
+        # constant, the S_{1,P} integrands of the weighted norms; fine
+        # grid: the S_{1,H} and S_{1,P} integrands of the weighted norms.
+        # That is 64 integrands; the run keeps none, so the angles suite
+        # builds its 4 coarse and 4 fine sampled S_{1,H} fields again, and
+        # their aperture-1 cones come from the memo.  The angles suite adds
+        # 22 cones of its own (3 random areas, apertures 1/2 and 2 of 7
+        # coarse fields, 4 fine aperture-2 cones, the zero field)
+        assert counts == {"_integrand": 64 + 8, "cone_from_squares": 64 + 22}
 
     def test_angles_suite_computes_each_functional_once(self, monkeypatch):
         counts = count_calls(monkeypatch, "build_field", "cone_all", "carleson_p_all")
