@@ -28,6 +28,8 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
+from .mesh import number
+
 __all__ = [
     "ExtReal",
     "INF",
@@ -219,6 +221,12 @@ class ExponentRange:
 # ---------------------------------------------------------------------------
 
 
+def _dimension(n, lo: int = 1) -> int:
+    """The dimension n as an int: an integer of at least `lo`, not a bool,
+    else a ValueError that names n."""
+    return int(number("n", n, lo, integer=True))
+
+
 def _check_alpha(alpha: Fraction, n: int) -> Fraction:
     alpha = Fraction(alpha)
     if not (-n < alpha < n):
@@ -233,6 +241,7 @@ def power_weight_criticals(alpha, n: int) -> CriticalPair:
     Requires -n < alpha < n (local integrability of both the weight and,
     on this toolkit's grids, its relevant powers).
     """
+    n = _dimension(n)
     alpha = _check_alpha(alpha, n)
     base = 1 + alpha / n
     r = max(Fraction(1), base)
@@ -246,6 +255,7 @@ def power_weight_in_ap(alpha, n: int, p: ExtLike) -> bool:
 
     Defined for every real alpha (alpha <= -n is simply not a weight, hence
     never a member), so divergence sweeps can probe out-of-class values."""
+    n = _dimension(n)
     alpha = Fraction(alpha)
     p = ExtReal(p)
     if p < 1:
@@ -262,6 +272,7 @@ def power_weight_in_ap(alpha, n: int, p: ExtLike) -> bool:
 def power_weight_in_rh(alpha, n: int, s: ExtLike) -> bool:
     """Exact membership |x|^alpha in RH_s: alpha > -n/s, with RH_inf given
     by alpha >= 0.  Values alpha <= -n are not weights and never members."""
+    n = _dimension(n)
     alpha = Fraction(alpha)
     s = ExtReal(s)
     if s <= 1:
@@ -301,12 +312,12 @@ def sobolev_exponent(q: ExtLike, K: int, r_w: ExtLike, n: int) -> ExtReal:
     Finite branch q*n*r_w/(n*r_w - K*q) when K*q < n*r_w, else +inf.
     The special cases 2* (K=1) and 2** (K=2) are this with q=2.
     """
+    K = int(number("K", K, 1, integer=True))
+    n = _dimension(n)
     q = ExtReal(q)
     r_w = ExtReal(r_w)
     if q < 1:
         raise ValueError(f"sobolev_exponent requires q >= 1, got {q}")
-    if K < 1:
-        raise ValueError(f"sobolev_exponent requires K >= 1, got {K}")
     inv_q = ONE / q
     penalty = ExtReal(K) / (ExtReal(n) * r_w)
     if inv_q <= penalty:
@@ -318,11 +329,10 @@ def poisson_upper(p_plus: ExtLike, K: int, r_w: ExtLike, n: int) -> ExtReal:
     """(p_+)^{K,*} = p_+*n*r_w/(n*r_w - (2K+1)p_+) when (2K+1)p_+ < n*r_w,
     +inf otherwise (boundary equality included in the infinite branch).
     Equals the (2K+1)-fold Sobolev exponent of p_+."""
+    K = int(number("K", K, 0, integer=True))
     p_plus = ExtReal(p_plus)
     if p_plus <= 1:
         raise ValueError(f"poisson_upper requires p_plus > 1, got {p_plus}")
-    if K < 0:
-        raise ValueError(f"poisson_upper requires K >= 0, got {K}")
     return sobolev_exponent(p_plus, 2 * K + 1, r_w, n)
 
 
@@ -379,9 +389,7 @@ def corollary_ranges(kind: str, params: dict) -> dict:
         reverse-Holder index (p(nr+2)/(2nr))'.
     All values exact; serialized via ext_to_json.
     """
-    n = int(params["n"])
-    if n < 2:
-        raise ValueError(f"corollary ranges require n >= 2, got {n}")
+    n = _dimension(params["n"], 2)
 
     if kind == "power_weight":
         family = params.get("family", "heat")

@@ -29,50 +29,41 @@ Kronecker product splits S into 2^dim blocks, each assembled straight
 from the stencil's O(M) nonzeros and decomposed by its own `eigh`; no
 M x M array is formed.
 
-Block coordinates.  sqrt(w) is one value on each mirror orbit, so the
+Mode groups.  `assemble` solves S one `ModeGroup` at a time: a whole
+parity block, one axis-swap part of a square block, or a block read as
+the transpose of another (below).  sqrt(w) is one value on each mirror
+orbit, so the
 1/sqrt(w h^dim) of phi and the fold factors (1/sqrt(2), or 1 for the
-middle cell) are folded into each block's rows once, at assembly.
-`project` is then the unscaled fold (u_i + u_{N-1-i}, u_i - u_{N-1-i})
-of f w h^dim and one product per block, and `reconstruct` one product
-per block and the unscaled sum/difference butterflies into one array.
-Reconstruction takes the blocks in pairs that differ only in the
-last-axis parity: the pair's products go into one buffer as wide as the
-pair, and its last-axis butterfly writes straight into the pair's own
-grid rows, the even half of the leading axes or the odd half reversed,
-which are also the pair's own coefficient columns.  So the result may
-overwrite the coefficients, and a (J, M) stack needs a second buffer of
-about (J, M/2) in dim 2, which the leading-axis butterfly then takes as
-its scratch.  The semigroup works in block order throughout; only the
-public `project`, `reconstruct` and `mode` use the global order.
+middle cell) are folded into the rows of each stored basis once, at
+assembly.  `project` is then the unscaled fold (u_i + u_{N-1-i},
+u_i - u_{N-1-i}) of f w h^dim and one product per group, and
+`reconstruct` one product per group and the unscaled sum/difference
+butterflies, which may write over the coefficients.  The semigroup works
+in block order throughout; only the public `project`, `reconstruct` and
+`mode` use the global order.
 
 Axis-swap split.  In dim 2, when also A = a I and the sampled weight
 equals its transpose exactly, S commutes with the swap (x, y) -> (y, x).
 The swap carries the (even, odd) block onto the (odd, even) block, which
-therefore takes the former's eigenvalues and its basis with the rows
-permuted by the local transpose, and needs no `eigh` of its own; the
-basis is stored once and read in transposed coordinates.  The
+therefore takes the former's eigenvalues and its basis read in
+transposed local coordinates, and needs no `eigh` of its own.  The
 square (even, even) and (odd, odd) blocks each split once more: the
 symmetric part holds the diagonal cells u_ii and (u_ij + u_ji)/sqrt(2),
-the antisymmetric part (u_ij - u_ji)/sqrt(2), for i < j.  Each part is
-assembled from the stencil nonzeros and decomposed by its own `eigh`, and
-its basis is stored as `eigh` returns it, one row per part row, so a
-square block keeps two bases of about half its size each.  Its transform
-takes one more unscaled fold, over the mirror pairs i < j: the symmetric
-part reads u_ii and u_ij + u_ji, the antisymmetric part u_ij - u_ji, and
-reconstruction writes back u_ii = s_ii, u_ij = s_ij + a_ij and
-u_ji = s_ij - a_ij.  The sign rule weights each part row by its
-|coefficient| and reads the rows in the order of their first cells, which
-is the rule of the parity block scanned in its own coordinates, so a
-simple mode keeps its sign whichever way its block was solved.  At
-N = 64 that is one 1024^2 and four ~512^2 `eigh`s instead of four
-1024^2, and 16 MiB of stored bases instead of 24.  Every `eigh` is
-numpy's, LAPACK's divide-and-conquer driver.
+the antisymmetric part (u_ij - u_ji)/sqrt(2), for i < j, each assembled
+from the stencil nonzeros, decomposed by its own `eigh` and stored as
+`eigh` returns it; the block's transform takes one more unscaled fold,
+over the mirror pairs (`_SwapSplit`).  The sign rule weights each part
+row by its |coefficient| and reads the rows in the order of their first
+cells, which is the rule of the parity block scanned in its own
+coordinates, so a simple mode keeps its sign whichever way its block was
+solved.  At N = 64 that is one 1024^2 and four ~512^2 `eigh`s instead
+of four 1024^2, and 16 MiB of stored bases instead of 24.
 
 Global modes are ordered by eigenvalue.  Eigenvalues whose adjacent gaps
 stay within CLUSTER_RTOL * lambda_max form a cluster, and inside a cluster
-modes are ordered by block, then swap-symmetric before antisymmetric, then
-by index within the block, so the order and `mode(k)` do not depend on how
-`eigh` rounds a degenerate pair that two blocks or two parts share.
+modes are ordered by group, then by index within the group, so the order
+and `mode(k)` do not depend on how `eigh` rounds a degenerate pair that
+two blocks or two parts share.
 """
 
 from __future__ import annotations
@@ -80,7 +71,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,6 +80,7 @@ from .mesh import Grid, WeightModel, number
 
 __all__ = [
     "CoefficientField",
+    "ModeGroup",
     "SpectralOperator",
     "assemble",
     "check_dense_budget",
@@ -174,7 +166,8 @@ def _fold(x: NDArray, axis: int) -> tuple[NDArray, NDArray]:
     shape[axis] = n - h
     even = np.empty(shape)
     np.add(lo, hi, out=_take(even, axis, slice(0, h)))
-    _take(even, axis, slice(h, n - h))[...] = _take(x, axis, slice(h, n - h))
+    if n % 2:
+        _take(even, axis, slice(h, h + 1))[...] = _take(x, axis, slice(h, h + 1))
     return even, lo - hi
 
 
@@ -271,58 +264,77 @@ def _swap_maps(m: int) -> list[tuple[NDArray, NDArray, int]]:
     return [sym, anti]
 
 
-@lru_cache(maxsize=8)
-def _swap_fold(m: int) -> tuple[tuple[NDArray, NDArray], NDArray, NDArray, NDArray]:
-    """Where the cells of an m x m block grid go in its axis-swap parts,
-    read off `_swap_maps`; one per side per process.  The rows of each
-    part run in the row-major order of their first cells, (i, i) or
-    (i, j) with i < j, where the coefficient is positive.  Returns
-    (firsts, lower, pair_rows, unfold): per part, the first cell of each
-    row (the cells i <= j, then the pairs' cells (i, j), i < j); the cells
-    (j, i) of the same pairs; the symmetric rows of the pairs; and each
-    cell's column in [symmetric rows, pair sums, pair differences]."""
-    (_, sym_q, n_sym), (_, _, n_pairs) = _swap_maps(m)
-    i, j = np.divmod(np.arange(m * m), m)
-    upper = np.flatnonzero(i < j)
-    lower = (upper % m) * m + upper // m
-    unfold = sym_q.copy()
-    unfold[upper] = n_sym + np.arange(n_pairs)
-    unfold[lower] = n_sym + n_pairs + np.arange(n_pairs)
-    return (np.flatnonzero(i <= j), upper), lower, sym_q[upper], unfold
+class _Whole:
+    """The layout of a group that is a whole parity block: its stored rows
+    run row-major over `shape` and are read as the block's grid with the
+    axes `axes` swapped.  (-1, -1) swaps none; the transposed copy of a
+    block swaps the last two."""
+
+    def __init__(self, shape: tuple[int, ...], axes: tuple[int, int] = (-1, -1)):
+        self.shape, self.axes, self.size = shape, axes, math.prod(shape)
+
+    def fold(self, grid: NDArray) -> list[NDArray]:
+        """The group's rows of a stack of the block's grids."""
+        return [grid.swapaxes(*self.axes).reshape(grid.shape[:-len(self.shape)] + (self.size,))]
+
+    def products_into(self, coeffs: NDArray, bases: list[NDArray], out: NDArray) -> NDArray:
+        """The products with the group's basis into `out`, read as grids."""
+        np.matmul(coeffs, bases[0].T, out=out)
+        return out.reshape(out.shape[:-1] + self.shape).swapaxes(*self.axes)
 
 
-def _swap_inputs(g: NDArray) -> tuple[NDArray, NDArray]:
-    """The unscaled axis-swap fold of a (..., m*m) stack of block grids:
-    its symmetric part (g_ii, g_ij + g_ji) and antisymmetric part
-    g_ij - g_ji, in part row order."""
-    (cells, upper), lower, pair_rows, _ = _swap_fold(math.isqrt(g.shape[-1]))
-    sym = g[..., cells]
-    low = g[..., lower]
-    sym[..., pair_rows] += low
-    anti = g[..., upper]
-    anti -= low
-    return sym, anti
+class _SwapSplit:
+    """The layout of a square m x m block grid in its two axis-swap
+    groups, read off `_swap_maps`; one per side per process.  The rows of
+    each part run in the row-major order of their first cells, `firsts`,
+    where the coefficient is positive: the cells i <= j, then the pairs'
+    cells (i, j), i < j.  `lower` holds the pairs' cells (j, i),
+    `pair_rows` their symmetric rows, and `unfold` each cell's column in
+    [symmetric rows, pair sums, pair differences]."""
+
+    def __init__(self, m: int):
+        (_, sym_q, self.n_sym), (_, _, self.n_pairs) = _swap_maps(m)
+        i, j = np.divmod(np.arange(m * m), m)
+        upper = np.flatnonzero(i < j)
+        self.firsts = (np.flatnonzero(i <= j), upper)
+        self.lower = (upper % m) * m + upper // m
+        self.pair_rows = sym_q[upper]
+        self.unfold = sym_q.copy()
+        self.unfold[upper] = self.n_sym + np.arange(self.n_pairs)
+        self.unfold[self.lower] = self.n_sym + self.n_pairs + np.arange(self.n_pairs)
+        self.shape, self.size = (m, m), m * m
+
+    def fold(self, grid: NDArray) -> list[NDArray]:
+        """The unscaled axis-swap fold of a stack of block grids: the rows
+        (g_ii, g_ij + g_ji) of the symmetric part and g_ij - g_ji."""
+        g = grid.reshape(grid.shape[:-2] + (self.size,))
+        cells, upper = self.firsts
+        sym = g[..., cells]
+        low = g[..., self.lower]
+        sym[..., self.pair_rows] += low
+        anti = g[..., upper]
+        anti -= low
+        return [sym, anti]
+
+    def products_into(self, coeffs: NDArray, bases: list[NDArray], out: NDArray) -> NDArray:
+        """One product per part, symmetric modes first, then u_ii = s_ii,
+        u_ij = s_ij + a_ij, u_ji = s_ij - a_ij into `out`, read as grids:
+        the symmetric products, the pair sums and the pair differences lie
+        side by side in one buffer, and one gather puts each cell in place."""
+        sym, anti = bases
+        n_sym, n_pairs = self.n_sym, self.n_pairs
+        packed = np.empty(coeffs.shape[:-1] + (n_sym + 2 * n_pairs,))
+        s = np.matmul(coeffs[..., :n_sym], sym.T, out=packed[..., :n_sym])
+        a = np.matmul(coeffs[..., n_sym:], anti.T, out=packed[..., n_sym:n_sym + n_pairs])
+        pairs = s[..., self.pair_rows]
+        np.subtract(pairs, a, out=packed[..., n_sym + n_pairs:])
+        a += pairs
+        del pairs
+        np.take(packed, self.unfold, axis=-1, out=out, mode="clip")
+        return out.reshape(out.shape[:-1] + self.shape)
 
 
-def _swap_products_into(coeffs: NDArray, parts: tuple[NDArray, NDArray], out: NDArray):
-    """One product per axis-swap part of a square block's (..., m*m)
-    stack of coefficients, symmetric modes first, then the unfold
-    u_ii = s_ii, u_ij = s_ij + a_ij, u_ji = s_ij - a_ij into `out`, a
-    contiguous (..., m*m) stack of block grids.  The symmetric products,
-    the pair sums (written over the antisymmetric products) and the pair
-    differences lie side by side in one buffer, and one gather puts
-    every cell in place, straight into `out`."""
-    sym, anti = parts
-    _, _, pair_rows, unfold = _swap_fold(math.isqrt(out.shape[-1]))
-    n_sym, n_pairs = sym.shape[0], anti.shape[0]
-    packed = np.empty(coeffs.shape[:-1] + (n_sym + 2 * n_pairs,))
-    s = np.matmul(coeffs[..., :n_sym], sym.T, out=packed[..., :n_sym])
-    a = np.matmul(coeffs[..., n_sym:], anti.T, out=packed[..., n_sym:n_sym + n_pairs])
-    pairs = s[..., pair_rows]
-    np.subtract(pairs, a, out=packed[..., n_sym + n_pairs:])
-    a += pairs
-    del pairs
-    np.take(packed, unfold, axis=-1, out=out, mode="clip")
+_swap_split = lru_cache(maxsize=8)(_SwapSplit)
 
 
 def _block_matrix(stencil, coef: NDArray, local: NDArray, m: int) -> NDArray:
@@ -388,71 +400,67 @@ def _signs(psi: NDArray, lead: NDArray) -> NDArray:
     return signs
 
 
+@dataclass(frozen=True, eq=False)
+class ModeGroup:
+    """One mode group of parity block `block`: the whole block (`part`
+    "block"), its swap-symmetric or antisymmetric part ("sym", "anti"), or
+    the transposed copy of the block of `source` ("transposed").
+
+    `basis` holds one column per mode, the orthonormal eigenbasis psi of
+    the group's block of S with row r scaled by `rows[r]`: its fold
+    factors, its |coefficient| in a swap part and 1 / sqrt(w h^dim) at its
+    first cell.  The transposed copy shares its source's basis and rows.
+    `eigenvalues` are a view of the operator's `block_eigenvalues`, and
+    `modes` and `signs` give each column's global mode and the +-1 by which
+    they differ.  `layout` maps the block's grid to its groups' rows."""
+
+    block: int
+    part: str
+    eigenvalues: NDArray = field(repr=False)
+    basis: NDArray = field(repr=False)
+    rows: NDArray = field(repr=False)
+    modes: NDArray = field(repr=False)
+    signs: NDArray = field(repr=False)
+    layout: _Whole | _SwapSplit = field(repr=False)
+    source: ModeGroup | None = None
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
-    """L_w with its w-orthonormal eigendecomposition, kept per parity
-    block; immutable.
+    """L_w with its w-orthonormal eigendecomposition, kept per mode group;
+    immutable.
 
-    `eigenvalues` are in global mode order.  Block b holds its modes in
-    block coordinates, `block_vectors[b]`, one column per mode: the
-    orthonormal eigenbasis psi_b of its block of S with each row r scaled
-    by fold_r / sqrt(w_r h^dim), where fold_r is the product of the fold
-    factors (1/sqrt(2), or 1 for the middle cell at odd N).  w is exactly
-    mirror-symmetric, so it is one value on each mirror orbit, and the
-    unscaled fold maps a field to these coordinates.  `block_eigenvalues`
-    holds the blocks' eigenvalues one block after the other, each in its
-    block's column order, and `block_modes[b]` gives the global index of
-    each mode of block b.  With the axis-swap split (`swap`), the
-    (odd, even) block holds the (even, odd) basis itself, read in
-    transposed local coordinates, and its modes differ from that basis
-    by `mode_signs` (+-1 per mode in block order, 1 outside that block),
-    which only the global-order methods apply.  The (even, even) and
-    (odd, odd) blocks then hold a (symmetric, antisymmetric) pair of
-    bases, one row per part row, each scaled by the row's |coefficient|
-    in its part times the block's row factor at its first cell (w is
-    swap-symmetric, so both cells of a pair share that factor); their
-    modes are the symmetric part's, then the antisymmetric part's."""
+    `eigenvalues` are in global mode order.  `groups` are the mode groups
+    in block order: the parity blocks run over the parities of the axes,
+    even first, axis 0 major, and a square block under the axis-swap split
+    gives its symmetric, then its antisymmetric group.
+    `block_eigenvalues` holds the groups' eigenvalues one group after the
+    other, each in its group's column order."""
 
     grid: Grid
     weight: WeightModel
     coeff: CoefficientField
     eigenvalues: NDArray = field(repr=False)  # >= 0, ascending up to clusters
     weight_values: NDArray = field(repr=False)
-    swap: bool
-    block_vectors: tuple[NDArray | tuple[NDArray, NDArray], ...] = field(repr=False)
     block_eigenvalues: NDArray = field(repr=False)
-    block_modes: tuple[NDArray, ...] = field(repr=False)
-    mode_signs: NDArray = field(repr=False)
+    groups: tuple[ModeGroup, ...] = field(repr=False)
 
-    def _block_grid(self, b: int, part: NDArray) -> NDArray:
-        """Block b's part (..., m_b) as a grid in the block's local
-        coordinates; the (odd, even) part of a swap split is transposed
-        from the (even, odd) layout."""
-        n, h = self.grid.n_side, self.grid.n_side // 2
-        dim = self.grid.dim
-        if self.swap and b == 2:
-            return part.reshape(part.shape[:-1] + (n - h, h)).swapaxes(-1, -2)
-        shape = tuple(h if b >> (dim - 1 - k) & 1 else n - h for k in range(dim))
-        return part.reshape(part.shape[:-1] + shape)
+    @cached_property
+    def _blocks(self) -> list[tuple[_Whole | _SwapSplit, list[NDArray]]]:
+        """Each parity block's layout and its groups' bases, in block order."""
+        blocks = [list(gs) for _, gs in itertools.groupby(self.groups, lambda g: g.block)]
+        return [(gs[0].layout, [g.basis for g in gs]) for gs in blocks]
 
     def project_blocks(self, f: NDArray) -> NDArray:
         """Coefficients <f, phi_k>_w of a (..., M) stack in block order,
         as `block_eigenvalues`: the unscaled fold of f w h^dim, then one
-        product per block, or under the swap split the unscaled fold over
-        the mirror pairs and one product per part of a square block."""
+        product per group of its block's layout's fold."""
         f = np.asarray(f, float)
         grids = _to_blocks(f * (self.weight_values * self.grid.cell_volume),
                            self.grid.n_side, self.grid.dim)
-        if self.swap:
-            grids[2] = grids[2].swapaxes(-1, -2)
         coeffs = []
-        for g, phi in zip(grids, self.block_vectors):
-            flat = g.reshape(f.shape[:-1] + (-1,))
-            if isinstance(phi, tuple):
-                sym, anti = _swap_inputs(flat)
-                coeffs += [sym @ phi[0], anti @ phi[1]]
-            else:
-                coeffs.append(flat @ phi)
+        for grid, (layout, bases) in zip(grids, self._blocks):
+            coeffs += map(np.matmul, layout.fold(grid), bases)
         return np.concatenate(coeffs, axis=-1)
 
     def reconstruct_blocks(self, coeffs: NDArray, out: NDArray | None = None) -> NDArray:
@@ -460,10 +468,9 @@ class SpectralOperator:
         order, into `out`, a new (..., M) array when None.
 
         The blocks are taken in pairs (2r, 2r+1) that differ in the
-        last-axis parity alone: one product per block (per part of a
-        square block under the swap split, then the sum/difference unfold
-        over its mirror pairs) into one buffer as wide as the pair, then
-        the last-axis butterfly straight into the pair's own grid rows of
+        last-axis parity alone: one product per group, and its block's
+        layout's unfold, into one buffer as wide as the pair, then the
+        last-axis butterfly straight into the pair's own grid rows of
         `out`.  Those rows are the pair's own coefficient columns, so
         `out` may be `coeffs` itself.  The leading-axis butterflies then
         take the same buffer as their scratch: in dim 2 it is about half
@@ -472,10 +479,10 @@ class SpectralOperator:
         n, dim = self.grid.n_side, self.grid.dim
         out = np.empty(coeffs.shape) if out is None else out
         grid_out = out.reshape(out.shape[:-1] + (n,) * dim)
-        sizes = [modes.size for modes in self.block_modes]
+        blocks = self._blocks
         stack = coeffs.shape[:-1]
         n_stack = math.prod(stack)
-        buf = np.empty(n_stack * (sizes[0] + sizes[1]))
+        buf = np.empty(n_stack * (blocks[0][0].size + blocks[1][0].size))
         # the grid rows of pair r along the leading axes: the even half
         # first, the odd half reversed onto its mirror rows
         a = n - n // 2
@@ -483,36 +490,36 @@ class SpectralOperator:
         start = 0
         for r, rest in enumerate(itertools.product((0, 1), repeat=dim - 1)):
             grids, used = [], 0
-            for b in (2 * r, 2 * r + 1):
-                c = coeffs[..., start:start + sizes[b]]
-                v = buf[used:used + n_stack * sizes[b]].reshape(stack + (sizes[b],))
-                phi = self.block_vectors[b]
-                if isinstance(phi, tuple):
-                    _swap_products_into(c, phi, v)
-                else:
-                    np.matmul(c, phi.T, out=v)
-                grids.append(self._block_grid(b, v))
-                start += sizes[b]
-                used += n_stack * sizes[b]
+            for layout, bases in blocks[2 * r:2 * r + 2]:
+                v = buf[used:used + n_stack * layout.size].reshape(stack + (layout.size,))
+                c = coeffs[..., start:start + layout.size]
+                grids.append(layout.products_into(c, bases, v))
+                start += layout.size
+                used += n_stack * layout.size
             region = grid_out[(Ellipsis,) + tuple(halves[p] for p in rest) + (slice(None),)]
             _unfold_pair_into(*grids, region)
         _unfold_leading(grid_out, dim, buf)
         return out
 
+    def _mode_order(self) -> tuple[NDArray, NDArray]:
+        """The global index and the sign of every mode in block order."""
+        return (np.concatenate([g.modes for g in self.groups]),
+                np.concatenate([g.signs for g in self.groups]))
+
     def project(self, f: NDArray) -> NDArray:
         """Coefficients c_k = <f, phi_k>_w of a (..., M) stack, in global
         mode order."""
         blocks = self.project_blocks(f)
+        modes, signs = self._mode_order()
         coeffs = np.empty(blocks.shape)
-        coeffs[..., np.concatenate(self.block_modes)] = blocks * self.mode_signs
+        coeffs[..., modes] = blocks * signs
         return coeffs
 
     def reconstruct(self, coeffs: NDArray) -> NDArray:
         """sum_k c_k phi_k of a (..., M) stack of coefficients in global
         mode order."""
-        coeffs = np.asarray(coeffs, float)
-        return self.reconstruct_blocks(
-            coeffs[..., np.concatenate(self.block_modes)] * self.mode_signs)
+        modes, signs = self._mode_order()
+        return self.reconstruct_blocks(np.asarray(coeffs, float)[..., modes] * signs)
 
     def mode(self, k: int) -> NDArray:
         """The eigenmode phi_k at every cell, for an integer k in [0, M)."""
@@ -524,7 +531,7 @@ class SpectralOperator:
 
 def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOperator:
     """Assemble L_w and its w-orthonormal eigendecomposition, one `eigh`
-    per reflection-parity block or axis-swap part of one.  A grid outside
+    per mode group that is not a transposed copy.  A grid outside
     `check_dense_budget` is rejected before anything is allocated."""
     check_dense_budget(grid.dim, grid.n_side)
     if coeff.dim != grid.dim:
@@ -536,69 +543,59 @@ def assemble(grid: Grid, coeff: CoefficientField, w: WeightModel) -> SpectralOpe
         raise ValueError("weight samples must be mirror-symmetric along every axis")
 
     # A = a I and w(x, y) = w(y, x) make S commute with the axis swap too
-    swap = (grid.dim == 2 and len(set(coeff.entries)) == 1
-            and np.array_equal(w_grid, w_grid.T))
+    swap = grid.dim == 2 and len(set(coeff.entries)) == 1 and np.array_equal(w_grid, w_grid.T)
     stencil = _scaled_stencil(grid, coeff, wv)
     h = n // 2
     density_root = np.sqrt(wv * grid.cell_volume)
-    eigs, vectors, signs = [], [], []
+    parts = []  # (block, part, eigenvalues, basis, rows, signs, layout) per group
     for b, (coef, local, m) in enumerate(_block_maps(n, grid.dim)):
         if swap and b == 2:
-            eigs.append(eigs[1])
-            vectors.append(vectors[1])
-            signs.append(mirror_signs)
-            continue
+            continue  # the transposed copy of block 1, added with it
         # to block coordinates of the unscaled fold: every cell of a mirror
         # orbit gives its row the same factor, since w is equal on the orbit
         rows = np.empty(m)
         rows[local] = np.abs(coef) / density_root
         if swap and b in (0, 3):
-            side = n - h if b == 0 else h
-            lams, parts = [], []
-            for (c, q, size), first in zip(_swap_maps(side), _swap_fold(side)[0]):
+            split = _swap_split(n - h if b == 0 else h)
+            maps = zip(("sym", "anti"), _swap_maps(split.shape[0]), split.firsts)
+            for part, (c, q, size), first in maps:
                 scale = np.abs(c[first])
-                lam, psi = _block_eigh(_block_matrix(stencil, coef * c[local], q[local], size))
+                eigvals, psi = _block_eigh(_block_matrix(stencil, coef * c[local], q[local], size))
                 psi *= _signs(psi, *_lead_rows(psi, scale))
-                psi *= (scale * rows[first])[:, None]
-                lams.append(lam)
-                parts.append(psi)
-            eigs.append(np.concatenate(lams))
-            vectors.append(tuple(parts))
-        else:
-            lam, psi = _block_eigh(_block_matrix(stencil, coef, local, m))
-            # the swap carries (even, odd) onto (odd, even): the same
-            # spectrum and basis, in transposed local coordinates; only
-            # the sign rule, read in that block's row order, is its own
-            mirror = swap and b == 1
-            orders = (None, np.arange(m).reshape(n - h, h).T.ravel()) if mirror else (None,)
-            lead, *mirror_lead = _lead_rows(psi, orders=orders)
-            psi *= _signs(psi, lead)
-            if mirror:
-                mirror_signs = _signs(psi, mirror_lead[0])
-            psi *= rows[:, None]
-            eigs.append(lam)
-            vectors.append(psi)
-        signs.append(np.ones(m))
+                part_rows = scale * rows[first]
+                psi *= part_rows[:, None]
+                parts.append((b, part, eigvals, psi, part_rows, np.broadcast_to(1.0, size), split))
+            continue
+        shape = tuple(h if b >> (grid.dim - 1 - k) & 1 else n - h for k in range(grid.dim))
+        eigvals, psi = _block_eigh(_block_matrix(stencil, coef, local, m))
+        # the swap carries (even, odd) onto (odd, even): the same spectrum
+        # and basis, in transposed local coordinates; only the sign rule,
+        # read in that block's row order, is its own
+        orders = (None, np.arange(m).reshape(shape).T.ravel()) if swap else (None,)
+        lead, *transposed_lead = _lead_rows(psi, orders=orders)
+        psi *= _signs(psi, lead)
+        psi *= rows[:, None]
+        parts.append((b, "block", eigvals, psi, rows, np.broadcast_to(1.0, m), _Whole(shape)))
+        if swap:
+            parts.append((2, "transposed", eigvals, psi, rows, _signs(psi, transposed_lead[0]),
+                          _Whole(shape, (-1, -2))))
 
-    lam = np.concatenate(eigs)
-    block_id = np.concatenate([np.full(e.size, b) for b, e in enumerate(eigs)])
-    local_id = np.concatenate([np.arange(e.size) for e in eigs])
-    order = np.lexsort((local_id, block_id, lam))
+    sizes = [eigvals.size for _, _, eigvals, *_ in parts]
+    lam = np.concatenate([eigvals for _, _, eigvals, *_ in parts])
+    group_id = np.repeat(np.arange(len(parts)), sizes)
+    local_id = np.concatenate([np.arange(size) for size in sizes])
+    order = np.lexsort((local_id, group_id, lam))
     gaps = np.diff(lam[order])
     cluster = np.concatenate([[0], np.cumsum(gaps > CLUSTER_RTOL * lam.max())])
-    order = order[np.lexsort((local_id[order], block_id[order], cluster))]
+    order = order[np.lexsort((local_id[order], group_id[order], cluster))]
     position = np.empty(lam.size, dtype=int)
     position[order] = np.arange(lam.size)
+    # the records hold views of the block-order eigenvalues and positions
+    groups, starts = [], np.cumsum([0] + sizes)
+    for (block, part, _, basis, rows, signs, layout), s, e in zip(parts, starts, starts[1:]):
+        source = groups[-1] if part == "transposed" else None
+        groups.append(ModeGroup(block, part, lam[s:e], basis, rows, position[s:e], signs,
+                                layout, source))
 
-    return SpectralOperator(
-        grid=grid,
-        weight=w,
-        coeff=coeff,
-        eigenvalues=lam[order],
-        weight_values=wv,
-        swap=swap,
-        block_vectors=tuple(vectors),
-        block_eigenvalues=lam,
-        mode_signs=np.concatenate(signs),
-        block_modes=tuple(position[block_id == b] for b in range(len(eigs))),
-    )
+    return SpectralOperator(grid=grid, weight=w, coeff=coeff, eigenvalues=lam[order],
+                            weight_values=wv, block_eigenvalues=lam, groups=tuple(groups))

@@ -56,13 +56,19 @@ def operator_matrix(op) -> np.ndarray:
     return stiffness(op.grid, op.coeff, wv) / wv[:, None]
 
 
+def scaled_stiffness(grid, coeff, wv) -> np.ndarray:
+    """S = W^{-1/2} K W^{-1/2}, symmetrized, (M, M): the standard symmetric
+    form of L_w in the coordinates psi = sqrt(w h^dim) phi."""
+    inv_sqrt_w = 1.0 / np.sqrt(wv)
+    m_std = inv_sqrt_w[:, None] * stiffness(grid, coeff, wv) * inv_sqrt_w[None, :]
+    return 0.5 * (m_std + m_std.T)
+
+
 def dense_spectrum(grid, coeff, wv) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of L_w and the (M, M) w-orthonormal modes,
     columns phi_k, from one dense `eigh` of W^{-1/2} K W^{-1/2}."""
-    inv_sqrt_w = 1.0 / np.sqrt(wv)
-    m_std = inv_sqrt_w[:, None] * stiffness(grid, coeff, wv) * inv_sqrt_w[None, :]
-    lam, psi = scipy.linalg.eigh(0.5 * (m_std + m_std.T))
-    return lam, psi * inv_sqrt_w[:, None] / grid.cell_volume**0.5
+    lam, psi = scipy.linalg.eigh(scaled_stiffness(grid, coeff, wv))
+    return lam, psi * (1.0 / np.sqrt(wv))[:, None] / grid.cell_volume**0.5
 
 
 class TabulatedWeight(WeightModel):

@@ -130,6 +130,11 @@ class TestExponents:
         assert result.exit_code == 1
         assert "alpha outside (-n, n)" in result.output
 
+    def test_nonpositive_n_is_named(self, runner):
+        result = runner.invoke(main, ["exponents", "--alpha", "0", "--n", "-3"])
+        assert result.exit_code == 1
+        assert "n must be >= 1, got -3" in result.output
+
     def test_missing_n_is_usage_error(self, runner):
         result = runner.invoke(main, ["exponents", "--alpha", "1"])
         assert result.exit_code == 2

@@ -12,6 +12,16 @@ import numpy as np
 import pytest
 
 from tentcalc.cli import RunConfig
+from tentcalc.exponents import (
+    corollary_ranges,
+    poisson_upper,
+    power_weight_class_interval,
+    power_weight_criticals,
+    power_weight_in_ap,
+    power_weight_in_rh,
+    sobolev_exponent,
+    surrogate_p_bounds,
+)
 from tentcalc.mesh import UNIT_WEIGHT, Grid, PowerWeight, lp_norm, maximal
 from tentcalc.operator import CoefficientField, assemble
 from tentcalc.semigroup import (
@@ -128,6 +138,26 @@ ENTRY_POINTS = [
     ("RunConfig.n", lambda v: RunConfig(n=v), 16, "n", [0, 3], [], True),
     ("RunConfig.ladder_t_min", lambda v: RunConfig(ladder_t_min=v), 0.01, "ladder_t_min",
      [0.0, 1.0], [None], False),
+    ("power_weight_criticals.n", lambda v: power_weight_criticals(0, v), 2, "n",
+     [0, -3, 2.5], [], True),
+    ("power_weight_in_ap.n", lambda v: power_weight_in_ap(0, v, 2), 2, "n", [0, 2.5], [],
+     True),
+    ("power_weight_in_rh.n", lambda v: power_weight_in_rh(0, v, 2), 2, "n", [0, 2.5], [],
+     True),
+    ("power_weight_class_interval.n", lambda v: power_weight_class_interval(0, v, "rh"), 2,
+     "n", [0, 2.5], [], True),
+    ("sobolev_exponent.K", lambda v: sobolev_exponent(2, v, 1, 2), 1, "K", [0, 1.5], [],
+     True),
+    ("sobolev_exponent.n", lambda v: sobolev_exponent(2, 1, 1, v), 2, "n", [0, 2.5], [],
+     True),
+    ("poisson_upper.K", lambda v: poisson_upper(2, v, 1, 2), 0, "K", [-1, 0.5], [], True),
+    ("poisson_upper.n", lambda v: poisson_upper(2, 0, 1, v), 2, "n", [0, 2.5], [], True),
+    ("surrogate_p_bounds.n",
+     lambda v: surrogate_p_bounds(power_weight_criticals(0, 2), v), 2, "n", [0, 2.5], [],
+     True),
+    ("corollary_ranges.n",
+     lambda v: corollary_ranges("power_weight", {"n": v, "family": "heat"}), 2, "n",
+     [1, 2.5], [], True),
 ]
 IDS = [row[0] for row in ENTRY_POINTS]
 

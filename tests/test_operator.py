@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from dense_reference import (
     inner_w,
     modes,
     operator_matrix,
+    scaled_stiffness,
 )
 from tentcalc import operator as operator_module
 from tentcalc.mesh import Grid, PowerWeight, UNIT_WEIGHT
@@ -226,6 +228,16 @@ def swap_symmetric_weight(grid, seed):
     return TabulatedWeight((0.5 * (w + w.T)).ravel())
 
 
+def blocks(op):
+    """The number of parity blocks that the operator's mode groups cover."""
+    return len({g.block for g in op.groups})
+
+
+def swapped(op):
+    """Whether the operator took the axis-swap split."""
+    return any(g.part == "transposed" for g in op.groups)
+
+
 def cluster_bounds(lam, rtol):
     """(start, stop) of each run of eigenvalues with gaps <= rtol * max."""
     cuts = np.flatnonzero(np.diff(lam) > rtol * lam.max()) + 1
@@ -276,7 +288,7 @@ class TestParityBlocks:
         coeff = CoefficientField.identity(g) if entries is None \
             else CoefficientField(entries)
         op = assemble(g, coeff, weight)
-        assert len(op.block_vectors) == 2**dim
+        assert blocks(op) == 2**dim
         assert_matches_dense(op)
 
     @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (2, 8), (2, 9)])
@@ -284,7 +296,7 @@ class TestParityBlocks:
         g = Grid(dim, n)
         op = assemble(g, CoefficientField([1.5] * dim),
                       mirrored_weight(g, n, range(dim)))
-        assert len(op.block_vectors) == 2**dim
+        assert blocks(op) == 2**dim
         assert_matches_dense(op)
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -301,7 +313,7 @@ class TestParityBlocks:
         g = Grid(dim, 9)
         op = assemble(g, CoefficientField([1.0, 2.0][:dim]),
                       PowerWeight(1.0))
-        assert len(op.block_vectors) == 2**dim
+        assert blocks(op) == 2**dim
         assert_matches_dense(op)
 
     @pytest.mark.parametrize("axis", [0, 1])
@@ -330,8 +342,8 @@ class TestParityBlocks:
         g = Grid(2, 8)
         op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
         block_of = np.empty(g.n_cells, dtype=int)
-        for b, positions in enumerate(op.block_modes):
-            block_of[positions] = b
+        for group in op.groups:
+            block_of[group.modes] = group.block
         lam = op.eigenvalues
         pairs = 0
         for start, stop in cluster_bounds(lam, 1e-10):
@@ -374,8 +386,8 @@ class TestParityBlocks:
             weight = swap_symmetric_weight(g, tabulated) if equal and dim == 2 \
                 else mirrored_weight(g, tabulated, range(dim))
         op = assemble(g, CoefficientField(entries[:dim]), weight)
-        assert len(op.block_vectors) == 2**dim
-        assert op.swap or not (equal and dim == 2)
+        assert blocks(op) == 2**dim
+        assert swapped(op) or not (equal and dim == 2)
         assert_matches_dense(op)
 
     @given(
@@ -410,7 +422,7 @@ class TestParityBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(op.block_vectors) == 4
+        assert blocks(op) == 4
         assert peak < 8 * g.n_cells**2
 
 
@@ -488,8 +500,7 @@ class TestSwapSplit:
         # its symmetric and antisymmetric parts, 528^2 and 496^2, and no
         # 1024^2 scatter of them
         op, _ = traced_n64
-        stored = {id(p): p for phi in op.block_vectors
-                  for p in (phi if isinstance(phi, tuple) else (phi,))}
+        stored = {id(g.basis): g.basis for g in op.groups}
         assert sum(p.size for p in stored.values()) <= 2 * (528**2 + 496**2) + 1024**2
 
     def test_assembly_traced_peak_at_n64(self, traced_n64):
@@ -500,13 +511,14 @@ class TestSwapSplit:
         g = Grid(2, n)
         op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
         blocks, mirror = scattered_swap_reference(op)
-        starts = np.cumsum([0] + [modes.size for modes in op.block_modes])
-        npt.assert_array_equal(op.mode_signs[starts[2]:starts[3]], mirror)
+        groups = {(group.block, group.part): group for group in op.groups}
+        npt.assert_array_equal(groups[2, "transposed"].signs, mirror)
         n_side = {0: n - n // 2, 3: n // 2}
         for b, (lam, ref) in blocks.items():
-            npt.assert_array_equal(op.block_eigenvalues[starts[b]:starts[b + 1]], lam)
-            ours = np.hstack([np.sign(c)[:, None] * part[q] for (c, q, _), part in
-                              zip(operator_module._swap_maps(n_side[b]), op.block_vectors[b])])
+            parts = groups[b, "sym"], groups[b, "anti"]
+            npt.assert_array_equal(np.concatenate([part.eigenvalues for part in parts]), lam)
+            ours = np.hstack([np.sign(c)[:, None] * part.basis[q] for (c, q, _), part in
+                              zip(operator_module._swap_maps(n_side[b]), parts)])
             # the same signs, and every entry within rounding of the reference
             npt.assert_array_equal(np.sign(ours), np.sign(ref))
             npt.assert_allclose(ours, ref, rtol=1e-15, atol=0)
@@ -517,7 +529,7 @@ class TestSwapSplit:
     def test_power_weights_match_dense(self, n, a, alpha, eigh_sizes):
         g = Grid(2, n)
         op = assemble(g, CoefficientField([a, a]), PowerWeight(alpha))
-        assert op.swap
+        assert swapped(op)
         # (even, even) and (odd, odd) in two parts each, (odd, even) derived
         assert len(eigh_sizes) == 5
         assert sum(eigh_sizes) + (n - n // 2) * (n // 2) == g.n_cells
@@ -542,7 +554,8 @@ class TestSwapSplit:
     def test_odd_even_modes_are_transposed_even_odd_modes(self, n):
         g = Grid(2, n)
         op = assemble(g, CoefficientField.identity(g), PowerWeight(1.0))
-        eo, oe = op.block_modes[1], op.block_modes[2]
+        transposed = next(group for group in op.groups if group.part == "transposed")
+        eo, oe = transposed.source.modes, transposed.modes
         npt.assert_array_equal(op.eigenvalues[eo], op.eigenvalues[oe])
         for k, j in zip(eo.tolist(), oe.tolist()):
             moved = op.mode(k).reshape(n, n).T.ravel()
@@ -589,7 +602,7 @@ class TestBlockCoordinates:
             weight = swap_symmetric_weight(g, n) if len(set(entries)) == 1 \
                 else mirrored_weight(g, n, range(dim))
         op = assemble(g, CoefficientField(entries), weight)
-        assert len(op.block_vectors) == 2**dim
+        assert blocks(op) == 2**dim
         lam, phi = dense_spectrum(g, op.coeff, op.weight_values)
         scale = lam.max()
         dens = op.weight_values * g.cell_volume
@@ -625,13 +638,15 @@ def full_buffer_reconstruct(op, coeffs):
     h = n // 2
     a = n - h
     stack = coeffs.shape[:-1]
-    cuts = np.cumsum([modes.size for modes in op.block_modes])[:-1]
+    cuts = np.cumsum([g.modes.size for g in op.groups])[:-1]
+    products = {}
+    for g, c in zip(op.groups, np.split(coeffs, cuts, axis=-1)):
+        products.setdefault(g.block, {})[g.part] = c @ g.basis.T
     grids = []
-    for b, (c, phi) in enumerate(zip(np.split(coeffs, cuts, axis=-1), op.block_vectors)):
-        if isinstance(phi, tuple):
-            m = math.isqrt(c.shape[-1])
-            s = c[..., :phi[0].shape[0]] @ phi[0].T
-            d = c[..., phi[0].shape[0]:] @ phi[1].T
+    for b, parts in sorted(products.items()):
+        if "sym" in parts:
+            s, d = parts["sym"], parts["anti"]
+            m = math.isqrt(s.shape[-1] + d.shape[-1])
             iu, ju = np.triu_indices(m)
             ip, jp = np.triu_indices(m, 1)
             sym_row = np.zeros((m, m), dtype=int)
@@ -642,12 +657,11 @@ def full_buffer_reconstruct(op, coeffs):
             grid[..., jp, ip] = s[..., sym_row[ip, jp]] - d
             grids.append(grid)
             continue
-        values = c @ phi.T
-        if op.swap and b == 2:
-            grids.append(values.reshape(stack + (a, h)).swapaxes(-1, -2))
+        if "transposed" in parts:
+            grids.append(parts["transposed"].reshape(stack + (a, h)).swapaxes(-1, -2))
         else:
             shape = tuple((a, h)[p] for p in list(itertools.product((0, 1), repeat=dim))[b])
-            grids.append(values.reshape(stack + shape))
+            grids.append(parts["block"].reshape(stack + shape))
     out = np.empty(stack + (n,) * dim)
     lo, hi = slice(0, h), slice(n - 1, n - 1 - h, -1)
     halves = (slice(0, a), slice(n - 1, a - 1, -1))
@@ -689,3 +703,65 @@ def test_reconstruct_blocks_equals_full_buffer_route(dim, n, alpha, isotropic, r
     else:
         got = op.reconstruct_blocks(coeffs)
     assert np.array_equal(got, want)
+
+
+def group_transform(op, g):
+    """The (M, m) orthonormal map from a mode group's rows to the cells, by
+    the definitions in the operator module's docstring and not by its
+    maps: the Kronecker product of the 1-D parity transforms (even part
+    first, the middle cell of an odd side unscaled in it), then for a swap
+    part its combination of the cells (i, j) and (j, i), numbered
+    row-major over i <= j or i < j, and for the transposed copy the
+    (odd, even) block's columns in the (even, odd) block's row order."""
+    n = op.grid.n_side
+    h, a = n // 2, n - n // 2
+    even, odd = np.zeros((n, a)), np.zeros((n, h))
+    for i in range(h):
+        even[i, i] = even[n - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
+        odd[n - 1 - i, i] = -math.sqrt(0.5)
+    if n % 2:
+        even[h, h] = 1.0
+    q = functools.reduce(np.kron, list(itertools.product((even, odd), repeat=op.grid.dim))[g.block])
+    if g.part == "transposed":
+        return q[:, np.arange(a * h).reshape(h, a).T.ravel()]
+    if g.part == "block":
+        return q
+    m = math.isqrt(q.shape[1])
+    pairs = [(i, j) for i in range(m) for j in range(i + (g.part == "anti"), m)]
+    part = np.zeros((m * m, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        if i == j:
+            part[i * m + i, k] = 1.0
+        else:
+            part[i * m + j, k] = math.sqrt(0.5)
+            part[j * m + i, k] = math.sqrt(0.5) if g.part == "sym" else -math.sqrt(0.5)
+    return q @ part
+
+
+@given(
+    dim=st.sampled_from([1, 2]), n=st.integers(4, 17),
+    alpha=st.sampled_from([-0.8, 0.0, 0.5, 1.3]), isotropic=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_group_records_diagonalize_their_dense_blocks(dim, n, alpha, isotropic):
+    # A = I in dim 2 takes the axis-swap split (sym, anti and transposed
+    # groups), A = diag(1, 2) four whole blocks; each record's stored basis
+    # over its row factors is orthonormal and diagonalizes its group's
+    # block of the dense S with the record's eigenvalues
+    grid = Grid(dim, n)
+    coeff = CoefficientField([1.0] * dim if isotropic else [1.0, 2.0][:dim])
+    op = assemble(grid, coeff, PowerWeight(alpha))
+    assert swapped(op) == (dim == 2 and isotropic)
+    s = scaled_stiffness(grid, coeff, op.weight_values)
+    scale = op.eigenvalues.max()
+    npt.assert_array_equal(np.sort(np.concatenate([g.modes for g in op.groups])),
+                           np.arange(grid.n_cells))
+    for g in op.groups:
+        psi = g.basis / g.rows[:, None]
+        npt.assert_allclose(psi.T @ psi, np.eye(g.modes.size), rtol=0, atol=1e-12)
+        v = group_transform(op, g) @ psi
+        npt.assert_allclose(v.T @ s @ v, np.diag(g.eigenvalues), rtol=0, atol=1e-12 * scale)
+        npt.assert_array_equal(op.eigenvalues[g.modes], g.eigenvalues)
+        assert set(np.unique(g.signs)) <= {-1.0, 1.0}
+        if g.part == "transposed":
+            assert g.source.block == 1 and g.basis is g.source.basis
